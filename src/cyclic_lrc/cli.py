@@ -74,13 +74,17 @@ def _load(path: str):
         raise CliError(f"code file integrity failure: {exc}", 3) from None
 
 
-def _cmd_construct(args) -> int:
+def _construct(scheme: str, q: int, n: int | None, r: int | None, d: int | None):
     try:
-        code = construct(args.scheme, args.q, n=args.n, r=args.r, d=args.d)
+        return construct(scheme, q, n=n, r=r, d=d)
     except ParameterError as exc:
         raise CliError(str(exc), 1) from None
     except ConstructionError as exc:
         raise CliError(f"internal construction failure: {exc}", 1) from None
+
+
+def _cmd_construct(args) -> int:
+    code = _construct(args.scheme, args.q, args.n, args.r, args.d)
     print(f"[n, k, d] = [{code.n}, {code.k}, {code.d_claimed}] over GF({code.q})")
     print(f"locality r = {code.r}")
     print(f"g(x) = {code.base.g}")
@@ -139,7 +143,7 @@ def _cmd_sweep(args) -> int:
         elif rec.q**rec.k > args.budget:
             verdict = "indeterminate"
         else:
-            code = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            code = _construct(rec.scheme, rec.q, rec.n, rec.r, rec.d)
             verdict = verify_optimal(code, budget=args.budget).verdict
         writer.writerow([rec.scheme, rec.q, rec.n, rec.k, rec.r, rec.d, verdict])
     sys.stdout.write(out.getvalue())

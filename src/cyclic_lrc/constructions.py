@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .cyclic import CyclicCode
 from .field import (
+    MAX_FIELD_ORDER,
     FieldElement,
     FiniteField,
     embed,
@@ -145,15 +146,23 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _field(p: int, m: int, role: str = "") -> FiniteField:
+    _require(
+        p**m <= MAX_FIELD_ORDER,
+        f"field GF({p}^{m}){role} exceeds the supported order {MAX_FIELD_ORDER}",
+    )
+    return make_field(p, m)
+
+
 def base_field(q: int) -> FiniteField:
     p, m = prime_power(q)
-    return make_field(p, m)
+    return _field(p, m)
 
 
 def _splitting_context(field: FiniteField, n: int):
     """(extension field, canonical primitive n-th root beta) for x^n - 1."""
     degree = splitting_degree(field.q, n)
-    ext = field if degree == 1 else make_field(field.p, field.m * degree)
+    ext = field if degree == 1 else _field(field.p, field.m * degree, f" splitting x^{n} - 1")
     return ext, primitive_nth_root(ext, n)
 
 

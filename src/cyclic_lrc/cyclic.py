@@ -172,12 +172,12 @@ def min_distance_exhaustive(
 ) -> DistanceScan:
     """Exact minimum distance when q**k fits the budget, else a bracket.
 
-    Exact mode enumerates every nonzero message once; the result does not
-    depend on enumeration order, so the message space may be partitioned
-    freely.  The fallback pairs the BCH lower bound with the minimum weight
-    over the first ``min(budget, sample_cap)`` messages of the deterministic
-    enumeration order and is flagged non-exact.  The zero code reports the
-    conventional n + 1.
+    Exact mode covers every nonzero codeword (the kernel visits one message
+    per scalar class, since scalar multiples share a weight).  The fallback
+    pairs the BCH lower bound with the minimum weight over the first
+    ``min(budget, sample_cap)`` messages of the deterministic enumeration
+    order and is flagged non-exact.  The zero code reports the conventional
+    n + 1.
     """
     if budget < 1:
         raise ValueError(f"enumeration budget must be >= 1, got {budget}")

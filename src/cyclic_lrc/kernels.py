@@ -1,81 +1,57 @@
-"""Hot enumeration kernels for exhaustive code scans.
+"""The exhaustive scan kernel behind the distance and locality oracles.
 
-Enumerating all q**k messages of a linear code dominates the runtime of the
-oracles in this package (several million codewords for the larger desk-scale
-instances), so the inner loops live here in two interchangeable backends:
+Messages are numbered by a counter t: symbol j of message t is the field
+element of index ``(t // q**j) % q``.  Because element indices are base-p
+digit vectors, the base-p digits of t are exactly the GF(p) coordinates of
+the message, symbol by symbol.  Two observations turn a scan over all q**k
+messages into a handful of numpy operations per block of codewords:
 
-* a numba ``@njit`` odometer loop that updates the running codeword
-  incrementally as the message counter steps (the default), and
-* a pure-numpy chunked path that materializes codeword blocks with
-  table-gather indexing.
+* **Expanded generator.**  Multiplication by a fixed element of GF(p^m) is
+  a GF(p)-linear map on digit vectors, so the k x n generator over GF(q) is
+  a km x nm matrix E over GF(p), and the codeword of message t has digits
+  ``digits(t) @ E mod p``.  One path serves prime and extension fields.
+* **Projective enumeration.**  Scalar multiples of a message share the
+  support of its codeword.  In counter order the smallest member of every
+  scalar class is the one whose highest nonzero symbol is ``one`` (index 1),
+  i.e. a counter in ``[q**s, 2 * q**s)`` for some s.  Scanning only those
+  counters visits (q**k - 1)/(q - 1) messages and still yields the exact
+  minimum over any prefix 1..count and the first counter of every support.
 
-The backend is chosen by the ``CYCLIC_LRC_BACKEND`` environment variable:
-``numba``, ``numpy``, or ``auto`` (default: numba when importable).  Both
-backends scan the same message sequence: message t has symbol j equal to the
-field element of index ``(t // q**j) % q``, for t = 1..count.
-
-Field arithmetic is table-driven: elements are their canonical indices and
-add/sub/mul are q-by-q int16 lookup tables, which keeps one code path for
-prime and extension fields alike.  Tables are only built for q up to
-``TABLE_LIMIT``; exhaustive scans over larger alphabets are out of scope.
+Within ``[q**s, 2 * q**s)`` a counter splits as ``base + lo`` with the
+digits of ``base`` and ``lo`` disjoint, so its codeword is the sum of the
+codewords of ``base`` and ``lo``.  The codewords of every ``lo`` below a
+block width are built once per scan, one row of E at a time in counter
+order, and packed into symbol indices; a symbol of ``base + lo`` is zero
+exactly when the ``lo`` symbol equals the matching symbol of ``-base``, so
+each block reduces to one comparison and a column sum.  Blocks are sized by
+bytes, about ``_BLOCK_BYTES`` each.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .field import FieldElement, FiniteField
 
 TABLE_LIMIT = 1024
-BACKEND_ENV = "CYCLIC_LRC_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-def active_backend() -> str:
-    """Resolve the enumeration backend from the environment."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("CYCLIC_LRC_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown {BACKEND_ENV} value: {choice!r}")
+_BLOCK_BYTES = 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
-def op_tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(add, sub, mul) index tables for a field, as q x q int16 arrays."""
+def op_tables(field: FiniteField) -> np.ndarray:
+    """Multiplication table of a field over element indices, q x q int16."""
     q = field.q
     if q > TABLE_LIMIT:
         raise ValueError(
             f"field order {q} exceeds the enumeration table limit {TABLE_LIMIT}"
         )
     elems = [field.from_index(i) for i in range(q)]
-    add = np.empty((q, q), dtype=np.int16)
-    sub = np.empty((q, q), dtype=np.int16)
-    mul = np.empty((q, q), dtype=np.int16)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = (a + b).index
-            sub[i, j] = (a - b).index
-            mul[i, j] = (a * b).index
-    add.setflags(write=False)
-    sub.setflags(write=False)
+    mul = np.array([[(a * b).index for b in elems] for a in elems], dtype=np.int16)
     mul.setflags(write=False)
-    return add, sub, mul
+    return mul
 
 
 def matrix_indices(rows: Sequence[Sequence[FieldElement]]) -> np.ndarray:
@@ -94,155 +70,92 @@ def message_symbols(field: FiniteField, t: int, k: int) -> tuple[FieldElement, .
 
 
 # ---------------------------------------------------------------------------
-# Kernel implementations.  Each exists twice: a loop version (numba-compiled
-# when available) and a vectorized numpy version; tests pin their agreement.
+# The scan.
 
 
-def _scan_min_weight_loop(gmat, add_t, sub_t, mul_t, q, count):
-    k, n = gmat.shape
-    digits = np.zeros(k, dtype=np.int64)
-    cw = np.zeros(n, dtype=np.int16)
-    best = n + 1
-    for _ in range(count):
-        j = 0
-        while True:
-            old = digits[j]
-            new = old + 1
-            if new == q:
-                new = 0
-            digits[j] = new
-            diff = sub_t[new, old]
-            for c in range(n):
-                gv = gmat[j, c]
-                if gv != 0:
-                    cw[c] = add_t[cw[c], mul_t[diff, gv]]
-            if new != 0:
-                break
-            j += 1
-        w = 0
-        for c in range(n):
-            if cw[c] != 0:
-                w += 1
-        if w < best:
-            best = w
-    return best
+class _Scan:
+    """The expanded generator of one matrix and the blocks of its scan."""
+
+    def __init__(self, matrix: np.ndarray, field: FiniteField):
+        if matrix.ndim != 2 or matrix.shape[0] == 0:
+            raise ValueError("kernel scans need a nonempty 2-d generator matrix")
+        p, m = field.p, field.m
+        k, n = matrix.shape
+        # images[i, j, c]: index of y**i * matrix[j, c], y**i being digit i
+        images = op_tables(field)[p ** np.arange(m)][:, matrix.astype(np.intp)]
+        digits = images[..., None] // p ** np.arange(m) % p
+        # unsigned digits with room for the sum of two
+        self.digit_type = np.uint8 if p < 128 else np.uint16
+        self.expanded = digits.transpose(1, 0, 2, 3).reshape(k * m, n * m).astype(self.digit_type)
+        self.symbol_type = np.uint8 if field.q <= 256 else np.uint16
+        self.weight_type = np.min_scalar_type(n)
+        self.field, self.n = field, n
+
+    def span(self, rows: np.ndarray) -> np.ndarray:
+        """Every GF(p)-combination of the digit rows, in counter order: row t
+        of the result takes coefficient ``(t // p**i) % p`` on rows[i]."""
+        p = self.field.p
+        words = np.zeros((1, rows.shape[1]), dtype=self.digit_type)
+        for row in rows:
+            parts = [words]
+            for _ in range(1, p):
+                total = parts[-1] + row
+                parts.append(np.minimum(total, total - p))  # mod p, wrapping below 0
+            words = np.concatenate(parts)
+        return words
+
+    def pack(self, words: np.ndarray) -> np.ndarray:
+        """Symbol indices of digit rows, transposed to shape (n, len(words))."""
+        p, m = self.field.p, self.field.m
+        digits = words.reshape(len(words), self.n, m).astype(self.symbol_type)
+        packed = digits[:, :, m - 1]
+        for i in range(m - 2, -1, -1):
+            packed = packed * p + digits[:, :, i]
+        return np.ascontiguousarray(packed.T)
+
+    def blocks(self, count: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(first counter, nonzero mask of shape (n, len)) per block of the
+        projective messages with counter <= count, in increasing counter order."""
+        q, p, m = self.field.q, self.field.p, self.field.m
+        table_rows = max(1, _BLOCK_BYTES // self.expanded[0].nbytes)
+        low = 0  # symbols covered by the table
+        while q ** (low + 1) <= min(table_rows, count):
+            low += 1
+        table = self.pack(self.span(self.expanded[: low * m]))
+        s = 0
+        while q**s <= count:
+            first, last = q**s, min(2 * q**s - 1, count)
+            step = q ** min(s, low)
+            # codewords of the block bases: symbol s is one, the symbols
+            # between the table and s take every value, in counter order
+            high = self.span(self.expanded[min(s, low) * m : s * m])
+            bases = (high[: (last - first) // step + 1] + self.expanded[s * m]) % p
+            negated = self.pack((p - bases) % p)
+            for i, base in enumerate(range(first, last + 1, step)):
+                size = min(step, last + 1 - base)
+                yield base, table[:, :size] != negated[:, i, None]
+            s += 1
 
 
-def _scan_witness_loop(gmat, add_t, sub_t, mul_t, q, count, max_weight):
-    k, n = gmat.shape
-    digits = np.zeros(k, dtype=np.int64)
-    cw = np.zeros(n, dtype=np.int16)
-    witness = np.full(n, -1, dtype=np.int64)
-    remaining = n
-    t = 0
-    for _ in range(count):
-        t += 1
-        j = 0
-        while True:
-            old = digits[j]
-            new = old + 1
-            if new == q:
-                new = 0
-            digits[j] = new
-            diff = sub_t[new, old]
-            for c in range(n):
-                gv = gmat[j, c]
-                if gv != 0:
-                    cw[c] = add_t[cw[c], mul_t[diff, gv]]
-            if new != 0:
-                break
-            j += 1
-        w = 0
-        for c in range(n):
-            if cw[c] != 0:
-                w += 1
-        if 0 < w <= max_weight:
-            for c in range(n):
-                if cw[c] != 0 and witness[c] < 0:
-                    witness[c] = t
-                    remaining -= 1
-            if remaining == 0:
-                break
-    return witness
-
-
-if HAVE_NUMBA:
-    _scan_min_weight_numba = njit(cache=True)(_scan_min_weight_loop)
-    _scan_witness_numba = njit(cache=True)(_scan_witness_loop)
-
-
-_CHUNK = 1 << 15
-
-
-def _codeword_block(gmat, add_t, mul_t, q, t0, t1):
-    """Codeword index matrix for messages t0..t1-1, shape (t1-t0, n)."""
-    k, n = gmat.shape
-    t = np.arange(t0, t1, dtype=np.int64)
-    cw = np.zeros((t.size, n), dtype=np.int16)
-    for j in range(k):
-        digit = (t // q**j) % q
-        cw = add_t[cw, mul_t[digit[:, None], gmat[j][None, :]]]
-    return cw
-
-
-def _scan_min_weight_numpy(gmat, add_t, sub_t, mul_t, q, count):
-    n = gmat.shape[1]
-    best = n + 1
-    start = 1
-    while start <= count:
-        stop = min(start + _CHUNK, count + 1)
-        cw = _codeword_block(gmat, add_t, mul_t, q, start, stop)
-        best = min(best, int(np.count_nonzero(cw, axis=1).min()))
-        start = stop
-    return best
-
-
-def _scan_witness_numpy(gmat, add_t, sub_t, mul_t, q, count, max_weight):
-    n = gmat.shape[1]
-    witness = np.full(n, -1, dtype=np.int64)
-    start = 1
-    while start <= count:
-        stop = min(start + _CHUNK, count + 1)
-        cw = _codeword_block(gmat, add_t, mul_t, q, start, stop)
-        weights = np.count_nonzero(cw, axis=1)
-        for row in np.nonzero((weights > 0) & (weights <= max_weight))[0]:
-            hit = False
-            for c in np.nonzero(cw[row])[0]:
-                if witness[c] < 0:
-                    witness[c] = start + int(row)
-                    hit = True
-            if hit and (witness >= 0).all():
-                return witness
-        start = stop
-    return witness
-
-
-# ---------------------------------------------------------------------------
-# Public entry points.
-
-
-def _prepare(matrix: np.ndarray, field: FiniteField):
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise ValueError("kernel scans need a nonempty 2-d generator matrix")
-    add_t, sub_t, mul_t = op_tables(field)
-    return matrix.astype(np.int16, copy=False), add_t, sub_t, mul_t
+def _check_count(matrix: np.ndarray, field: FiniteField, count: int) -> None:
+    if count > field.q ** matrix.shape[0] - 1:
+        raise ValueError("count exceeds the number of nonzero messages")
 
 
 def min_nonzero_weight(matrix: np.ndarray, field: FiniteField, count: int) -> int:
     """Minimum Hamming weight over the codewords of messages 1..count.
 
-    ``matrix`` holds the generator rows as element indices.  The result is
-    independent of backend; with ``count == q**k - 1`` it is the exact
-    minimum distance of the row space.
+    ``matrix`` holds the generator rows as element indices.  With
+    ``count == q**k - 1`` it is the exact minimum distance of the row space.
     """
-    gmat, add_t, sub_t, mul_t = _prepare(matrix, field)
+    scan = _Scan(matrix, field)
     if count < 1:
         raise ValueError("at least one message must be scanned")
-    if count > field.q ** matrix.shape[0] - 1:
-        raise ValueError("count exceeds the number of nonzero messages")
-    if active_backend() == "numba":
-        return int(_scan_min_weight_numba(gmat, add_t, sub_t, mul_t, field.q, count))
-    return int(_scan_min_weight_numpy(gmat, add_t, sub_t, mul_t, field.q, count))
+    _check_count(matrix, field, count)
+    best = scan.n + 1
+    for _, nonzero in scan.blocks(count):
+        best = min(best, int(np.add.reduce(nonzero, axis=0, dtype=scan.weight_type).min()))
+    return best
 
 
 def covering_witnesses(
@@ -254,13 +167,21 @@ def covering_witnesses(
     message counter whose codeword has nonzero weight <= max_weight and is
     nonzero at c (-1 when no such codeword exists in the scanned range).
     """
-    gmat, add_t, sub_t, mul_t = _prepare(matrix, field)
+    scan = _Scan(matrix, field)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    witness = np.full(scan.n, -1, dtype=np.int64)
     if count == 0:
-        return np.full(matrix.shape[1], -1, dtype=np.int64)
-    if count > field.q ** matrix.shape[0] - 1:
-        raise ValueError("count exceeds the number of nonzero messages")
-    if active_backend() == "numba":
-        return _scan_witness_numba(gmat, add_t, sub_t, mul_t, field.q, count, max_weight)
-    return _scan_witness_numpy(gmat, add_t, sub_t, mul_t, field.q, count, max_weight)
+        return witness
+    _check_count(matrix, field, count)
+    for base, nonzero in scan.blocks(count):
+        weights = np.add.reduce(nonzero, axis=0, dtype=scan.weight_type)
+        rows = np.flatnonzero((weights > 0) & (weights <= max_weight))
+        if rows.size == 0:
+            continue
+        hits = nonzero[:, rows]
+        fresh = (witness < 0) & hits.any(axis=1)
+        witness[fresh] = base + rows[hits[fresh].argmax(axis=1)]
+        if (witness >= 0).all():
+            break
+    return witness

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Timing assertions use
-the stated per-criterion limits; the enumeration kernels are warmed once up
-front so compilation time is not billed to any criterion.
+the stated per-criterion limits; the scan kernel is warmed once up front so
+one-off set-up cost is not billed to any criterion.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from cyclic_lrc.verify import OPTIMAL_CERTIFIED, singleton_bound, verify_optimal
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger kernel compilation on a tiny instance before any timed criterion
+    # pay first-call costs (cached field tables, first numpy calls) on a tiny
+    # instance before any timed criterion
     code = build_any_d_subgroup(7, 6, 2, 2)
     min_distance_exhaustive(code.base)
     verify_locality(code.base, 3)

@@ -3,9 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyclic_lrc
 from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import code_to_dict, dumps_canonical, load_code
 
@@ -56,6 +61,22 @@ def test_construct_precondition_diagnostics(capsys):
     rc, out, err = _run(capsys, "construct", "--scheme", "thm-1.1-i", "--q", "4", "--n", "10", "--r", "2")
     assert rc == 1
     assert "gcd" in err
+
+
+def test_construct_oversized_splitting_field_is_a_precondition_failure():
+    # x^27 - 1 over GF(7) splits only in GF(7^9), beyond the supported order
+    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclic_lrc.cli", "construct", "--scheme", "thm-1.1-i",
+         "--q", "7", "--n", "27", "--r", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "GF(7^9)" in proc.stderr
 
 
 def test_verify_certified(code_file, capsys):

@@ -1,0 +1,67 @@
+"""Byte-exact pins of CLI stdout, exit codes, code files and locality
+witnesses.  The golden files were captured before the scan kernel was
+rewritten; any change to enumeration order or witness choice shows here."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from cyclic_lrc import build_d3_unbounded, build_d4_unbounded
+from cyclic_lrc.cli import main
+from cyclic_lrc.codefile import dumps_canonical
+from cyclic_lrc.repair import verify_locality
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _run(capsys, *argv):
+    rc = main(list(argv))
+    return rc, capsys.readouterr().out
+
+
+def test_verify_ex_3_2_q13(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    rc, _ = _run(
+        capsys, "construct", "--scheme", "ex-3.2", "--q", "13", "--n", "12", "--r", "2",
+        "--d", "5", "--out", str(path),
+    )
+    assert rc == 0
+    assert path.read_bytes() == (GOLDEN / "ex-3.2-q13-n12-r2-d5.json").read_bytes()
+    rc, out = _run(capsys, "verify", str(path))
+    assert rc == 0
+    assert out == (GOLDEN / "verify-ex-3.2-q13-n12-r2-d5.out").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--scheme", "thm-3.4", "--qmax", "9"], "sweep-thm-3.4-qmax9-verify.csv"),
+        # certified rows over GF(4), GF(8) and GF(9)
+        (["--scheme", "ex-3.3", "--qmax", "9", "--nmax", "10"], "sweep-ex-3.3-qmax9-nmax10-verify.csv"),
+        (["--scheme", "thm-1.1-i", "--qmax", "9", "--nmax", "10"], "sweep-thm-1.1-i-qmax9-nmax10-verify.csv"),
+    ],
+    ids=["thm-3.4", "ex-3.3", "thm-1.1-i"],
+)
+def test_sweep_verify(capsys, argv, golden):
+    rc, out = _run(capsys, "sweep", "--verify", *argv)
+    assert rc == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_exhaustive_locality_witnesses():
+    # (r_test + 1) does not divide n, so every check scans the dual exhaustively
+    builders = {"thm-1.1-i": build_d3_unbounded, "thm-1.1-ii": build_d4_unbounded}
+    cases = []
+    for scheme, q, n, r, r_test in [
+        ("thm-1.1-i", 4, 9, 2, 3),
+        ("thm-1.1-ii", 5, 8, 3, 4),
+        ("thm-1.1-ii", 5, 8, 3, 2),
+    ]:
+        check = verify_locality(builders[scheme](q, n, r).base, r_test)
+        assert check.method == "exhaustive"
+        cases.append(
+            {"scheme": scheme, "q": q, "n": n, "r": r, "r_test": r_test, "check": check.to_dict()}
+        )
+    assert dumps_canonical(cases) == (GOLDEN / "locality-exhaustive.json").read_text()

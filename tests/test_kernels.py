@@ -3,26 +3,40 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cyclic_lrc import kernels
+from cyclic_lrc import construct, kernels
 from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
 
 
-def _reference_min_weight(matrix, field, count):
-    """Tiny exact reference: recompute every codeword with element objects."""
+def _reference_supports(matrix, field, count):
+    """Tiny exact reference: the support of the codeword of every message
+    1..count, recomputed with element objects in full counter order."""
     k, n = matrix.shape
-    best = n + 1
+    rows = [[field.from_index(int(v)) for v in row] for row in matrix]
+    supports = []
     for t in range(1, count + 1):
-        message = kernels.message_symbols(field, t, k)
         word = [field.zero()] * n
-        for j, m in enumerate(message):
-            if m.is_zero:
-                continue
-            for c in range(n):
-                word[c] = word[c] + m * field.from_index(int(matrix[j, c]))
-        best = min(best, sum(1 for w in word if not w.is_zero))
-    return best
+        for m, row in zip(kernels.message_symbols(field, t, k), rows):
+            if not m.is_zero:
+                word = [w + m * g for w, g in zip(word, row)]
+        supports.append([c for c, w in enumerate(word) if not w.is_zero])
+    return supports
+
+
+def _reference_min_weight(supports, count, n):
+    return min((len(s) for s in supports[:count]), default=n + 1)
+
+
+def _reference_witnesses(supports, count, n, max_weight):
+    """First counter in full order covering each coordinate."""
+    witness = [-1] * n
+    for t, support in enumerate(supports[:count], start=1):
+        if 0 < len(support) <= max_weight:
+            for c in support:
+                if witness[c] < 0:
+                    witness[c] = t
+    return witness
 
 
 def _small_codes():
@@ -33,31 +47,36 @@ def _small_codes():
     yield CyclicCode.build(f5, 6, Poly.from_indices(f5, [4, 1]))
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_backends_match_reference(backend, monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
-    for code in _small_codes():
+def _reference_codes():
+    """Small codes over GF(5), GF(4), GF(9) and GF(13)."""
+    yield from _small_codes()
+    yield construct("ex-3.3", 9, n=10, r=9, d=8).base
+    yield construct("ex-3.2", 13, n=12, r=2, d=9).base
+
+
+# a block budget this small forces many table widths and base chunks
+@pytest.mark.parametrize("block_bytes", [None, 40], ids=["default-blocks", "tiny-blocks"])
+def test_scan_matches_reference(block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
+    for code in _reference_codes():
+        q, k, n = code.field.q, code.k, code.n
         matrix = kernels.matrix_indices(code.generator_matrix)
-        count = code.field.q**code.k - 1
-        count = min(count, 3000)
-        got = kernels.min_nonzero_weight(matrix, code.field, count)
-        assert got == _reference_min_weight(matrix, code.field, count)
+        total = q**k - 1
+        supports = _reference_supports(matrix, code.field, total)
+        d = _reference_min_weight(supports, total, n)
+        for count in sorted({total, total // 3, q ** (k - 1), q ** (k - 1) - 1, 2 * q ** (k - 1), 7}):
+            assert kernels.min_nonzero_weight(matrix, code.field, count) == (
+                _reference_min_weight(supports, count, n)
+            ), (code, count)
+            for max_weight in (d, d + 1, n):
+                got = kernels.covering_witnesses(matrix, code.field, max_weight, count)
+                assert got.tolist() == _reference_witnesses(supports, count, n, max_weight), (
+                    code, count, max_weight,
+                )
 
 
-def test_backends_agree_on_full_scan(monkeypatch):
-    code = next(_small_codes())
-    matrix = kernels.matrix_indices(code.generator_matrix)
-    count = code.field.q**code.k - 1
-    results = {}
-    for backend in ("numba", "numpy"):
-        monkeypatch.setenv(kernels.BACKEND_ENV, backend)
-        results[backend] = kernels.min_nonzero_weight(matrix, code.field, count)
-    assert results["numba"] == results["numpy"] == 4
-
-
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_witness_scan_covers_every_coordinate(backend, monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+def test_witness_scan_covers_every_coordinate():
     code = next(_small_codes())
     dual = code.dual()
     matrix = kernels.matrix_indices(dual.generator_matrix)
@@ -73,8 +92,7 @@ def test_witness_scan_covers_every_coordinate(backend, monkeypatch):
         assert not word[coord].is_zero
 
 
-def test_witness_scan_reports_uncovered_coordinates(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
+def test_witness_scan_reports_uncovered_coordinates():
     code = next(_small_codes())
     dual = code.dual()
     matrix = kernels.matrix_indices(dual.generator_matrix)
@@ -89,16 +107,6 @@ def test_message_symbol_order(f13):
     assert [s.index for s in kernels.message_symbols(f13, 14, 3)] == [1, 1, 0]
 
 
-def test_backend_selection(monkeypatch):
-    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-    assert kernels.active_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv(kernels.BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
-
-
 def test_table_limit_guard():
     big = make_field(2, 11)  # q = 2048 > TABLE_LIMIT
     with pytest.raises(ValueError):
@@ -106,12 +114,10 @@ def test_table_limit_guard():
 
 
 def test_op_tables_agree_with_element_arithmetic(f25):
-    add, sub, mul = kernels.op_tables(f25)
+    mul = kernels.op_tables(f25)
     for i in (0, 1, 7, 24):
         for j in (0, 2, 13):
             a, b = f25.from_index(i), f25.from_index(j)
-            assert add[i, j] == (a + b).index
-            assert sub[i, j] == (a - b).index
             assert mul[i, j] == (a * b).index
 
 
