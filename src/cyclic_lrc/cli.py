@@ -4,7 +4,8 @@ Symbols on the command line are comma-separated canonical element indices
 (for prime fields these are plain residues); "_" marks the erased position
 in a repair word.  Exit codes follow the verification contract:
 0 optimal-certified, 2 optimal-consistent, 3 refuted / integrity failure,
-4 indeterminate, 1 construction precondition failure, 64 usage errors and
+4 indeterminate, 1 construction precondition failure, 5 corrupt input (a
+repair word whose filled-in form is not a codeword), 64 usage errors and
 unreadable files.  All output is byte-deterministic for fixed arguments.
 """
 
@@ -32,9 +33,10 @@ from .constructions import (
 )
 from .cyclic import DEFAULT_BUDGET
 from .field import FiniteField
-from .repair import ErasedWord, coordinate_coset, repair_erasure
+from .repair import ErasedWord, RepairError, coordinate_coset, repair_erasure
 from .verify import VERDICT_EXIT_CODES, verify_optimal
 
+EX_CORRUPT = 5
 EX_USAGE = 64
 
 
@@ -120,7 +122,14 @@ def _cmd_repair(args) -> int:
         erased = ErasedWord.from_symbols(symbols)
     except ValueError as exc:
         raise CliError(str(exc), EX_USAGE) from None
-    symbol = repair_erasure(code, erased)
+    try:
+        symbol = repair_erasure(code, erased)
+    except RepairError as exc:
+        raise CliError(f"no repair plan: {exc}", 3) from None
+    filled = list(symbols)
+    filled[erased.erased_at] = symbol
+    if not code.base.contains(filled):
+        raise CliError("corrupt input: the repaired word is not a codeword", EX_CORRUPT)
     reads = [j for j in coordinate_coset(code.n, code.r, erased.erased_at) if j != erased.erased_at]
     print(symbol.index)
     print("read: " + ",".join(str(j) for j in reads))

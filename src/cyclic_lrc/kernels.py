@@ -42,14 +42,16 @@ _BLOCK_BYTES = 1 << 20
 
 @functools.lru_cache(maxsize=None)
 def op_tables(field: FiniteField) -> np.ndarray:
-    """Multiplication table of a field over element indices, q x q int16."""
+    """Products by the power basis over element indices, m x q int16: row i
+    maps the index of b to the index of y**i * b, y**i being digit i."""
     q = field.q
     if q > TABLE_LIMIT:
         raise ValueError(
             f"field order {q} exceeds the enumeration table limit {TABLE_LIMIT}"
         )
     elems = [field.from_index(i) for i in range(q)]
-    mul = np.array([[(a * b).index for b in elems] for a in elems], dtype=np.int16)
+    basis = [field.from_index(field.p**i) for i in range(field.m)]
+    mul = np.array([[(y * b).index for b in elems] for y in basis], dtype=np.int16)
     mul.setflags(write=False)
     return mul
 
@@ -82,7 +84,7 @@ class _Scan:
         p, m = field.p, field.m
         k, n = matrix.shape
         # images[i, j, c]: index of y**i * matrix[j, c], y**i being digit i
-        images = op_tables(field)[p ** np.arange(m)][:, matrix.astype(np.intp)]
+        images = op_tables(field)[:, matrix.astype(np.intp)]
         digits = images[..., None] // p ** np.arange(m) % p
         # unsigned digits with room for the sum of two
         self.digit_type = np.uint8 if p < 128 else np.uint16

@@ -1,12 +1,15 @@
 """Repair groups, repair vectors, single-erasure repair and locality checks.
 
 For the codes built here every coordinate i is repaired inside its residue
-class modulo n/(r+1): a dual codeword supported on that class with all
+class modulo s = n/(r+1): a dual codeword supported on that class with all
 entries nonzero expresses c_i as a combination of the other r class members.
-Repair vectors are found by solving the generator-orthogonality system
-restricted to the class positions; a closed-form full-weight dual witness on
-the stride grid backs the solver up when the restricted solution space is
-too large to search.  All results are deterministic; per-code plans are
+Such a word has a closed form.  When g has a factor x^s - c, the quotient
+(x^n - 1)/(x^s - c) is a geometric word on the stride grid, and its
+coordinate reversal is a dual codeword of weight r+1.  That grid witness,
+checked against the generator, is the one source of repair vectors: the
+vector for coordinate i is its cyclic shift onto i's class, checked again.
+A code without such a factor has no repair plan; its locality is decided by
+the exhaustive dual scan.  All results are deterministic; per-code plans are
 cached and safe to read concurrently once built.
 """
 
@@ -18,11 +21,8 @@ from typing import Sequence
 
 from . import kernels
 from .cyclic import DEFAULT_BUDGET, CyclicCode, DistanceScan, min_distance_exhaustive
-from .field import FieldElement, FiniteField
+from .field import FieldElement
 from .poly import Poly
-
-_EXHAUSTIVE_SOLUTION_CAP = 4096
-
 
 class RepairError(RuntimeError):
     """No qualifying repair vector exists (or none could be certified)."""
@@ -72,57 +72,7 @@ def _base_and_r(code, r_test: int | None = None) -> tuple[CyclicCode, int]:
 
 
 # ---------------------------------------------------------------------------
-# Restricted nullspace machinery.
-
-
-def _nullspace(rows: list[list[FieldElement]], field: FiniteField, width: int):
-    """Basis of the right nullspace of the given matrix, via Gauss-Jordan."""
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = next((i for i in range(rank, len(mat)) if not mat[i][col].is_zero), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [c * inv for c in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not mat[i][col].is_zero:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    zero, one = field.zero(), field.one()
-    basis = []
-    for free_col in (c for c in range(width) if c not in pivots):
-        vec = [zero] * width
-        vec[free_col] = one
-        for row, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -mat[row][free_col]
-        basis.append(vec)
-    return basis
-
-
-def _all_nonzero_combination(basis, field: FiniteField, width: int):
-    """First (in counter order) nullspace vector with every entry nonzero."""
-    dim = len(basis)
-    if dim == 0:
-        return None
-    q = field.q
-    if q**dim > _EXHAUSTIVE_SOLUTION_CAP:
-        return None
-    for t in range(1, q**dim):
-        coeffs = kernels.message_symbols(field, t, dim)
-        vec = [field.zero()] * width
-        for c, b in zip(coeffs, basis):
-            if not c.is_zero:
-                vec = [v + c * bv for v, bv in zip(vec, b)]
-        if all(not v.is_zero for v in vec):
-            return vec
-    return None
+# Repair vectors.
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,36 +120,26 @@ def _cyclic_shift(word: tuple[FieldElement, ...], delta: int) -> tuple[FieldElem
 
 @functools.lru_cache(maxsize=None)
 def _coset_vector(base: CyclicCode, r: int, i: int) -> tuple[FieldElement, ...]:
-    """Dual codeword supported on i's coset with all coset entries nonzero,
-    normalized to 1 at the lowest support position."""
+    """The grid witness shifted onto i's coset and re-validated, normalized
+    to 1 at the lowest support position."""
     if base.k < 1:
         raise RepairError("repair plans need a code of dimension >= 1")
-    n, field = base.n, base.field
+    n, s = base.n, repair_stride(base.n, r)
     positions = coordinate_coset(n, r, i)
-    restricted = [[row[p] for p in positions] for row in base.generator_matrix]
-    basis = _nullspace(restricted, field, len(positions))
-    solution = _all_nonzero_combination(basis, field, len(positions))
-    if solution is None and basis:
-        # solution space too large to scan: fall back to the structural
-        # grid witness, shifted onto this coset and re-validated
-        witness = _grid_witness(base, r)
-        if witness is not None:
-            anchor = (n - 1) % repair_stride(n, r)
-            shifted = _cyclic_shift(witness, (i % repair_stride(n, r)) - anchor)
-            if _is_dual_word(base, shifted) and all(
-                not shifted[p].is_zero for p in positions
-            ):
-                solution = [shifted[p] for p in positions]
-    if solution is None:
+    witness = _grid_witness(base, r)
+    if witness is None:
+        raise RepairError(f"g has no factor x^{s} - c (coordinate {i})")
+    # the witness is supported on the class of n - 1
+    shifted = _cyclic_shift(witness, positions[0] - (n - 1) % s)
+    if not _is_dual_word(base, shifted) or any(shifted[p].is_zero for p in positions):
         raise RepairError(
             f"no dual codeword with all-nonzero support on coset {positions} "
             f"(coordinate {i})"
         )
-    zero = field.zero()
-    scale = solution[0].inverse()
-    full = [zero] * n
-    for p, v in zip(positions, solution):
-        full[p] = v * scale
+    scale = shifted[positions[0]].inverse()
+    full = [base.field.zero()] * n
+    for p in positions:
+        full[p] = shifted[p] * scale
     return tuple(full)
 
 

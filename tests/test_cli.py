@@ -128,6 +128,32 @@ def test_encode_and_repair_round_trip(code_file, capsys):
         assert all((p - i) % 2 == 0 for p in read_positions)
 
 
+@pytest.mark.parametrize("flip", [2, 1], ids=["inside-group", "outside-group"])
+def test_repair_rejects_corrupt_word(code_file, capsys, flip):
+    # codeword 1,2,0,1,1,0,0,0 with coordinate 0 erased; its repair group is
+    # {2, 4, 6}, so flipping coordinate 2 corrupts the repaired symbol and
+    # flipping coordinate 1 leaves it right but the word inconsistent
+    symbols = ["_", "2", "0", "1", "1", "0", "0", "0"]
+    symbols[flip] = str((int(symbols[flip]) + 1) % 5)
+    rc, out, err = _run(capsys, "repair", str(code_file), "--word", ",".join(symbols))
+    assert rc == 5
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "not a codeword" in err
+
+
+def test_repair_error_is_one_line(code_file, capsys, monkeypatch):
+    from cyclic_lrc import repair
+
+    def no_plan(code, i):
+        raise repair.RepairError("no plan for this coordinate")
+
+    monkeypatch.setattr(repair, "repair_vector", no_plan)
+    rc, out, err = _run(capsys, "repair", str(code_file), "--word", "_,2,0,1,1,0,0,0")
+    assert rc == 3
+    assert out == ""
+    assert err.strip().splitlines() == ["no repair plan: no plan for this coordinate"]
+
+
 def test_encode_all_zero(code_file, capsys):
     rc, out, _ = _run(capsys, "encode", str(code_file), "--message", "0,0,0,0")
     assert rc == 0 and out.strip() == "0,0,0,0,0,0,0,0"

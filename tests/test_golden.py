@@ -4,11 +4,13 @@ rewritten; any change to enumeration order or witness choice shows here."""
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from cyclic_lrc import build_d3_unbounded, build_d4_unbounded
+from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import dumps_canonical
 from cyclic_lrc.repair import verify_locality
@@ -65,3 +67,24 @@ def test_exhaustive_locality_witnesses():
             {"scheme": scheme, "q": q, "n": n, "r": r, "r_test": r_test, "check": check.to_dict()}
         )
     assert dumps_canonical(cases) == (GOLDEN / "locality-exhaustive.json").read_text()
+
+
+def test_coset_locality_witnesses_over_criterion_box():
+    # every constructible row of the five schemes at --qmax 13 --nmax 24,
+    # restricted solution spaces of dimension 1 to 11; the digest was taken
+    # from the coset nullspace solver that the grid witness replaced
+    cases = []
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 13, 24):
+            if not rec.constructible:
+                continue
+            code = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            check = verify_locality(code, code.r)
+            assert check.method == "coset-witness", rec
+            cases.append(
+                {"scheme": rec.scheme, "q": rec.q, "n": rec.n, "k": rec.k, "r": rec.r,
+                 "d": rec.d, "check": check.to_dict()}
+            )
+    assert len(cases) == 260
+    digest = hashlib.sha256(dumps_canonical(cases).encode()).hexdigest()
+    assert digest == (GOLDEN / "locality-coset-qmax13-nmax24.sha256").read_text().strip()

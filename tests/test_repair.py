@@ -74,8 +74,8 @@ def test_repair_vectors_shift_compatible(code_8_4_4):
 
 
 def test_repair_vector_via_structural_witness():
-    # coset width 12 with nullspace dimension 10: exhaustive search is
-    # infeasible, the grid witness path must kick in
+    # coset width 12 whose restricted solution space has dimension 10: the
+    # grid witness from the factor x - c of g gives the vector in closed form
     from cyclic_lrc.constructions import build_any_d_subgroup
 
     code = build_any_d_subgroup(13, 12, 11, 11)
@@ -92,6 +92,31 @@ def test_repair_vector_rejects_zero_dimensional_code():
         from cyclic_lrc.repair import _coset_vector
 
         _coset_vector(zero_code, 3, 0)
+
+
+def test_bare_code_without_grid_factor_uses_exhaustive_scan():
+    # x^2 + 1 is irreducible over GF(3), so g has no factor x - c and no
+    # coset plan exists; the exhaustive dual scan answers instead
+    f3 = make_field(3)
+    code = CyclicCode.build(f3, 4, Poly.from_indices(f3, [1, 0, 1]))
+    with pytest.raises(RepairError):
+        from cyclic_lrc.repair import _coset_vector
+
+        _coset_vector(code, 3, 0)
+    check = verify_locality(code, 3)
+    assert check.to_dict() == {
+        "ok": True,
+        "r_test": 3,
+        "method": "exhaustive",
+        "witnesses": [
+            {"coordinate": 0, "support": [0, 2], "entries": [2, 1]},
+            {"coordinate": 1, "support": [1, 3], "entries": [2, 1]},
+            {"coordinate": 2, "support": [0, 2], "entries": [2, 1]},
+            {"coordinate": 3, "support": [1, 3], "entries": [2, 1]},
+        ],
+    }
+    check = verify_locality(code, 3, budget=1)
+    assert check.ok is None and check.method == "budget-exceeded"
 
 
 def test_erased_word_validation(f5):
