@@ -19,7 +19,6 @@ import sys
 from .codefile import (
     CodeFileFormatError,
     CodeFileInvariantError,
-    code_to_dict,
     dumps_canonical,
     load_code,
     save_code,

@@ -1,28 +1,33 @@
 """Generator-polynomial constructions of optimal cyclic locally repairable
 codes, plus admissible-parameter enumeration.
 
-Five schemes are provided, named by the identifiers used on the CLI and in
-code files:
+Each scheme is a set Z of root exponents modulo n.  With beta the canonical
+primitive n-th root of unity in the splitting field of x^n - 1, the generator
+is g = prod over e in Z of (x - beta^e), and k = n - |Z|.  With s = n/(r+1),
+the five schemes, named by the identifiers used on the CLI and in code
+files, are:
 
-* ``thm-1.1-i``   distance 3, any length n with (r+1) | gcd(n, q-1), r >= 2;
-                  g = (x - 1)(x^s - alpha) with s = n/(r+1), alpha = beta^s.
+* ``thm-1.1-i``   distance 3, (r+1) | gcd(n, q-1), r >= 2;
+                  Z = {0} + {1 + (r+1)j : j < s}, so g = (x - 1)(x^s - alpha)
+                  with alpha = beta^s.
 * ``thm-1.1-ii``  distance 4, r >= 3, additionally gcd(s, r+1) | 2;
-                  g = (x - 1)(x - gamma)(x^s - alpha) with gamma = alpha^a
-                  for a Bezout coefficient of a*s + b*(r+1) = 2.
-* ``ex-3.2``      length n | q - 1, any feasible distance d;
-                  g is a prefix run of beta-powers plus a stride-aligned tail.
-* ``ex-3.3``      length n | q + 1; root exponents symmetric around 0 so the
-                  generator is fixed by the q-power Frobenius and descends
-                  to GF(q).
-* ``thm-3.4``     length n = 2(q - 1), distance 4;
-                  g = (x - 1)(x - beta^2)(x^s - alpha).
+                  Z = the thm-1.1-i set + {s*a}, so g gains x - gamma with
+                  gamma = beta^(s*a) = alpha^a, a*s + b*(r+1) = 2.
+* ``ex-3.2``      n | q - 1, any feasible distance d;
+                  Z = {0, ..., d-2} + a stride-(r+1) tail; beta is in GF(q).
+* ``ex-3.3``      n | q + 1, d = a(r+1) + b with a even and b even, b >= 2;
+                  Z = {-(d-2)/2, ..., (d-2)/2} + {(r+1)j : a/2 < j < s - a/2},
+                  closed under negation, so g descends to GF(q).
+* ``thm-3.4``     n = 2(q - 1), distance 4, (r+1) | q - 1;
+                  Z = {0, 2} + the thm-1.1-i grid, with gamma = beta^2.
 
 Every builder validates its arithmetic preconditions up front (raising
-ParameterError with a reusable diagnostic) and re-checks the claimed
-dimension, the divisibility g | x^n - 1, root distinctness and base-field
-membership of every projected quantity at runtime.  All choices inherit the
-canonical field conventions, so each scheme is a pure deterministic function
-of its parameters.
+ParameterError with a reusable diagnostic) and states its set.  One function
+then builds g in the splitting field and re-checks at runtime that the
+exponents are distinct, that every coefficient of g and the stored alpha and
+gamma lie in GF(q), that g | x^n - 1, and that k matches the scheme's
+formula.  All choices inherit the canonical field conventions, so each
+scheme is a pure deterministic function of its parameters.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .field import (
     MAX_FIELD_ORDER,
     FieldElement,
     FiniteField,
-    embed,
     in_base_subfield,
     make_field,
     primitive_nth_root,
@@ -146,30 +150,40 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _field(p: int, m: int, role: str = "") -> FiniteField:
+def base_field(q: int) -> FiniteField:
+    p, m = prime_power(q)
     _require(
-        p**m <= MAX_FIELD_ORDER,
-        f"field GF({p}^{m}){role} exceeds the supported order {MAX_FIELD_ORDER}",
+        q <= MAX_FIELD_ORDER, f"field GF({p}^{m}) exceeds the supported order {MAX_FIELD_ORDER}"
     )
     return make_field(p, m)
 
 
-def base_field(q: int) -> FiniteField:
-    p, m = prime_power(q)
-    return _field(p, m)
+def _splitting_fits(q: int, n: int) -> bool:
+    """Whether the splitting field of x^n - 1 over GF(q) is within
+    MAX_FIELD_ORDER: the one test behind both the construct error and the
+    sweep diagnostic ``splitting-field-too-large``."""
+    return q ** splitting_degree(q, n) <= MAX_FIELD_ORDER
 
 
-def _splitting_context(field: FiniteField, n: int):
-    """(extension field, canonical primitive n-th root beta) for x^n - 1."""
+def _splitting_context(field: FiniteField, n: int) -> FieldElement:
+    """The canonical primitive n-th root of unity beta, in the splitting
+    field of x^n - 1 over ``field``."""
     degree = splitting_degree(field.q, n)
-    ext = field if degree == 1 else _field(field.p, field.m * degree, f" splitting x^{n} - 1")
-    return ext, primitive_nth_root(ext, n)
+    _require(
+        _splitting_fits(field.q, n),
+        f"field GF({field.p}^{field.m * degree}) splitting x^{n} - 1 exceeds the "
+        f"supported order {MAX_FIELD_ORDER}",
+    )
+    ext = field if degree == 1 else make_field(field.p, field.m * degree)
+    return primitive_nth_root(ext, n)
 
 
 def _project(a: FieldElement, field: FiniteField, what: str) -> FieldElement:
+    if a.field == field:
+        return a
     if not in_base_subfield(a, field.q):
         raise ConstructionError(f"{what} is not fixed by the GF({field.q}) Frobenius")
-    return project_to_base(a, field) if a.field != field else a
+    return project_to_base(a, field)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -177,26 +191,37 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _binomial_x_pow(field: FiniteField, s: int, constant: FieldElement) -> Poly:
-    """x**s - constant."""
-    coeffs = [field.zero()] * (s + 1)
-    coeffs[0] = -constant
-    coeffs[s] = field.one()
-    return Poly.make(field, coeffs)
-
-
-def _finish(
+def _from_zeros(
     scheme: str,
     field: FiniteField,
     n: int,
-    g: Poly,
     r: int,
     d: int,
     k_expected: int,
-    beta: FieldElement,
-    alpha: FieldElement | None = None,
-    gamma: FieldElement | None = None,
+    zeros: list[int],
+    alpha_exponent: int | None = None,
+    gamma_exponent: int | None = None,
 ) -> LrcCode:
+    """The one generator path: g = prod over e in zeros of (x - beta^e).
+
+    g is formed in the splitting field and every coefficient is projected to
+    GF(q) after a Frobenius check; alpha = beta^alpha_exponent and
+    gamma = beta^gamma_exponent are projected the same way where the scheme
+    stores them.  CyclicCode.build checks g | x^n - 1, and the dimension is
+    checked against the scheme's formula.
+    """
+    _require(
+        len(set(zeros)) == len(zeros),
+        f"root exponents collide for d = {d}: {sorted(zeros)}",
+    )
+    beta = _splitting_context(field, n)
+    g_ext = Poly.from_roots([beta**e for e in zeros])
+    g = Poly.make(field, [_project(c, field, "generator coefficient") for c in g_ext.coeffs])
+    alpha = gamma = None
+    if alpha_exponent is not None:
+        alpha = _project(beta**alpha_exponent, field, "alpha")
+    if gamma_exponent is not None:
+        gamma = _project(beta**gamma_exponent, field, "gamma")
     code = CyclicCode.build(field, n, g)
     if code.k != k_expected:
         raise ConstructionError(
@@ -205,37 +230,38 @@ def _finish(
     return LrcCode(code, r, d, scheme, beta, alpha, gamma)
 
 
+def _grid(n: int, r: int) -> list[int]:
+    """Exponents of the zeros of x^s - beta^s, s = n/(r+1): 1 + (r+1)j, j < s."""
+    return list(range(1, n, r + 1))
+
+
 # ---------------------------------------------------------------------------
 # The five schemes.
+
+
+def _require_unbounded(q: int, n: int, r: int, r_min: int) -> None:
+    _require(n >= 1, f"length must be >= 1, got {n}")
+    _require(math.gcd(n, q) == 1, f"gcd(n, q) = {math.gcd(n, q)} != 1")
+    _require(r >= r_min, f"locality must be >= {r_min}, got {r}")
+    _require(
+        math.gcd(n, q - 1) % (r + 1) == 0,
+        f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
+    )
 
 
 def build_d3_unbounded(q: int, n: int, r: int) -> LrcCode:
     """[n, n - 1 - n/(r+1), 3] code with locality r (scheme thm-1.1-i)."""
     field = base_field(q)
-    _require(n >= 1, f"length must be >= 1, got {n}")
-    _require(math.gcd(n, q) == 1, f"gcd(n, q) = {math.gcd(n, q)} != 1")
-    _require(r >= 2, f"locality must be >= 2, got {r}")
-    _require(
-        math.gcd(n, q - 1) % (r + 1) == 0,
-        f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
-    )
+    _require_unbounded(q, n, r, 2)
     s = n // (r + 1)
-    ext, beta = _splitting_context(field, n)
-    alpha_ext = beta**s
-    if alpha_ext.index in (0, 1) or not in_base_subfield(alpha_ext, q):
-        raise ConstructionError(
-            "alpha = beta^(n/(r+1)) left GF(q) \\ {0, 1}: inconsistent parameter set"
-        )
-    alpha = _project(alpha_ext, field, "alpha")
-    one = Poly.one(field)
-    g = (Poly.x(field) - one) * _binomial_x_pow(field, s, alpha)
-    return _finish(
-        SCHEME_D3_UNBOUNDED, field, n, g, r, 3, n - 1 - s, beta, alpha=alpha
+    return _from_zeros(
+        SCHEME_D3_UNBOUNDED, field, n, r, 3, n - 1 - s, [0, *_grid(n, r)], alpha_exponent=s
     )
 
 
 def _bezout_exponent(s: int, r: int) -> int:
-    """Smallest a >= 1 with a*s + b*(r+1) = 2 solvable; gcd(s, r+1) must divide 2."""
+    """Smallest a >= 1 with a*s + b*(r+1) = 2 solvable (a = 0 would need
+    (r+1) | 2); gcd(s, r+1) must divide 2."""
     old_r, cur_r = s, r + 1
     old_u, cur_u = 1, 0
     while cur_r:
@@ -247,55 +273,29 @@ def _bezout_exponent(s: int, r: int) -> int:
         2 % g0 == 0,
         f"gcd(n/(r+1), r + 1) = {g0} does not divide 2",
     )
-    period = (r + 1) // g0
-    a = (u * (2 // g0)) % period
-    if a == 0:
-        # a = 0 would need (r+1) | 2, excluded by r >= 3
-        raise ConstructionError("Bezout exponent degenerated to 0")
-    return a
+    return (u * (2 // g0)) % ((r + 1) // g0)
 
 
 def build_d4_unbounded(q: int, n: int, r: int) -> LrcCode:
     """[n, n - 2 - n/(r+1), 4] code with locality r (scheme thm-1.1-ii)."""
     field = base_field(q)
-    _require(n >= 1, f"length must be >= 1, got {n}")
-    _require(math.gcd(n, q) == 1, f"gcd(n, q) = {math.gcd(n, q)} != 1")
-    _require(r >= 3, f"locality must be >= 3, got {r}")
-    _require(
-        math.gcd(n, q - 1) % (r + 1) == 0,
-        f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
-    )
+    _require_unbounded(q, n, r, 3)
     s = n // (r + 1)
-    _require(
-        2 % math.gcd(s, r + 1) == 0,
-        f"gcd(n/(r+1), r + 1) = {math.gcd(s, r + 1)} does not divide 2",
-    )
-    ext, beta = _splitting_context(field, n)
-    alpha_ext = beta**s
-    if alpha_ext.index in (0, 1) or not in_base_subfield(alpha_ext, q):
-        raise ConstructionError(
-            "alpha = beta^(n/(r+1)) left GF(q) \\ {0, 1}: inconsistent parameter set"
-        )
-    a = _bezout_exponent(s, r)
-    gamma_ext = alpha_ext**a
-    if gamma_ext.index in (0, 1) or not in_base_subfield(gamma_ext, q):
-        raise ConstructionError("gamma = alpha^a left GF(q) \\ {0, 1}")
-    if gamma_ext**s == alpha_ext:
-        raise ConstructionError("x - gamma collides with a factor of x^s - alpha")
-    alpha = _project(alpha_ext, field, "alpha")
-    gamma = _project(gamma_ext, field, "gamma")
-    one = Poly.one(field)
-    g = (
-        (Poly.x(field) - one)
-        * (Poly.x(field) - Poly.make(field, (gamma,)))
-        * _binomial_x_pow(field, s, alpha)
-    )
-    return _finish(
-        SCHEME_D4_UNBOUNDED, field, n, g, r, 4, n - 2 - s, beta, alpha=alpha, gamma=gamma
+    gamma_exponent = s * _bezout_exponent(s, r) % n
+    return _from_zeros(
+        SCHEME_D4_UNBOUNDED,
+        field,
+        n,
+        r,
+        4,
+        n - 2 - s,
+        [0, gamma_exponent, *_grid(n, r)],
+        alpha_exponent=s,
+        gamma_exponent=gamma_exponent,
     )
 
 
-def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int, int]:
+def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
     """Root exponents and expected dimension for scheme ex-3.2."""
     a, b = divmod(d, r + 1)
     _require(
@@ -311,7 +311,7 @@ def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int, in
     else:  # b == 0
         tail = [((r + 1) * j + b - 2) % n for j in range(a + 1, s + 1)]
         k_expected = r * n // (r + 1) - a * r - b + 1
-    return head + tail, k_expected, a, b
+    return head + tail, k_expected
 
 
 def build_any_d_subgroup(q: int, n: int, r: int, d: int) -> LrcCode:
@@ -322,14 +322,8 @@ def build_any_d_subgroup(q: int, n: int, r: int, d: int) -> LrcCode:
     _require(r >= 2, f"locality must be >= 2, got {r}")
     _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide n = {n}")
     _require(1 <= d <= n, f"distance d = {d} out of range 1..{n}")
-    exponents, k_expected, _, _ = _subgroup_exponents(n, r, d)
-    if len(set(exponents)) != len(exponents):
-        raise ParameterError(
-            f"root exponents collide for d = {d}: {sorted(exponents)}"
-        )
-    beta = primitive_nth_root(field, n)
-    g = Poly.from_roots([beta**e for e in exponents])
-    return _finish(SCHEME_ANY_D_SUBGROUP, field, n, g, r, d, k_expected, beta)
+    exponents, k_expected = _subgroup_exponents(n, r, d)
+    return _from_zeros(SCHEME_ANY_D_SUBGROUP, field, n, r, d, k_expected, exponents)
 
 
 def _coset_b_values(r: int) -> tuple[int, ...]:
@@ -353,8 +347,8 @@ def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
 
 
 def build_any_d_coset(q: int, n: int, r: int, d: int) -> LrcCode:
-    """[n, k, d] code for n | q + 1 (scheme ex-3.3); the generator is computed
-    in the splitting field and projected down after a Frobenius check."""
+    """[n, k, d] code for n | q + 1 (scheme ex-3.3); the exponent set is
+    closed under negation, so the generator descends to GF(q)."""
     field = base_field(q)
     _require(n >= 1, f"length must be >= 1, got {n}")
     _require((q + 1) % n == 0, f"n = {n} does not divide q + 1 = {q + 1}")
@@ -362,30 +356,18 @@ def build_any_d_coset(q: int, n: int, r: int, d: int) -> LrcCode:
     _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide n = {n}")
     _require(2 <= d <= n, f"distance d = {d} out of range 2..{n}")
     exponents, k_expected = _coset_exponents(n, r, d)
-    if len(set(exponents)) != len(exponents):
-        raise ParameterError(f"root exponents collide for d = {d}: {sorted(exponents)}")
-    ext, beta = _splitting_context(field, n)
-    g_ext = Poly.from_roots([beta**e for e in exponents])
-    projected = []
-    for c in g_ext.coeffs:
-        if not in_base_subfield(c, q):
-            raise ConstructionError(
-                "generator coefficient escaped GF(q): the exponent set is not "
-                "closed under negation"
-            )
-        projected.append(project_to_base(c, field) if ext != field else c)
-    g = Poly.make(field, projected)
-    return _finish(SCHEME_ANY_D_COSET, field, n, g, r, d, k_expected, beta)
+    return _from_zeros(SCHEME_ANY_D_COSET, field, n, r, d, k_expected, exponents)
 
 
 def build_d4_double_length(q: int, r: int) -> LrcCode:
     """[2(q-1), n - n/(r+1) - 2, 4] code (scheme thm-3.4).
 
     The stated hypothesis (r+1) | 2(q-1) does not by itself place
-    alpha = beta^(n/(r+1)) inside GF(q); membership is enforced here and the
-    failing parameter sets are rejected with a diagnostic.  Locality r >= 3
-    is required: for r <= 2 the Singleton-type bound exceeds 4 and the
-    construction cannot be optimal.
+    alpha = beta^s, s = n/(r+1), inside GF(q): beta has order 2(q-1), so
+    alpha is fixed by the q-power Frobenius exactly when s is even, that is
+    when (r+1) | q - 1.  The other parameter sets are rejected with a
+    diagnostic.  Locality r >= 3 is required: for r <= 2 the Singleton-type
+    bound exceeds 4 and the construction cannot be optimal.
     """
     field = base_field(q)
     n = 2 * (q - 1)
@@ -400,28 +382,22 @@ def build_d4_double_length(q: int, r: int) -> LrcCode:
     )
     _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
     s = n // (r + 1)
-    ext, beta = _splitting_context(field, n)
-    beta_sq = beta**2
-    if not in_base_subfield(beta_sq, q):
-        raise ConstructionError("beta^2 escaped GF(q)")
-    alpha_ext = beta**s
-    if not in_base_subfield(alpha_ext, q):
-        raise ParameterError(
-            f"alpha = beta^(n/(r+1)) is not in GF({q}): (r + 1) = {r + 1} divides "
-            f"2(q - 1) but not q - 1 = {q - 1}, so no generator exists over GF({q})"
-        )
-    if alpha_ext.index in (0, 1):
-        raise ConstructionError("alpha = beta^(n/(r+1)) degenerated to 0 or 1")
-    alpha = _project(alpha_ext, field, "alpha")
-    gamma = _project(beta_sq, field, "beta^2")
-    one = Poly.one(field)
-    g = (
-        (Poly.x(field) - one)
-        * (Poly.x(field) - Poly.make(field, (gamma,)))
-        * _binomial_x_pow(field, s, alpha)
+    # an oversized splitting field is reported first, by _splitting_context
+    _require(
+        (q - 1) % (r + 1) == 0 or not _splitting_fits(q, n),
+        f"alpha = beta^(n/(r+1)) is not in GF({q}): (r + 1) = {r + 1} divides "
+        f"2(q - 1) but not q - 1 = {q - 1}, so no generator exists over GF({q})",
     )
-    return _finish(
-        SCHEME_D4_DOUBLE_LENGTH, field, n, g, r, 4, n - s - 2, beta, alpha=alpha, gamma=gamma
+    return _from_zeros(
+        SCHEME_D4_DOUBLE_LENGTH,
+        field,
+        n,
+        r,
+        4,
+        n - s - 2,
+        [0, 2, *_grid(n, r)],
+        alpha_exponent=s,
+        gamma_exponent=2,
     )
 
 
@@ -472,39 +448,33 @@ def _prime_powers_up_to(q_max: int) -> list[int]:
 
 def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[CandidateParams, ...]:
     """All parameter sets passing a scheme's preconditions, ascending by
-    (q, n, r, d).  For thm-3.4, sets passing the stated hypothesis but
-    failing the alpha membership check are included with constructible=False
-    and a diagnostic.
+    (q, n, r, d).  Sets that construct cannot build are included with
+    constructible=False and a diagnostic: ``splitting-field-too-large`` when
+    the splitting field of x^n - 1 exceeds MAX_FIELD_ORDER, and, for thm-3.4,
+    ``alpha-membership-failed`` when the stated hypothesis holds but alpha
+    lies outside GF(q).
     """
     if scheme not in ALL_SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
     if q_max < 2 or n_max < 2:
         raise ParameterError("bounds must be >= 2")
     records: list[CandidateParams] = []
+
+    def add(q: int, n: int, r: int, d: int, k: int, diagnostic: str | None = None) -> None:
+        # construct reports an oversized splitting field first
+        if not _splitting_fits(q, n):
+            diagnostic = "splitting-field-too-large"
+        records.append(CandidateParams(scheme, q, n, r, d, k, diagnostic is None, diagnostic))
+
     for q in _prime_powers_up_to(q_max):
         if scheme == SCHEME_D4_DOUBLE_LENGTH:
             n = 2 * (q - 1)
             if n < 2 or n > n_max or math.gcd(n, q) != 1:
                 continue
             for r in range(3, n):
-                if n % (r + 1) != 0:
-                    continue
-                s = n // (r + 1)
-                if (q - 1) % (r + 1) == 0:
-                    records.append(CandidateParams(scheme, q, n, r, 4, n - s - 2))
-                else:
-                    records.append(
-                        CandidateParams(
-                            scheme,
-                            q,
-                            n,
-                            r,
-                            4,
-                            n - s - 2,
-                            constructible=False,
-                            diagnostic="alpha-membership-failed",
-                        )
-                    )
+                if n % (r + 1) == 0:
+                    gap = "alpha-membership-failed" if (q - 1) % (r + 1) else None
+                    add(q, n, r, 4, n - n // (r + 1) - 2, gap)
             continue
         for n in range(2, n_max + 1):
             if scheme == SCHEME_D3_UNBOUNDED:
@@ -512,9 +482,7 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
                     continue
                 for r in range(2, n):
                     if math.gcd(n, q - 1) % (r + 1) == 0:
-                        records.append(
-                            CandidateParams(scheme, q, n, r, 3, n - 1 - n // (r + 1))
-                        )
+                        add(q, n, r, 3, n - 1 - n // (r + 1))
             elif scheme == SCHEME_D4_UNBOUNDED:
                 if math.gcd(n, q) != 1:
                     continue
@@ -523,9 +491,7 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
                         math.gcd(n, q - 1) % (r + 1) == 0
                         and 2 % math.gcd(n // (r + 1), r + 1) == 0
                     ):
-                        records.append(
-                            CandidateParams(scheme, q, n, r, 4, n - 2 - n // (r + 1))
-                        )
+                        add(q, n, r, 4, n - 2 - n // (r + 1))
             elif scheme == SCHEME_ANY_D_SUBGROUP:
                 if (q - 1) % n != 0:
                     continue
@@ -535,9 +501,9 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
                     for d in range(2, n + 1):
                         if d % (r + 1) == 1:
                             continue
-                        exponents, k_expected, _, _ = _subgroup_exponents(n, r, d)
+                        exponents, k_expected = _subgroup_exponents(n, r, d)
                         if len(set(exponents)) == len(exponents):
-                            records.append(CandidateParams(scheme, q, n, r, d, k_expected))
+                            add(q, n, r, d, k_expected)
             else:  # SCHEME_ANY_D_COSET
                 if (q + 1) % n != 0:
                     continue
@@ -550,5 +516,5 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
                             continue
                         exponents, k_expected = _coset_exponents(n, r, d)
                         if len(set(exponents)) == len(exponents):
-                            records.append(CandidateParams(scheme, q, n, r, d, k_expected))
+                            add(q, n, r, d, k_expected)
     return tuple(records)

@@ -6,8 +6,10 @@ entries nonzero expresses c_i as a combination of the other r class members.
 Such a word has a closed form.  When g has a factor x^s - c, the quotient
 (x^n - 1)/(x^s - c) is a geometric word on the stride grid, and its
 coordinate reversal is a dual codeword of weight r+1.  That grid witness,
-checked against the generator, is the one source of repair vectors: the
-vector for coordinate i is its cyclic shift onto i's class, checked again.
+checked against the generator once, is the one source of repair vectors:
+the vector for coordinate i is its cyclic shift onto i's class.  The dual of
+a cyclic code is cyclic, so every shift of a dual word is a dual word and
+needs no second check.
 A code without such a factor has no repair plan; its locality is decided by
 the exhaustive dual scan.  All results are deterministic; per-code plans are
 cached and safe to read concurrently once built.
@@ -120,8 +122,9 @@ def _cyclic_shift(word: tuple[FieldElement, ...], delta: int) -> tuple[FieldElem
 
 @functools.lru_cache(maxsize=None)
 def _coset_vector(base: CyclicCode, r: int, i: int) -> tuple[FieldElement, ...]:
-    """The grid witness shifted onto i's coset and re-validated, normalized
-    to 1 at the lowest support position."""
+    """The grid witness shifted onto i's coset, normalized to 1 at the lowest
+    support position.  The shift of a dual word of a cyclic code is again a
+    dual word, so only the nonzero class entries are checked."""
     if base.k < 1:
         raise RepairError("repair plans need a code of dimension >= 1")
     n, s = base.n, repair_stride(base.n, r)
@@ -131,7 +134,7 @@ def _coset_vector(base: CyclicCode, r: int, i: int) -> tuple[FieldElement, ...]:
         raise RepairError(f"g has no factor x^{s} - c (coordinate {i})")
     # the witness is supported on the class of n - 1
     shifted = _cyclic_shift(witness, positions[0] - (n - 1) % s)
-    if not _is_dual_word(base, shifted) or any(shifted[p].is_zero for p in positions):
+    if any(shifted[p].is_zero for p in positions):
         raise RepairError(
             f"no dual codeword with all-nonzero support on coset {positions} "
             f"(coordinate {i})"

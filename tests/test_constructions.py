@@ -15,7 +15,13 @@ from cyclic_lrc.constructions import (
     enumerate_valid_params,
     prime_power,
 )
-from cyclic_lrc.field import in_base_subfield, multiplicative_order
+from cyclic_lrc.field import (
+    in_base_subfield,
+    make_field,
+    multiplicative_order,
+    primitive_nth_root,
+    splitting_degree,
+)
 from cyclic_lrc.poly import Poly
 from cyclic_lrc.verify import singleton_bound
 
@@ -203,6 +209,22 @@ def test_double_length_alpha_membership_gap():
     # (r+1) | 2(q-1) holds but (r+1) does not divide q-1
     with pytest.raises(ParameterError, match="alpha"):
         build_d4_double_length(7, 3)
+    # the builder tests (r+1) | q - 1 in place of alpha = beta^s in GF(q);
+    # check that the two agree, with alpha computed in the splitting field
+    checked = 0
+    for q in range(3, 32, 2):
+        try:
+            p, m = prime_power(q)
+        except ParameterError:
+            continue
+        n = 2 * (q - 1)
+        beta = primitive_nth_root(make_field(p, m * splitting_degree(q, n)), n)
+        for r in range(3, n):
+            if n % (r + 1) == 0:
+                alpha = beta ** (n // (r + 1))
+                assert ((q - 1) % (r + 1) == 0) == in_base_subfield(alpha, q), (q, r)
+                checked += 1
+    assert checked == 58
 
 
 def test_double_length_rejects_small_locality():
@@ -289,6 +311,29 @@ def test_enumeration_is_sorted_and_constructible():
             if scheme in ("thm-1.1-i", "ex-3.2", "ex-3.3"):
                 # these schemes carry a run of d - 1 consecutive root exponents
                 assert code.base.bch_lower_bound() >= rec.d
+
+
+def test_every_listed_row_constructs_or_carries_a_diagnostic():
+    # the --qmax 32 --nmax 40 box lists rows whose splitting field is over
+    # 2^20, e.g. thm-1.1-i with q = 7, n = 27, r = 2 (GF(7^9))
+    diagnostics = {}
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if rec.constructible:
+                code = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+                assert (code.n, code.k, code.r, code.d_claimed) == (rec.n, rec.k, rec.r, rec.d)
+                continue
+            with pytest.raises(ParameterError):
+                construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            key = (scheme, rec.diagnostic)
+            diagnostics[key] = diagnostics.get(key, 0) + 1
+    assert diagnostics[("thm-1.1-i", "splitting-field-too-large")] == 22
+    assert diagnostics[("thm-1.1-ii", "splitting-field-too-large")] == 3
+    assert set(diagnostics) == {
+        ("thm-1.1-i", "splitting-field-too-large"),
+        ("thm-1.1-ii", "splitting-field-too-large"),
+        ("thm-3.4", "alpha-membership-failed"),
+    }
 
 
 def test_enumerate_rejects_bad_bounds():

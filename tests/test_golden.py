@@ -12,7 +12,7 @@ import pytest
 from cyclic_lrc import build_d3_unbounded, build_d4_unbounded
 from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cli import main
-from cyclic_lrc.codefile import dumps_canonical
+from cyclic_lrc.codefile import code_to_dict, dumps_canonical
 from cyclic_lrc.repair import verify_locality
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,3 +88,20 @@ def test_coset_locality_witnesses_over_criterion_box():
     assert len(cases) == 260
     digest = hashlib.sha256(dumps_canonical(cases).encode()).hexdigest()
     assert digest == (GOLDEN / "locality-coset-qmax13-nmax24.sha256").read_text().strip()
+
+
+def test_code_files_over_criterion_box():
+    # every constructible row of the five schemes at --qmax 13 --nmax 24;
+    # the digest was taken before the thm-1.1 and thm-3.4 generators were
+    # built from their root-exponent sets
+    digest = hashlib.sha256()
+    rows = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 13, 24):
+            if not rec.constructible:
+                continue
+            code = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            digest.update(dumps_canonical(code_to_dict(code)).encode())
+            rows += 1
+    assert rows == 260
+    assert digest.hexdigest() == (GOLDEN / "codes-qmax13-nmax24.sha256").read_text().strip()
