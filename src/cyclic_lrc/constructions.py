@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclic import CyclicCode
 from .field import (
@@ -48,6 +49,7 @@ from .field import (
     splitting_degree,
 )
 from .poly import Poly
+from .repair import repair_plan
 from .verify import singleton_bound
 
 SCHEME_D3_UNBOUNDED = "thm-1.1-i"
@@ -117,6 +119,11 @@ class LrcCode:
     @property
     def q(self) -> int:
         return self.base.field.q
+
+    @cached_property
+    def repair_plan(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+        """:func:`cyclic_lrc.repair.repair_plan` of this code, built once."""
+        return repair_plan(self)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,20 @@ multiples of a monic generator g(x) dividing x**n - 1; its dimension is
 n - deg g, its parity polynomial is h = (x**n - 1)/g, and its dual is
 generated by the monic-normalized reciprocal of h.  Codes are immutable
 values; the oracle delegates its inner loop to :mod:`cyclic_lrc.kernels`.
+
+Systematic encoding puts the message in the last k coordinates and reads the
+n - k parity symbols off a parity matrix built once per code, in the same
+GF(p)-expanded form the scan kernel uses, so an encode is one small integer
+vector-matrix product and no polynomial division.  The last k coordinates
+are an information set, so membership is "equals the encoding of its last k
+symbols".
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -68,24 +76,56 @@ class CyclicCode:
             rows.append((zero,) * i + self.g.coeffs + (zero,) * (self.n - i - len(self.g.coeffs)))
         return tuple(rows)
 
+    @cached_property
+    def systematic_parity(self) -> tuple[tuple[int, ...], ...]:
+        """The systematic parity matrix P over GF(p), as (n-k)m columns of
+        km integers.
+
+        Row i of P over GF(q) is -(x**(n-k+i) mod g), padded to n - k; each
+        row is the previous one times x, reduced once by g.  Entry
+        ((i, a), (j, b)) holds digit b of y**a * P[i][j], y**a being digit a,
+        so a message's digit vector times this matrix, mod p, is the digit
+        vector of its parity symbols.
+        """
+        field, parity = self.field, self.n - self.k
+        low = [-c for c in self.g.coeffs[:parity]]  # x**(n-k) mod g
+        rows = []
+        rem = low
+        for _ in range(self.k):
+            rows.append([-c for c in rem])
+            if parity:  # x * rem, its x**(n-k) term folded back in as low
+                rem = [a + rem[-1] * b for a, b in zip([field.zero()] + rem[:-1], low)]
+        # expanded by element products, so any field size works without tables
+        basis = [field.from_index(field.p**a) for a in range(field.m)]
+        expanded = [[d for c in row for d in (y * c).rep] for row in rows for y in basis]
+        return tuple(tuple(row[col] for row in expanded) for col in range(parity * field.m))
+
     def encode_systematic(self, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Codeword carrying the message verbatim in the last k coordinates.
 
-        Encodes m(x) as x**(n-k) * m(x) minus its remainder mod g, so the
-        parity symbols occupy the low-degree positions.
+        The codeword is x**(n-k) * m(x) minus its remainder mod g, so the
+        parity symbols occupy the low-degree positions; they are computed
+        through :attr:`systematic_parity`.
         """
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        zero = self.field.zero()
-        shifted = Poly.make(self.field, (zero,) * (self.n - self.k) + tuple(message))
-        codeword = shifted - (shifted % self.g)
-        return codeword.padded(self.n)
+        field = self.field
+        for e in message:
+            if e.field is not field:
+                raise ValueError(f"message symbol {e!r} not in {field}")
+        digits = [d for e in message for d in e.rep]
+        p, m = field.p, field.m
+        parity = [sum(map(operator.mul, digits, column)) % p for column in self.systematic_parity]
+        return tuple(
+            FieldElement(field, tuple(parity[j : j + m])) for j in range(0, len(parity), m)
+        ) + tuple(message)
 
     def contains(self, word: Sequence[FieldElement]) -> bool:
-        """True iff the word's polynomial is divisible by g."""
+        """True iff the word is a codeword: the last k coordinates are an
+        information set, so it must equal the encoding of its last k symbols."""
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} != n = {self.n}")
-        return (Poly.make(self.field, word) % self.g).is_zero
+        return tuple(word) == self.encode_systematic(word[self.n - self.k :])
 
     def dual(self) -> CyclicCode:
         """The dual code, generated by the monic reciprocal of h."""

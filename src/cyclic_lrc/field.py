@@ -16,8 +16,9 @@ Every choice here is canonical so that results are reproducible run to run:
 * the multiplicative generator of a field is the first element in that order
   whose order is q - 1.
 
-Fields and elements are immutable values; all operations are pure and safe
-to share across threads.
+Each GF(p^m) has exactly one FiniteField instance, so fields compare and
+hash by identity.  Fields and elements are immutable values; all operations
+are pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -145,12 +146,14 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteField:
     """Descriptor of GF(p^m) with a fixed defining modulus.
 
     ``modulus`` is the monic irreducible polynomial as a tuple of m+1
-    residues, lowest degree first; it is None exactly when m == 1.
+    residues, lowest degree first; it is None exactly when m == 1.  Obtain
+    fields from :func:`make_field`, which returns one instance per (p, m);
+    equality and hashing are by identity.
     """
 
     p: int
@@ -202,6 +205,10 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
+
+    def __reduce__(self):
+        # copies and unpickled fields resolve to the one canonical instance
+        return make_field, (self.p, self.m)
 
 
 @dataclass(frozen=True)
@@ -295,7 +302,7 @@ def make_field(p: int, m: int = 1) -> FiniteField:
     """Construct GF(p^m) with the canonical modulus.
 
     Raises ValueError for non-prime p, m < 1, or p**m above MAX_FIELD_ORDER.
-    Deterministic: equal (p, m) always yield an identical descriptor.
+    Canonical: equal (p, m) always yield the same instance.
     """
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
@@ -303,18 +310,18 @@ def make_field(p: int, m: int = 1) -> FiniteField:
         raise ValueError(f"characteristic must be prime, got {p}")
     if p**m > MAX_FIELD_ORDER:
         raise ValueError(f"field order {p}^{m} exceeds the supported limit {MAX_FIELD_ORDER}")
-    if m == 1:
-        return FiniteField(p, 1, None)
-    return FiniteField(p, m, _canonical_modulus(p, m))
+    return _canonical_field(p, m)
 
 
 @functools.lru_cache(maxsize=None)
-def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
+def _canonical_field(p: int, m: int) -> FiniteField:
+    if m == 1:
+        return FiniteField(p, 1, None)
     # lexicographic scan over the non-leading coefficients, constant term first
     for tail in itertools.product(range(p), repeat=m):
         coeffs = list(tail) + [1]
         if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return FiniteField(p, m, tuple(coeffs))
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 

@@ -25,16 +25,20 @@ order, and packed into symbol indices; a symbol of ``base + lo`` is zero
 exactly when the ``lo`` symbol equals the matching symbol of ``-base``, so
 each block reduces to one comparison and a column sum.  Blocks are sized by
 bytes, about ``_BLOCK_BYTES`` each.
+
+numpy is imported by the functions that use it, on first use, so that
+construction, encoding and repair run without loading it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .field import FieldElement, FiniteField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TABLE_LIMIT = 1024
 _BLOCK_BYTES = 1 << 20
@@ -44,6 +48,7 @@ _BLOCK_BYTES = 1 << 20
 def op_tables(field: FiniteField) -> np.ndarray:
     """Products by the power basis over element indices, m x q int16: row i
     maps the index of b to the index of y**i * b, y**i being digit i."""
+    import numpy as np
     q = field.q
     if q > TABLE_LIMIT:
         raise ValueError(
@@ -58,6 +63,7 @@ def op_tables(field: FiniteField) -> np.ndarray:
 
 def matrix_indices(rows: Sequence[Sequence[FieldElement]]) -> np.ndarray:
     """Element rows to an int16 index matrix for the kernels."""
+    import numpy as np
     return np.array([[e.index for e in row] for row in rows], dtype=np.int16)
 
 
@@ -79,6 +85,7 @@ class _Scan:
     """The expanded generator of one matrix and the blocks of its scan."""
 
     def __init__(self, matrix: np.ndarray, field: FiniteField):
+        import numpy as np
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise ValueError("kernel scans need a nonempty 2-d generator matrix")
         p, m = field.p, field.m
@@ -96,6 +103,7 @@ class _Scan:
     def span(self, rows: np.ndarray) -> np.ndarray:
         """Every GF(p)-combination of the digit rows, in counter order: row t
         of the result takes coefficient ``(t // p**i) % p`` on rows[i]."""
+        import numpy as np
         p = self.field.p
         words = np.zeros((1, rows.shape[1]), dtype=self.digit_type)
         for row in rows:
@@ -108,6 +116,7 @@ class _Scan:
 
     def pack(self, words: np.ndarray) -> np.ndarray:
         """Symbol indices of digit rows, transposed to shape (n, len(words))."""
+        import numpy as np
         p, m = self.field.p, self.field.m
         digits = words.reshape(len(words), self.n, m).astype(self.symbol_type)
         packed = digits[:, :, m - 1]
@@ -150,6 +159,7 @@ def min_nonzero_weight(matrix: np.ndarray, field: FiniteField, count: int) -> in
     ``matrix`` holds the generator rows as element indices.  With
     ``count == q**k - 1`` it is the exact minimum distance of the row space.
     """
+    import numpy as np
     scan = _Scan(matrix, field)
     if count < 1:
         raise ValueError("at least one message must be scanned")
@@ -169,6 +179,7 @@ def covering_witnesses(
     message counter whose codeword has nonzero weight <= max_weight and is
     nonzero at c (-1 when no such codeword exists in the scanned range).
     """
+    import numpy as np
     scan = _Scan(matrix, field)
     if count < 0:
         raise ValueError("count must be nonnegative")

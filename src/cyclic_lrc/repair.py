@@ -11,8 +11,13 @@ the vector for coordinate i is its cyclic shift onto i's class.  The dual of
 a cyclic code is cyclic, so every shift of a dual word is a dual word and
 needs no second check.
 A code without such a factor has no repair plan; its locality is decided by
-the exhaustive dual scan.  All results are deterministic; per-code plans are
-cached and safe to read concurrently once built.
+the exhaustive dual scan.
+
+Repair reads a plan built once per code from those vectors: for each
+coordinate i, the r pairs (j, -a_i^{-1} * a_j) over the other members of
+i's class, so that c_i is the sum of the products with the read symbols.
+The plan is cached on the code object (``LrcCode.repair_plan``).  All
+results are deterministic; plans are safe to read concurrently once built.
 """
 
 from __future__ import annotations
@@ -120,7 +125,6 @@ def _cyclic_shift(word: tuple[FieldElement, ...], delta: int) -> tuple[FieldElem
     return word[-delta:] + word[:-delta] if delta else word
 
 
-@functools.lru_cache(maxsize=None)
 def _coset_vector(base: CyclicCode, r: int, i: int) -> tuple[FieldElement, ...]:
     """The grid witness shifted onto i's coset, normalized to 1 at the lowest
     support position.  The shift of a dual word of a cyclic code is again a
@@ -154,23 +158,36 @@ def repair_vector(code, i: int):
     return _coset_vector(base, r, i)
 
 
-def repair_erasure(code, word: ErasedWord) -> FieldElement:
-    """Recover the erased symbol: c_i = -a_i^{-1} * sum over the coset of
-    a_j c_j, reading only the r other coset coordinates."""
+def repair_plan(code) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+    """Per coordinate i, the r pairs (j, -a_i^{-1} * a_j) that repair of c_i
+    reads, a being :func:`repair_vector` (code, i).  Raises RepairError when
+    the code has no repair vectors."""
     base, r = _base_and_r(code)
+    plan = []
+    for i in range(base.n):
+        vec = repair_vector(code, i)
+        scale = -vec[i].inverse()
+        plan.append(tuple((j, scale * vec[j]) for j in coordinate_coset(base.n, r, i) if j != i))
+    return tuple(plan)
+
+
+def repair_erasure(code, word: ErasedWord) -> FieldElement:
+    """Recover the erased symbol c_i = -a_i^{-1} * sum over the coset of
+    a_j c_j, reading only the r other coset coordinates, through the code's
+    cached repair plan."""
+    base, _ = _base_and_r(code)
     if len(word.symbols) != base.n:
         raise ValueError(f"word length {len(word.symbols)} != n = {base.n}")
     i = word.erased_at
-    vec = repair_vector(code, i)
+    if not 0 <= i < base.n:
+        raise ValueError(f"coordinate {i} out of range for length {base.n}")
     acc = base.field.zero()
-    for j in coordinate_coset(base.n, r, i):
-        if j == i:
-            continue
+    for j, coeff in code.repair_plan[i]:
         symbol = word.symbols[j]
         if symbol is None:
             raise ValueError("repair reads an erased coordinate")
-        acc = acc + vec[j] * symbol
-    return -(vec[i].inverse()) * acc
+        acc = acc + coeff * symbol
+    return acc
 
 
 def dual_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceScan:

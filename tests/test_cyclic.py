@@ -68,6 +68,12 @@ def test_systematic_encode_round_trip(code_8_4, rng):
         code_8_4.encode_systematic([f5.zero()] * 3)
 
 
+def test_systematic_encode_rejects_wrong_field(code_8_4, f25):
+    f5 = code_8_4.field
+    with pytest.raises(ValueError, match="not in GF\\(5\\)"):
+        code_8_4.encode_systematic([f5.one(), f25.one(), f5.zero(), f5.zero()])
+
+
 def test_contains(code_8_4, rng):
     f5 = code_8_4.field
     assert code_8_4.contains(code_8_4.g.padded(8))
@@ -81,6 +87,19 @@ def test_contains(code_8_4, rng):
         assert code_8_4.contains(shifted)
     with pytest.raises(ValueError):
         code_8_4.contains(unit[:5])
+
+
+def test_encode_and_contains_at_the_dimension_extremes(f5):
+    zero_code = CyclicCode.build(f5, 4, Poly.x_pow_minus_one(f5, 4))  # k = 0
+    full = CyclicCode.build(f5, 4, Poly.one(f5))  # k = n
+    zero, one = f5.zero(), f5.one()
+    assert zero_code.k == 0 and full.k == 4
+    assert zero_code.encode_systematic([]) == (zero,) * 4
+    assert zero_code.contains([zero] * 4)
+    assert not zero_code.contains([zero, zero, one, zero])
+    word = (one, f5.from_index(3), zero, f5.from_index(4))
+    assert full.encode_systematic(word) == word
+    assert full.contains(word)
 
 
 def test_root_exponents_and_bch(code_8_4):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from cyclic_lrc.field import (
@@ -43,7 +46,19 @@ def test_prime_field_has_no_modulus(f5):
 
 def test_make_field_is_deterministic():
     assert make_field(5, 2) == make_field(5, 2)
+    assert make_field(5, 2) is make_field(5, 2)
+    assert make_field(5) is make_field(5, 1)
     assert make_field(2, 6).modulus == make_field(2, 6).modulus
+
+
+def test_field_copies_resolve_to_the_canonical_instance():
+    # equality is identity, so a copied or unpickled field must be the same
+    # object for its elements to keep comparing equal
+    f25 = make_field(5, 2)
+    assert copy.deepcopy(f25) is f25
+    assert pickle.loads(pickle.dumps(f25)) is f25
+    assert copy.deepcopy(f25.from_index(7)) == f25.from_index(7)
+    assert make_field(5, 2) != make_field(5)
 
 
 def test_make_field_rejects_bad_parameters():

@@ -165,6 +165,36 @@ def test_repair_word_length_checked(code_8_4_4):
         repair_erasure(code_8_4_4, ErasedWord.from_symbols([None, f5.one()]))
 
 
+def test_repair_rejects_reading_an_erased_coordinate(code_8_4_4):
+    # coordinate 0 is repaired from 2, 4 and 6; a second hole at 4 is read
+    f5 = code_8_4_4.field
+    symbols = [f5.zero()] * 8
+    symbols[0] = symbols[4] = None
+    with pytest.raises(ValueError, match="erased coordinate"):
+        repair_erasure(code_8_4_4, ErasedWord(tuple(symbols), 0))
+    symbols[4] = f5.zero()
+    with pytest.raises(ValueError, match="out of range"):
+        repair_erasure(code_8_4_4, ErasedWord(tuple(symbols), 8))
+
+
+def test_repair_plan_is_built_once_per_code(monkeypatch):
+    from cyclic_lrc import repair
+    from cyclic_lrc.constructions import build_d4_unbounded
+
+    code = build_d4_unbounded(5, 8, 3)
+    plan = code.repair_plan
+    assert plan is code.repair_plan
+    assert tuple(tuple(j for j, _ in pairs) for pairs in plan) == repair_groups(code)
+
+    def no_plan(code, i):
+        raise RepairError("repair_vector called after the plan was built")
+
+    monkeypatch.setattr(repair, "repair_vector", no_plan)
+    word = list(code.base.g.padded(8))
+    expected, word[5] = word[5], None
+    assert repair_erasure(code, ErasedWord.from_symbols(word)) == expected
+
+
 def test_dual_distance_exact(code_8_4_4, code_9_5_3):
     assert dual_distance_exact(code_8_4_4).value == 4
     assert dual_distance_exact(code_9_5_3).value == 3
