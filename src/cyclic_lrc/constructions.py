@@ -21,20 +21,26 @@ files, are:
 * ``thm-3.4``     n = 2(q - 1), distance 4, (r+1) | q - 1;
                   Z = {0, 2} + the thm-1.1-i grid, with gamma = beta^2.
 
-Every builder validates its arithmetic preconditions up front (raising
-ParameterError with a reusable diagnostic) and states its set.  One function
-then builds g in the splitting field and re-checks at runtime that the
-exponents are distinct, that every coefficient of g and the stored alpha and
-gamma lie in GF(q), that g | x^n - 1, and that k matches the scheme's
-formula.  All choices inherit the canonical field conventions, so each
-scheme is a pure deterministic function of its parameters.
+Each scheme's preconditions live only in ``_plan``, an integer-only function
+of (scheme, q, n, r, d).  It raises ParameterError with a reusable
+diagnostic, or returns k, Z, the alpha/gamma exponents and an optional gap:
+the sweep diagnostic and construct message of a set that passes every
+precondition but cannot be built.  ``construct`` (and each ``build_*``)
+builds from the plan through one function, which forms g in the splitting
+field and re-checks at runtime that every coefficient of g and the stored
+alpha and gamma lie in GF(q), that g | x^n - 1, and that k matches the plan.
+``enumerate_valid_params`` lists exactly the sets ``_plan`` accepts, so a
+sweep and construct cannot disagree.  All choices inherit the canonical
+field conventions, so each scheme is a pure deterministic function of its
+parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 from .cyclic import CyclicCode
 from .field import (
@@ -93,6 +99,8 @@ class LrcCode:
     gamma: FieldElement | None = None
 
     def __post_init__(self) -> None:
+        if self.r < 1:
+            raise ConstructionError(f"locality r = {self.r} must be >= 1")
         if self.base.n % (self.r + 1) != 0:
             raise ConstructionError(
                 f"(r + 1) = {self.r + 1} must divide n = {self.base.n}"
@@ -152,37 +160,21 @@ def prime_power(q: int) -> tuple[int, int]:
     while q % p == 0:
         q //= p
         m += 1
-    if q != 1:
-        raise ParameterError(f"q = {q} is not a prime power")
     return p, m
 
 
-def base_field(q: int) -> FiniteField:
+@cache  # _plan starts here for every (q, n, r, d) an enumeration tries
+def _field_exponents(q: int) -> tuple[int, int]:
+    """(p, m) with q = p**m within MAX_FIELD_ORDER, or ParameterError."""
     p, m = prime_power(q)
     _require(
         q <= MAX_FIELD_ORDER, f"field GF({p}^{m}) exceeds the supported order {MAX_FIELD_ORDER}"
     )
-    return make_field(p, m)
+    return p, m
 
 
-def _splitting_fits(q: int, n: int) -> bool:
-    """Whether the splitting field of x^n - 1 over GF(q) is within
-    MAX_FIELD_ORDER: the one test behind both the construct error and the
-    sweep diagnostic ``splitting-field-too-large``."""
-    return q ** splitting_degree(q, n) <= MAX_FIELD_ORDER
-
-
-def _splitting_context(field: FiniteField, n: int) -> FieldElement:
-    """The canonical primitive n-th root of unity beta, in the splitting
-    field of x^n - 1 over ``field``."""
-    degree = splitting_degree(field.q, n)
-    _require(
-        _splitting_fits(field.q, n),
-        f"field GF({field.p}^{field.m * degree}) splitting x^{n} - 1 exceeds the "
-        f"supported order {MAX_FIELD_ORDER}",
-    )
-    ext = field if degree == 1 else make_field(field.p, field.m * degree)
-    return primitive_nth_root(ext, n)
+def base_field(q: int) -> FiniteField:
+    return make_field(*_field_exponents(q))
 
 
 def _project(a: FieldElement, field: FiniteField, what: str) -> FieldElement:
@@ -198,72 +190,25 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _from_zeros(
-    scheme: str,
-    field: FiniteField,
-    n: int,
-    r: int,
-    d: int,
-    k_expected: int,
-    zeros: list[int],
-    alpha_exponent: int | None = None,
-    gamma_exponent: int | None = None,
-) -> LrcCode:
-    """The one generator path: g = prod over e in zeros of (x - beta^e).
+# ---------------------------------------------------------------------------
+# The five schemes' preconditions and root-exponent sets.
 
-    g is formed in the splitting field and every coefficient is projected to
-    GF(q) after a Frobenius check; alpha = beta^alpha_exponent and
-    gamma = beta^gamma_exponent are projected the same way where the scheme
-    stores them.  CyclicCode.build checks g | x^n - 1, and the dimension is
-    checked against the scheme's formula.
-    """
-    _require(
-        len(set(zeros)) == len(zeros),
-        f"root exponents collide for d = {d}: {sorted(zeros)}",
-    )
-    beta = _splitting_context(field, n)
-    g_ext = Poly.from_roots([beta**e for e in zeros])
-    g = Poly.make(field, [_project(c, field, "generator coefficient") for c in g_ext.coeffs])
-    alpha = gamma = None
-    if alpha_exponent is not None:
-        alpha = _project(beta**alpha_exponent, field, "alpha")
-    if gamma_exponent is not None:
-        gamma = _project(beta**gamma_exponent, field, "gamma")
-    code = CyclicCode.build(field, n, g)
-    if code.k != k_expected:
-        raise ConstructionError(
-            f"{scheme}: derived dimension {code.k} != scheme formula {k_expected}"
-        )
-    return LrcCode(code, r, d, scheme, beta, alpha, gamma)
+
+class _Plan(NamedTuple):
+    """What one admissible parameter set determines.  ``gap`` is
+    (sweep diagnostic, construct message) for a set that passes every
+    precondition but cannot be built."""
+
+    k: int
+    zeros: list[int]
+    alpha_exponent: int | None
+    gamma_exponent: int | None
+    gap: tuple[str, str] | None
 
 
 def _grid(n: int, r: int) -> list[int]:
     """Exponents of the zeros of x^s - beta^s, s = n/(r+1): 1 + (r+1)j, j < s."""
     return list(range(1, n, r + 1))
-
-
-# ---------------------------------------------------------------------------
-# The five schemes.
-
-
-def _require_unbounded(q: int, n: int, r: int, r_min: int) -> None:
-    _require(n >= 1, f"length must be >= 1, got {n}")
-    _require(math.gcd(n, q) == 1, f"gcd(n, q) = {math.gcd(n, q)} != 1")
-    _require(r >= r_min, f"locality must be >= {r_min}, got {r}")
-    _require(
-        math.gcd(n, q - 1) % (r + 1) == 0,
-        f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
-    )
-
-
-def build_d3_unbounded(q: int, n: int, r: int) -> LrcCode:
-    """[n, n - 1 - n/(r+1), 3] code with locality r (scheme thm-1.1-i)."""
-    field = base_field(q)
-    _require_unbounded(q, n, r, 2)
-    s = n // (r + 1)
-    return _from_zeros(
-        SCHEME_D3_UNBOUNDED, field, n, r, 3, n - 1 - s, [0, *_grid(n, r)], alpha_exponent=s
-    )
 
 
 def _bezout_exponent(s: int, r: int) -> int:
@@ -276,30 +221,8 @@ def _bezout_exponent(s: int, r: int) -> int:
         old_r, cur_r = cur_r, old_r - quotient * cur_r
         old_u, cur_u = cur_u, old_u - quotient * cur_u
     g0, u = old_r, old_u
-    _require(
-        2 % g0 == 0,
-        f"gcd(n/(r+1), r + 1) = {g0} does not divide 2",
-    )
+    _require(2 % g0 == 0, f"gcd(n/(r+1), r + 1) = {g0} does not divide 2")
     return (u * (2 // g0)) % ((r + 1) // g0)
-
-
-def build_d4_unbounded(q: int, n: int, r: int) -> LrcCode:
-    """[n, n - 2 - n/(r+1), 4] code with locality r (scheme thm-1.1-ii)."""
-    field = base_field(q)
-    _require_unbounded(q, n, r, 3)
-    s = n // (r + 1)
-    gamma_exponent = s * _bezout_exponent(s, r) % n
-    return _from_zeros(
-        SCHEME_D4_UNBOUNDED,
-        field,
-        n,
-        r,
-        4,
-        n - 2 - s,
-        [0, gamma_exponent, *_grid(n, r)],
-        alpha_exponent=s,
-        gamma_exponent=gamma_exponent,
-    )
 
 
 def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
@@ -321,24 +244,13 @@ def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
     return head + tail, k_expected
 
 
-def build_any_d_subgroup(q: int, n: int, r: int, d: int) -> LrcCode:
-    """[n, k, d] code of any feasible distance for n | q - 1 (scheme ex-3.2)."""
-    field = base_field(q)
-    _require(n >= 1, f"length must be >= 1, got {n}")
-    _require((q - 1) % n == 0, f"n = {n} does not divide q - 1 = {q - 1}")
-    _require(r >= 2, f"locality must be >= 2, got {r}")
-    _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide n = {n}")
-    _require(1 <= d <= n, f"distance d = {d} out of range 1..{n}")
-    exponents, k_expected = _subgroup_exponents(n, r, d)
-    return _from_zeros(SCHEME_ANY_D_SUBGROUP, field, n, r, d, k_expected, exponents)
-
-
 def _coset_b_values(r: int) -> tuple[int, ...]:
     # even remainders 2, 4, ..., 2*ceil((r-1)/2)
     return tuple(range(2, 2 * (r // 2) + 1, 2))
 
 
 def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
+    """Root exponents and expected dimension for scheme ex-3.3."""
     a, b = divmod(d, r + 1)
     _require(
         a % 2 == 0 and b in _coset_b_values(r),
@@ -353,63 +265,144 @@ def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
     return head + tail, r * n // (r + 1) - a * r - b + 2
 
 
+def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
+    """Every precondition of ``scheme`` at (q, n, r, d), on integers only.
+
+    The checks run in a fixed order and the first that fails raises
+    ParameterError with its diagnostic.  With d = None only the checks that
+    do not involve d run, and None is returned.
+    """
+    p, m = _field_exponents(q)
+    gap = alpha_exponent = gamma_exponent = None
+    if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
+        subgroup = scheme == SCHEME_ANY_D_SUBGROUP
+        _require(n >= 1, f"length must be >= 1, got {n}")
+        order = q - 1 if subgroup else q + 1
+        _require(order % n == 0, f"n = {n} does not divide q {'-' if subgroup else '+'} 1 = {order}")
+        _require(r >= 2, f"locality must be >= 2, got {r}")
+        _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide n = {n}")
+        if d is None:
+            return None
+        d_min = 1 if subgroup else 2
+        _require(d_min <= d <= n, f"distance d = {d} out of range {d_min}..{n}")
+        zeros, k = (_subgroup_exponents if subgroup else _coset_exponents)(n, r, d)
+    elif scheme == SCHEME_D4_DOUBLE_LENGTH:
+        _require(
+            math.gcd(n, q) == 1,
+            f"gcd(n, q) = {math.gcd(n, q)} != 1 for n = 2(q-1) = {n} (q must be odd)",
+        )
+        _require(
+            r >= 3,
+            f"locality must be >= 3, got {r}: with locality <= 2 the Singleton-type "
+            "bound exceeds the construction's distance 4",
+        )
+        _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
+        s = n // (r + 1)
+        zeros, k, alpha_exponent, gamma_exponent = [0, 2, *_grid(n, r)], n - s - 2, s, 2
+        # The stated hypothesis (r+1) | 2(q-1) does not by itself place
+        # alpha = beta^s inside GF(q): beta has order 2(q-1), so alpha is
+        # fixed by the q-power Frobenius exactly when s is even, that is when
+        # (r+1) | q - 1.
+        if (q - 1) % (r + 1):
+            gap = (
+                "alpha-membership-failed",
+                f"alpha = beta^(n/(r+1)) is not in GF({q}): (r + 1) = {r + 1} divides "
+                f"2(q - 1) but not q - 1 = {q - 1}, so no generator exists over GF({q})",
+            )
+    else:  # thm-1.1-i and thm-1.1-ii
+        r_min = 2 if scheme == SCHEME_D3_UNBOUNDED else 3
+        _require(n >= 1, f"length must be >= 1, got {n}")
+        _require(math.gcd(n, q) == 1, f"gcd(n, q) = {math.gcd(n, q)} != 1")
+        _require(r >= r_min, f"locality must be >= {r_min}, got {r}")
+        _require(
+            math.gcd(n, q - 1) % (r + 1) == 0,
+            f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
+        )
+        s = n // (r + 1)
+        zeros, k, alpha_exponent = [0, *_grid(n, r)], n - 1 - s, s
+        if scheme == SCHEME_D4_UNBOUNDED:
+            gamma_exponent = s * _bezout_exponent(s, r) % n
+            zeros, k = [0, gamma_exponent, *_grid(n, r)], k - 1
+    if d is None:
+        return None
+    _require(len(set(zeros)) == len(zeros), f"root exponents collide for d = {d}: {sorted(zeros)}")
+    degree = splitting_degree(q, n)
+    if q**degree > MAX_FIELD_ORDER:
+        gap = (
+            "splitting-field-too-large",
+            f"field GF({p}^{m * degree}) splitting x^{n} - 1 exceeds the "
+            f"supported order {MAX_FIELD_ORDER}",
+        )
+    return _Plan(k, zeros, alpha_exponent, gamma_exponent, gap)
+
+
+def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
+    """The one generator path: g = prod over e in the plan's zeros of (x - beta^e).
+
+    beta is the canonical primitive n-th root of unity in the splitting field
+    of x^n - 1.  g is formed there and every coefficient is projected to
+    GF(q) after a Frobenius check; alpha = beta^alpha_exponent and
+    gamma = beta^gamma_exponent are projected the same way where the scheme
+    stores them.  CyclicCode.build checks g | x^n - 1, and the dimension is
+    checked against the plan.
+    """
+    plan = _plan(scheme, q, n, r, d)
+    if plan.gap is not None:
+        raise ParameterError(plan.gap[1])
+    field = base_field(q)
+    degree = splitting_degree(q, n)
+    beta = primitive_nth_root(field if degree == 1 else make_field(field.p, field.m * degree), n)
+    g_ext = Poly.from_roots([beta**e for e in plan.zeros])
+    g = Poly.make(field, [_project(c, field, "generator coefficient") for c in g_ext.coeffs])
+    alpha = gamma = None
+    if plan.alpha_exponent is not None:
+        alpha = _project(beta**plan.alpha_exponent, field, "alpha")
+    if plan.gamma_exponent is not None:
+        gamma = _project(beta**plan.gamma_exponent, field, "gamma")
+    code = CyclicCode.build(field, n, g)
+    if code.k != plan.k:
+        raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
+    return LrcCode(code, r, d, scheme, beta, alpha, gamma)
+
+
+def build_d3_unbounded(q: int, n: int, r: int) -> LrcCode:
+    """[n, n - 1 - n/(r+1), 3] code with locality r (scheme thm-1.1-i)."""
+    return construct(SCHEME_D3_UNBOUNDED, q, n=n, r=r)
+
+
+def build_d4_unbounded(q: int, n: int, r: int) -> LrcCode:
+    """[n, n - 2 - n/(r+1), 4] code with locality r (scheme thm-1.1-ii)."""
+    return construct(SCHEME_D4_UNBOUNDED, q, n=n, r=r)
+
+
+def build_any_d_subgroup(q: int, n: int, r: int, d: int) -> LrcCode:
+    """[n, k, d] code of any feasible distance for n | q - 1 (scheme ex-3.2)."""
+    return construct(SCHEME_ANY_D_SUBGROUP, q, n=n, r=r, d=d)
+
+
 def build_any_d_coset(q: int, n: int, r: int, d: int) -> LrcCode:
     """[n, k, d] code for n | q + 1 (scheme ex-3.3); the exponent set is
     closed under negation, so the generator descends to GF(q)."""
-    field = base_field(q)
-    _require(n >= 1, f"length must be >= 1, got {n}")
-    _require((q + 1) % n == 0, f"n = {n} does not divide q + 1 = {q + 1}")
-    _require(r >= 2, f"locality must be >= 2, got {r}")
-    _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide n = {n}")
-    _require(2 <= d <= n, f"distance d = {d} out of range 2..{n}")
-    exponents, k_expected = _coset_exponents(n, r, d)
-    return _from_zeros(SCHEME_ANY_D_COSET, field, n, r, d, k_expected, exponents)
+    return construct(SCHEME_ANY_D_COSET, q, n=n, r=r, d=d)
 
 
 def build_d4_double_length(q: int, r: int) -> LrcCode:
-    """[2(q-1), n - n/(r+1) - 2, 4] code (scheme thm-3.4).
-
-    The stated hypothesis (r+1) | 2(q-1) does not by itself place
-    alpha = beta^s, s = n/(r+1), inside GF(q): beta has order 2(q-1), so
-    alpha is fixed by the q-power Frobenius exactly when s is even, that is
-    when (r+1) | q - 1.  The other parameter sets are rejected with a
-    diagnostic.  Locality r >= 3 is required: for r <= 2 the Singleton-type
-    bound exceeds 4 and the construction cannot be optimal.
-    """
-    field = base_field(q)
-    n = 2 * (q - 1)
-    _require(
-        math.gcd(n, q) == 1,
-        f"gcd(n, q) = {math.gcd(n, q)} != 1 for n = 2(q-1) = {n} (q must be odd)",
-    )
-    _require(
-        r >= 3,
-        f"locality must be >= 3, got {r}: with locality <= 2 the Singleton-type "
-        "bound exceeds the construction's distance 4",
-    )
-    _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
-    s = n // (r + 1)
-    # an oversized splitting field is reported first, by _splitting_context
-    _require(
-        (q - 1) % (r + 1) == 0 or not _splitting_fits(q, n),
-        f"alpha = beta^(n/(r+1)) is not in GF({q}): (r + 1) = {r + 1} divides "
-        f"2(q - 1) but not q - 1 = {q - 1}, so no generator exists over GF({q})",
-    )
-    return _from_zeros(
-        SCHEME_D4_DOUBLE_LENGTH,
-        field,
-        n,
-        r,
-        4,
-        n - s - 2,
-        [0, 2, *_grid(n, r)],
-        alpha_exponent=s,
-        gamma_exponent=2,
-    )
+    """[2(q-1), n - n/(r+1) - 2, 4] code (scheme thm-3.4); r >= 3 and
+    (r+1) | q - 1 are required."""
+    return construct(SCHEME_D4_DOUBLE_LENGTH, q, r=r)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and parameter enumeration.
+
+# (n as a function of q, d) where a scheme fixes them
+_FIXED = {
+    SCHEME_D3_UNBOUNDED: (None, 3),
+    SCHEME_D4_UNBOUNDED: (None, 4),
+    SCHEME_ANY_D_SUBGROUP: (None, None),
+    SCHEME_ANY_D_COSET: (None, None),
+    SCHEME_D4_DOUBLE_LENGTH: (lambda q: 2 * (q - 1), 4),
+}
 
 
 def construct(scheme: str, q: int, n: int | None = None, r: int | None = None, d: int | None = None) -> LrcCode:
@@ -418,28 +411,20 @@ def construct(scheme: str, q: int, n: int | None = None, r: int | None = None, d
         raise ParameterError(f"unknown scheme {scheme!r}; choose from {', '.join(ALL_SCHEMES)}")
     if r is None:
         raise ParameterError("every scheme needs a locality --r")
-    if scheme == SCHEME_D4_DOUBLE_LENGTH:
-        expected_n = 2 * (q - 1)
-        if n is not None and n != expected_n:
-            raise ParameterError(f"scheme {scheme} fixes n = 2(q - 1) = {expected_n}, got {n}")
-        if d is not None and d != 4:
-            raise ParameterError(f"scheme {scheme} fixes d = 4, got {d}")
-        return build_d4_double_length(q, r)
+    fixed_n, fixed_d = _FIXED[scheme]
+    if fixed_n is not None:
+        if n is not None and n != fixed_n(q):
+            raise ParameterError(f"scheme {scheme} fixes n = 2(q - 1) = {fixed_n(q)}, got {n}")
+        n = fixed_n(q)
     if n is None:
         raise ParameterError(f"scheme {scheme} needs a length --n")
-    if scheme == SCHEME_D3_UNBOUNDED:
-        if d is not None and d != 3:
-            raise ParameterError(f"scheme {scheme} fixes d = 3, got {d}")
-        return build_d3_unbounded(q, n, r)
-    if scheme == SCHEME_D4_UNBOUNDED:
-        if d is not None and d != 4:
-            raise ParameterError(f"scheme {scheme} fixes d = 4, got {d}")
-        return build_d4_unbounded(q, n, r)
+    if fixed_d is not None:
+        if d is not None and d != fixed_d:
+            raise ParameterError(f"scheme {scheme} fixes d = {fixed_d}, got {d}")
+        d = fixed_d
     if d is None:
         raise ParameterError(f"scheme {scheme} needs a distance --d")
-    if scheme == SCHEME_ANY_D_SUBGROUP:
-        return build_any_d_subgroup(q, n, r, d)
-    return build_any_d_coset(q, n, r, d)
+    return _from_zeros(scheme, q, n, r, d)
 
 
 def _prime_powers_up_to(q_max: int) -> list[int]:
@@ -454,10 +439,12 @@ def _prime_powers_up_to(q_max: int) -> list[int]:
 
 
 def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[CandidateParams, ...]:
-    """All parameter sets passing a scheme's preconditions, ascending by
-    (q, n, r, d).  Sets that construct cannot build are included with
-    constructible=False and a diagnostic: ``splitting-field-too-large`` when
-    the splitting field of x^n - 1 exceeds MAX_FIELD_ORDER, and, for thm-3.4,
+    """Every parameter set ``_plan`` accepts, ascending by (q, n, r, d).
+
+    These are the sets construct builds, plus the sets it rejects although
+    they pass every precondition, listed with constructible=False and a
+    diagnostic: ``splitting-field-too-large`` when the splitting field of
+    x^n - 1 exceeds MAX_FIELD_ORDER, and, for thm-3.4,
     ``alpha-membership-failed`` when the stated hypothesis holds but alpha
     lies outside GF(q).
     """
@@ -465,63 +452,29 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
         raise ParameterError(f"unknown scheme {scheme!r}")
     if q_max < 2 or n_max < 2:
         raise ParameterError("bounds must be >= 2")
+    fixed_n, fixed_d = _FIXED[scheme]
     records: list[CandidateParams] = []
-
-    def add(q: int, n: int, r: int, d: int, k: int, diagnostic: str | None = None) -> None:
-        # construct reports an oversized splitting field first
-        if not _splitting_fits(q, n):
-            diagnostic = "splitting-field-too-large"
-        records.append(CandidateParams(scheme, q, n, r, d, k, diagnostic is None, diagnostic))
-
     for q in _prime_powers_up_to(q_max):
-        if scheme == SCHEME_D4_DOUBLE_LENGTH:
-            n = 2 * (q - 1)
-            if n < 2 or n > n_max or math.gcd(n, q) != 1:
-                continue
-            for r in range(3, n):
-                if n % (r + 1) == 0:
-                    gap = "alpha-membership-failed" if (q - 1) % (r + 1) else None
-                    add(q, n, r, 4, n - n // (r + 1) - 2, gap)
-            continue
-        for n in range(2, n_max + 1):
-            if scheme == SCHEME_D3_UNBOUNDED:
-                if math.gcd(n, q) != 1:
+        if fixed_n is None:
+            lengths = range(2, n_max + 1)
+        else:
+            lengths = [n for n in (fixed_n(q),) if n <= n_max]
+        for n in lengths:
+            # (r + 1) | n is an LrcCode invariant; checks without d run once per r
+            for r in range(1, n):
+                if n % (r + 1):
                     continue
-                for r in range(2, n):
-                    if math.gcd(n, q - 1) % (r + 1) == 0:
-                        add(q, n, r, 3, n - 1 - n // (r + 1))
-            elif scheme == SCHEME_D4_UNBOUNDED:
-                if math.gcd(n, q) != 1:
+                try:
+                    _plan(scheme, q, n, r, None)
+                except ParameterError:
                     continue
-                for r in range(3, n):
-                    if (
-                        math.gcd(n, q - 1) % (r + 1) == 0
-                        and 2 % math.gcd(n // (r + 1), r + 1) == 0
-                    ):
-                        add(q, n, r, 4, n - 2 - n // (r + 1))
-            elif scheme == SCHEME_ANY_D_SUBGROUP:
-                if (q - 1) % n != 0:
-                    continue
-                for r in range(2, n):
-                    if n % (r + 1) != 0:
+                for d in range(1, n + 1) if fixed_d is None else (fixed_d,):
+                    try:
+                        plan = _plan(scheme, q, n, r, d)
+                    except ParameterError:
                         continue
-                    for d in range(2, n + 1):
-                        if d % (r + 1) == 1:
-                            continue
-                        exponents, k_expected = _subgroup_exponents(n, r, d)
-                        if len(set(exponents)) == len(exponents):
-                            add(q, n, r, d, k_expected)
-            else:  # SCHEME_ANY_D_COSET
-                if (q + 1) % n != 0:
-                    continue
-                for r in range(2, n):
-                    if n % (r + 1) != 0:
-                        continue
-                    for d in range(2, n + 1):
-                        a, b = divmod(d, r + 1)
-                        if a % 2 != 0 or b not in _coset_b_values(r):
-                            continue
-                        exponents, k_expected = _coset_exponents(n, r, d)
-                        if len(set(exponents)) == len(exponents):
-                            add(q, n, r, d, k_expected)
+                    diagnostic = None if plan.gap is None else plan.gap[0]
+                    records.append(
+                        CandidateParams(scheme, q, n, r, d, plan.k, diagnostic is None, diagnostic)
+                    )
     return tuple(records)

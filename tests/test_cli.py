@@ -103,6 +103,19 @@ def test_verify_tampered_file(code_file, capsys, tmp_path):
     assert "integrity" in err
 
 
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("command", [["verify"], ["encode", "--message", "1,0,0,0"]])
+def test_tampered_locality_is_an_integrity_failure(code_file, capsys, tmp_path, r, command):
+    # r must be rejected before n % (r + 1) and the Singleton-type bound read it
+    data = json.loads(code_file.read_text())
+    data["r"] = r
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(data))
+    rc, out, err = _run(capsys, command[0], str(bad), *command[1:])
+    assert (rc, out) == (3, "")
+    assert err == f"code file integrity failure: locality r = {r} must be >= 1\n"
+
+
 def test_verify_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -105,3 +105,55 @@ def test_code_files_over_criterion_box():
             rows += 1
     assert rows == 260
     assert digest.hexdigest() == (GOLDEN / "codes-qmax13-nmax24.sha256").read_text().strip()
+
+
+# (qmax, nmax) pairs: the smallest box, boxes with only prime or only
+# extension rows, the criterion box, and the property-test box
+ENUMERATION_BOUNDS = ((2, 2), (4, 4), (8, 14), (9, 16), (13, 24), (31, 12), (32, 40))
+
+
+def enumeration_digest() -> str:
+    digest = hashlib.sha256()
+    for scheme in ALL_SCHEMES:
+        for q_max, n_max in ENUMERATION_BOUNDS:
+            for rec in enumerate_valid_params(scheme, q_max, n_max):
+                digest.update(f"{q_max} {n_max} {rec!r}\n".encode())
+    return digest.hexdigest()
+
+
+# integer arguments of construct, each with None and out-of-range values;
+# n = 27 has a splitting field over GF(7) beyond the supported order
+CONSTRUCT_LENGTHS = (None, -1, 0, 1, 2, 3, 4, 6, 8, 9, 10, 12, 16, 24, 27)
+CONSTRUCT_LOCALITIES = (None, -1, 0, 1, 2, 3, 4, 5)
+CONSTRUCT_DISTANCES = (None, -1, 0, 1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def construct_outcome_digest() -> str:
+    """SHA-256 over the outcome of every construct call of the grid: the
+    exception type and message, or [n, k, d] of the code."""
+    digest = hashlib.sha256()
+    for scheme in ALL_SCHEMES:
+        for q in range(34):
+            for n in CONSTRUCT_LENGTHS:
+                for r in CONSTRUCT_LOCALITIES:
+                    for d in CONSTRUCT_DISTANCES:
+                        try:
+                            code = construct(scheme, q, n=n, r=r, d=d)
+                        except Exception as exc:  # noqa: BLE001  (the type is the outcome)
+                            outcome = f"{type(exc).__name__}: {exc}"
+                        else:
+                            outcome = f"[{code.n}, {code.k}, {code.d_claimed}]"
+                        digest.update(f"{scheme} {q} {n} {r} {d} {outcome}\n".encode())
+    return digest.hexdigest()
+
+
+def test_enumerated_rows():
+    # repr of every listed row; captured before the scheme preconditions
+    # were moved into one place
+    assert enumeration_digest() == (GOLDEN / "enumeration-rows.sha256").read_text().strip()
+
+
+def test_construct_outcomes_over_argument_grid():
+    # captured before the scheme preconditions were moved into one place
+    expected = (GOLDEN / "construct-outcomes.sha256").read_text().strip()
+    assert construct_outcome_digest() == expected

@@ -35,3 +35,46 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_module_level_imports():
     unused = [entry for path in sorted(SRC.rglob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    out: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node
+    return out
+
+
+def _references(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_no_unreferenced_private_module_level_names():
+    # a private name defined at module level must be used somewhere in the
+    # package other than inside its own definition
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+    references = [(node, _references(node)) for tree in trees.values() for node in tree.body]
+    dead = [
+        f"{path.relative_to(SRC)}:{definition.lineno} {name}"
+        for path, tree in trees.items()
+        for name, definition in _private_definitions(tree).items()
+        if not any(name in names for node, names in references if node is not definition)
+    ]
+    assert dead == []
