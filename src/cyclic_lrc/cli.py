@@ -32,7 +32,7 @@ from .constructions import (
 )
 from .cyclic import DEFAULT_BUDGET
 from .field import FiniteField
-from .repair import ErasedWord, RepairError, coordinate_coset, repair_erasure
+from .repair import ErasedWord, RepairError, repair_erasure
 from .verify import VERDICT_EXIT_CODES, verify_optimal
 
 EX_CORRUPT = 5
@@ -129,7 +129,7 @@ def _cmd_repair(args) -> int:
     filled[erased.erased_at] = symbol
     if not code.base.contains(filled):
         raise CliError("corrupt input: the repaired word is not a codeword", EX_CORRUPT)
-    reads = [j for j in coordinate_coset(code.n, code.r, erased.erased_at) if j != erased.erased_at]
+    reads = [j for j, _ in code.repair_plan[erased.erased_at]]
     print(symbol.index)
     print("read: " + ",".join(str(j) for j in reads))
     return 0

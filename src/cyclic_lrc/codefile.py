@@ -36,14 +36,31 @@ def _element_to_json(e: FieldElement) -> int | list[int]:
     return e.rep[0] if e.field.m == 1 else list(e.rep)
 
 
+def _int(value, what: str) -> int:
+    """value, if it is a JSON integer; bool, float and str are not cast."""
+    if type(value) is not int:
+        raise CodeFileFormatError(f"malformed scalar field: {what} = {value!r} is not an integer")
+    return value
+
+
+def _int_list(obj, what: str) -> list[int] | None:
+    """obj, if it is null or a list of JSON integers."""
+    if obj is None:
+        return None
+    if not isinstance(obj, list):
+        raise CodeFileFormatError(f"malformed {what}: {obj!r} is not a list")
+    return [_int(v, what) for v in obj]
+
+
 def _element_from_json(field: FiniteField, obj, what: str) -> FieldElement:
     try:
-        if isinstance(obj, int):
+        if type(obj) is int:
             return field.from_index(obj)
-        digits = [int(v) for v in obj]
-        if any(not 0 <= v < field.p for v in digits):
+        if not isinstance(obj, list) or any(type(v) is not int for v in obj):
+            raise TypeError("not an index or a list of integer digits")
+        if any(not 0 <= v < field.p for v in obj):
             raise ValueError(f"digit out of range mod {field.p}")
-        return field.element(digits)
+        return field.element(obj)
     except (TypeError, ValueError) as exc:
         raise CodeFileFormatError(f"bad element encoding for {what}: {obj!r}") from exc
 
@@ -94,16 +111,14 @@ def code_from_dict(data: dict) -> LrcCode:
     try:
         version = data["schema_version"]
         scheme = data["scheme"]
-        p, m, n = int(data["p"]), int(data["m"]), int(data["n"])
-        k, r, d_claimed = int(data["k"]), int(data["r"]), int(data["d_claimed"])
+        p, m, n, k, r, d_claimed, q = (
+            _int(data[key], key) for key in ("p", "m", "n", "k", "r", "d_claimed", "q")
+        )
         g_json, h_json, dual_json = data["g"], data["h"], data["dual_g"]
         beta_json = data["beta"]
-        q = int(data["q"])
     except KeyError as exc:
         raise CodeFileFormatError(f"missing key: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CodeFileFormatError(f"malformed scalar field: {exc}") from exc
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise CodeFileFormatError(f"unsupported schema_version {version!r}")
     if scheme not in ALL_SCHEMES:
         raise CodeFileFormatError(f"unknown scheme {scheme!r}")
@@ -114,7 +129,7 @@ def code_from_dict(data: dict) -> LrcCode:
         raise CodeFileFormatError(str(exc)) from exc
     if field.q != q:
         raise CodeFileInvariantError(f"q = {q} does not match p^m = {field.q}")
-    stored_modulus = data.get("modulus")
+    stored_modulus = _int_list(data.get("modulus"), "modulus")
     expected_modulus = list(field.modulus) if field.modulus else None
     if stored_modulus != expected_modulus:
         raise CodeFileInvariantError(
@@ -128,15 +143,20 @@ def code_from_dict(data: dict) -> LrcCode:
         raise CodeFileInvariantError(f"invalid generator polynomial: {exc}") from exc
     if base.k != k:
         raise CodeFileInvariantError(f"stored k = {k} but n - deg g = {base.k}")
+    _poly_from_json(field, h_json, "h")
+    _poly_from_json(field, dual_json, "dual_g")
     if _poly_to_json(base.h) != h_json or _poly_to_json(base.dual_g) != dual_json:
         raise CodeFileInvariantError("stored h/dual_g disagree with the generator")
 
     try:
-        beta_field = make_field(int(beta_json["field"]["p"]), int(beta_json["field"]["m"]))
-        beta = _element_from_json(beta_field, list(beta_json["rep"]), "beta")
+        beta_field_json = beta_json["field"]
+        beta_p, beta_m = _int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m")
+        beta_field = make_field(beta_p, beta_m)
+        beta_modulus = _int_list(beta_field_json.get("modulus"), "beta modulus")
+        beta = _element_from_json(beta_field, beta_json["rep"], "beta")
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFileFormatError(f"malformed beta: {exc}") from exc
-    if list(beta_json["field"].get("modulus") or []) != list(beta_field.modulus or []):
+    if (beta_modulus or []) != list(beta_field.modulus or []):
         raise CodeFileInvariantError("beta field modulus is not canonical")
     if beta.is_zero or multiplicative_order(beta) != n:
         raise CodeFileInvariantError("beta is not a primitive n-th root of unity")

@@ -165,12 +165,10 @@ def prime_power(q: int) -> tuple[int, int]:
 
 @cache  # _plan starts here for every (q, n, r, d) an enumeration tries
 def _field_exponents(q: int) -> tuple[int, int]:
-    """(p, m) with q = p**m within MAX_FIELD_ORDER, or ParameterError."""
-    p, m = prime_power(q)
-    _require(
-        q <= MAX_FIELD_ORDER, f"field GF({p}^{m}) exceeds the supported order {MAX_FIELD_ORDER}"
-    )
-    return p, m
+    """(p, m) with q = p**m within MAX_FIELD_ORDER, or ParameterError.  The
+    size is checked before q is factored."""
+    _require(q <= MAX_FIELD_ORDER, f"field order {q} exceeds the supported order {MAX_FIELD_ORDER}")
+    return prime_power(q)
 
 
 def base_field(q: int) -> FiniteField:

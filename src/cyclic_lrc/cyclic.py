@@ -135,20 +135,13 @@ class CyclicCode:
         """Exponents e with g(beta**e) = 0 for the canonical primitive root."""
         return _root_exponents(self)
 
-    def bch_lower_bound(self, root_exponents: Sequence[int] | None = None) -> int:
+    def bch_lower_bound(self) -> int:
         """Certified distance lower bound from consecutive root exponents.
 
         Returns the largest delta such that delta - 1 cyclically consecutive
-        exponents are all roots of g (n + 1 for the zero code).  A supplied
-        exponent set is checked against the recomputed one.
+        exponents are all roots of g (n + 1 for the zero code).
         """
-        computed = self.root_exponents()
-        if root_exponents is not None and frozenset(e % self.n for e in root_exponents) != computed:
-            raise ValueError(
-                f"supplied root exponents {sorted(root_exponents)} are inconsistent with "
-                f"g; actual set is {sorted(computed)}"
-            )
-        return _longest_cyclic_run(computed, self.n) + 1
+        return _longest_cyclic_run(self.root_exponents(), self.n) + 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -306,10 +306,11 @@ def make_field(p: int, m: int = 1) -> FiniteField:
     """
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
+    # size first: is_prime is trial division, and p**m of a huge m never ends
+    if p > 1 and (m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER):
+        raise ValueError(f"field order {p}^{m} exceeds the supported limit {MAX_FIELD_ORDER}")
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
-    if p**m > MAX_FIELD_ORDER:
-        raise ValueError(f"field order {p}^{m} exceeds the supported limit {MAX_FIELD_ORDER}")
     return _canonical_field(p, m)
 
 

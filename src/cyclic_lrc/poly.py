@@ -41,10 +41,6 @@ class Poly:
         return cls(field, (field.one(),))
 
     @classmethod
-    def x(cls, field: FiniteField) -> Poly:
-        return cls(field, (field.zero(), field.one()))
-
-    @classmethod
     def x_pow_minus_one(cls, field: FiniteField, n: int) -> Poly:
         """x**n - 1."""
         coeffs = [field.zero()] * (n + 1)

@@ -1,23 +1,20 @@
 """Repair groups, repair vectors, single-erasure repair and locality checks.
 
 For the codes built here every coordinate i is repaired inside its residue
-class modulo s = n/(r+1): a dual codeword supported on that class with all
-entries nonzero expresses c_i as a combination of the other r class members.
-Such a word has a closed form.  When g has a factor x^s - c, the quotient
-(x^n - 1)/(x^s - c) is a geometric word on the stride grid, and its
-coordinate reversal is a dual codeword of weight r+1.  That grid witness,
-checked against the generator once, is the one source of repair vectors:
-the vector for coordinate i is its cyclic shift onto i's class.  The dual of
-a cyclic code is cyclic, so every shift of a dual word is a dual word and
-needs no second check.
-A code without such a factor has no repair plan; its locality is decided by
-the exhaustive dual scan.
+class modulo s = n/(r+1), from a dual codeword of weight r+1 on that class.
+Such a word has a closed form.  When g has a factor x^s - c, every codeword
+reduces to zero modulo x^s - c, so for each class the word with entry c^t at
+i mod s + s*t (t = 0..r) is a dual codeword, and c^(r+1) = 1.  The grid
+constant c, the first by index whose class-0 word passes a check against the
+generator, is found once per (code, r); the repair vector of i is that word
+on i's class.  No polynomial is divided.  A code without such a factor has
+no repair plan; its locality is decided by the exhaustive dual scan.
 
-Repair reads a plan built once per code from those vectors: for each
-coordinate i, the r pairs (j, -a_i^{-1} * a_j) over the other members of
-i's class, so that c_i is the sum of the products with the read symbols.
-The plan is cached on the code object (``LrcCode.repair_plan``).  All
-results are deterministic; plans are safe to read concurrently once built.
+Repair reads a plan built once per code from c: for i = i mod s + s*u, the
+r pairs (i mod s + s*t, -c^(t-u)) over t != u, so that c_i is the sum of the
+products with the read symbols.  The plan is cached on the code object
+(``LrcCode.repair_plan``).  All results are deterministic; plans are safe to
+read concurrently once built.
 """
 
 from __future__ import annotations
@@ -83,28 +80,33 @@ def _base_and_r(code, r_test: int | None = None) -> tuple[CyclicCode, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_witness(base: CyclicCode, r: int) -> tuple[FieldElement, ...] | None:
-    """Full-weight dual word on the stride grid, from a factor x^s - c of g.
+def _grid_constant(base: CyclicCode, r: int) -> FieldElement:
+    """The first c, by index, whose class-0 word (c^t at s*t, t = 0..r) is a
+    dual codeword, checked against the generator basis.  That holds exactly
+    when x^s - c divides g, and then c^(r+1) = 1."""
+    if base.k < 1:
+        raise RepairError("repair plans need a code of dimension >= 1")
+    for ci in range(1, base.field.q):
+        c = base.field.from_index(ci)
+        if _is_dual_word(base, _class_word(base, r, c, 0)):
+            return c
+    raise RepairError(f"g has no factor x^{repair_stride(base.n, r)} - c")
 
-    When g has such a factor, (x^n - 1)/(x^s - c) lies in <h> and is
-    supported on the exponent grid {0, s, ..., rs} with geometric (nonzero)
-    coefficients; its coordinate reversal is a dual codeword of weight r+1.
-    The result is validated against the generator basis before use.
-    """
-    n, field = base.n, base.field
-    s = repair_stride(n, r)
-    x_pow_s = Poly.make(field, (field.zero(),) * s + (field.one(),))
-    for ci in range(1, field.q):
-        c = field.from_index(ci)
-        divisor = x_pow_s - Poly.make(field, (c,))
-        if not (base.g % divisor).is_zero:
-            continue
-        grid_word = Poly.x_pow_minus_one(field, n) // divisor
-        coeffs = grid_word.padded(n)
-        witness = tuple(coeffs[n - 1 - j] for j in range(n))
-        if _is_dual_word(base, witness):
-            return witness
-    return None
+
+def _powers(c: FieldElement, r: int) -> list[FieldElement]:
+    """(1, c, ..., c^r)."""
+    out = [c.field.one()]
+    for _ in range(r):
+        out.append(out[-1] * c)
+    return out
+
+
+def _class_word(base: CyclicCode, r: int, c: FieldElement, i: int) -> tuple[FieldElement, ...]:
+    """The word with entry c^t at i mod s + s*t for t = 0..r, zero elsewhere."""
+    word = [base.field.zero()] * base.n
+    for p, value in zip(coordinate_coset(base.n, r, i), _powers(c, r)):
+        word[p] = value
+    return tuple(word)
 
 
 def _is_dual_word(base: CyclicCode, word: tuple[FieldElement, ...]) -> bool:
@@ -119,56 +121,26 @@ def _is_dual_word(base: CyclicCode, word: tuple[FieldElement, ...]) -> bool:
     return True
 
 
-def _cyclic_shift(word: tuple[FieldElement, ...], delta: int) -> tuple[FieldElement, ...]:
-    n = len(word)
-    delta %= n
-    return word[-delta:] + word[:-delta] if delta else word
-
-
-def _coset_vector(base: CyclicCode, r: int, i: int) -> tuple[FieldElement, ...]:
-    """The grid witness shifted onto i's coset, normalized to 1 at the lowest
-    support position.  The shift of a dual word of a cyclic code is again a
-    dual word, so only the nonzero class entries are checked."""
-    if base.k < 1:
-        raise RepairError("repair plans need a code of dimension >= 1")
-    n, s = base.n, repair_stride(base.n, r)
-    positions = coordinate_coset(n, r, i)
-    witness = _grid_witness(base, r)
-    if witness is None:
-        raise RepairError(f"g has no factor x^{s} - c (coordinate {i})")
-    # the witness is supported on the class of n - 1
-    shifted = _cyclic_shift(witness, positions[0] - (n - 1) % s)
-    if any(shifted[p].is_zero for p in positions):
-        raise RepairError(
-            f"no dual codeword with all-nonzero support on coset {positions} "
-            f"(coordinate {i})"
-        )
-    scale = shifted[positions[0]].inverse()
-    full = [base.field.zero()] * n
-    for p in positions:
-        full[p] = shifted[p] * scale
-    return tuple(full)
-
-
 def repair_vector(code, i: int):
     """Dual codeword used to repair coordinate i, as a full-length word."""
     base, r = _base_and_r(code)
     if not 0 <= i < base.n:
         raise ValueError(f"coordinate {i} out of range for length {base.n}")
-    return _coset_vector(base, r, i)
+    return _class_word(base, r, _grid_constant(base, r), i)
 
 
 def repair_plan(code) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
-    """Per coordinate i, the r pairs (j, -a_i^{-1} * a_j) that repair of c_i
-    reads, a being :func:`repair_vector` (code, i).  Raises RepairError when
-    the code has no repair vectors."""
+    """Per coordinate i = i mod s + s*u, the r pairs (i mod s + s*t,
+    -c^(t-u)) over t != u that repair of c_i reads: i's repair vector scaled
+    to -1 at i.  Raises RepairError when the code has no repair vectors."""
     base, r = _base_and_r(code)
-    plan = []
-    for i in range(base.n):
-        vec = repair_vector(code, i)
-        scale = -vec[i].inverse()
-        plan.append(tuple((j, scale * vec[j]) for j in coordinate_coset(base.n, r, i) if j != i))
-    return tuple(plan)
+    c = _grid_constant(base, r)
+    s = repair_stride(base.n, r)
+    neg = [-value for value in _powers(c, r)]
+    return tuple(
+        tuple((i % s + s * t, neg[(t - i // s) % (r + 1)]) for t in range(r + 1) if t != i // s)
+        for i in range(base.n)
+    )
 
 
 def repair_erasure(code, word: ErasedWord) -> FieldElement:
@@ -244,12 +216,15 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
     base, r = _base_and_r(code, r_test)
     if r < 1:
         raise ValueError(f"locality must be >= 1, got {r}")
-    if base.n % (r + 1) == 0 and base.k >= 1:
+    if base.n % (r + 1) == 0:
         try:
-            witnesses = tuple(_sparse(_coset_vector(base, r, i)) for i in range(base.n))
-            return LocalityCheck(True, r, "coset-witness", witnesses)
+            c = _grid_constant(base, r)
         except RepairError:
             pass
+        else:
+            entries = tuple(value.index for value in _powers(c, r))
+            witnesses = tuple((coordinate_coset(base.n, r, i), entries) for i in range(base.n))
+            return LocalityCheck(True, r, "coset-witness", witnesses)
     dual = base.dual()
     if dual.k == 0:
         return LocalityCheck(False, r, "exhaustive", failing_coordinate=0)

@@ -157,14 +157,42 @@ def test_repair_rejects_corrupt_word(code_file, capsys, flip):
 def test_repair_error_is_one_line(code_file, capsys, monkeypatch):
     from cyclic_lrc import repair
 
-    def no_plan(code, i):
+    def no_plan(base, r):
         raise repair.RepairError("no plan for this coordinate")
 
-    monkeypatch.setattr(repair, "repair_vector", no_plan)
+    monkeypatch.setattr(repair, "_grid_constant", no_plan)
     rc, out, err = _run(capsys, "repair", str(code_file), "--word", "_,2,0,1,1,0,0,0")
     assert rc == 3
     assert out == ""
     assert err.strip().splitlines() == ["no repair plan: no plan for this coordinate"]
+
+
+def test_oversized_field_is_rejected_before_factoring(code_file, capsys, monkeypatch):
+    # a prime order far above MAX_FIELD_ORDER fails on its size alone; trial
+    # division of it would run for minutes
+    from cyclic_lrc import constructions, field
+
+    big = 1000000000000000003
+
+    def small_only(real):
+        def guarded(n):
+            assert n <= field.MAX_FIELD_ORDER, f"trial division of {n}"
+            return real(n)
+
+        return guarded
+
+    monkeypatch.setattr(constructions, "prime_factors", small_only(constructions.prime_factors))
+    monkeypatch.setattr(field, "prime_factors", small_only(field.prime_factors))
+    monkeypatch.setattr(field, "is_prime", small_only(field.is_prime))
+    rc, out, err = _run(
+        capsys, "construct", "--scheme", "ex-3.2", "--q", str(big), "--n", "2", "--r", "1", "--d", "2"
+    )
+    assert (rc, out) == (1, "") and "exceeds the supported order" in err
+    data = json.loads(code_file.read_text())
+    data["p"] = big
+    code_file.write_text(json.dumps(data))
+    rc, out, err = _run(capsys, "verify", str(code_file))
+    assert (rc, out) == (64, "") and "exceeds the supported limit" in err
 
 
 def test_encode_all_zero(code_file, capsys):

@@ -113,6 +113,34 @@ def test_out_of_range_digit_rejected(code_9_5_3):
         code_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("r",), 3.9),
+        (("n",), "8"),
+        (("k",), 4.0),
+        (("d_claimed",), 4.5),
+        (("schema_version",), True),
+        (("schema_version",), 1.0),
+        (("g", 0), True),
+        (("h", 2), True),
+        (("beta", "rep", 0), 3.0),
+        (("beta", "field", "modulus", 1), True),
+    ],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v),
+)
+def test_non_integer_json_numbers_are_format_errors(code_8_4_4, path, value):
+    # each value int()s or compares equal to the stored integer, so only a
+    # type check on every scalar, element and digit rejects it
+    data = code_to_dict(code_8_4_4)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(CodeFileFormatError):
+        code_from_dict(data)
+
+
 def test_unreadable_files(tmp_path):
     target = tmp_path / "garbage.json"
     target.write_text("{not json", encoding="utf-8")

@@ -105,9 +105,6 @@ def test_encode_and_contains_at_the_dimension_extremes(f5):
 def test_root_exponents_and_bch(code_8_4):
     assert sorted(code_8_4.root_exponents()) == [0, 1, 2, 5]
     assert code_8_4.bch_lower_bound() == 4
-    assert code_8_4.bch_lower_bound([0, 1, 2, 5]) == 4
-    with pytest.raises(ValueError):
-        code_8_4.bch_lower_bound([0, 1, 2])
 
 
 def test_bch_on_distance3_code(code_9_5_3):

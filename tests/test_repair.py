@@ -8,6 +8,7 @@ from cyclic_lrc.poly import Poly
 from cyclic_lrc.repair import (
     ErasedWord,
     RepairError,
+    _grid_constant,
     coordinate_coset,
     dual_distance_exact,
     repair_erasure,
@@ -89,9 +90,7 @@ def test_repair_vector_rejects_zero_dimensional_code():
     f5 = make_field(5)
     zero_code = CyclicCode.build(f5, 4, Poly.x_pow_minus_one(f5, 4))
     with pytest.raises(RepairError):
-        from cyclic_lrc.repair import _coset_vector
-
-        _coset_vector(zero_code, 3, 0)
+        _grid_constant(zero_code, 3)
 
 
 def test_bare_code_without_grid_factor_uses_exhaustive_scan():
@@ -100,9 +99,7 @@ def test_bare_code_without_grid_factor_uses_exhaustive_scan():
     f3 = make_field(3)
     code = CyclicCode.build(f3, 4, Poly.from_indices(f3, [1, 0, 1]))
     with pytest.raises(RepairError):
-        from cyclic_lrc.repair import _coset_vector
-
-        _coset_vector(code, 3, 0)
+        _grid_constant(code, 3)
     check = verify_locality(code, 3)
     assert check.to_dict() == {
         "ok": True,
@@ -186,10 +183,10 @@ def test_repair_plan_is_built_once_per_code(monkeypatch):
     assert plan is code.repair_plan
     assert tuple(tuple(j for j, _ in pairs) for pairs in plan) == repair_groups(code)
 
-    def no_plan(code, i):
-        raise RepairError("repair_vector called after the plan was built")
+    def no_plan(base, r):
+        raise RepairError("grid constant read after the plan was built")
 
-    monkeypatch.setattr(repair, "repair_vector", no_plan)
+    monkeypatch.setattr(repair, "_grid_constant", no_plan)
     word = list(code.base.g.padded(8))
     expected, word[5] = word[5], None
     assert repair_erasure(code, ErasedWord.from_symbols(word)) == expected

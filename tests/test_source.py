@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -78,3 +79,35 @@ def test_no_unreferenced_private_module_level_names():
         if not any(name in names for node, names in references if node is not definition)
     ]
     assert dead == []
+
+
+def _span_targets() -> dict[str, tuple]:
+    path = SRC.parent / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("FUNCTIONS", "METHODS")
+    }
+
+
+def _resolve(module: str, *names: str):
+    obj = importlib.import_module(f"cyclic_lrc.{module}")
+    for name in names:
+        obj = getattr(obj, name, None)
+    return obj
+
+
+def test_perfbench_span_targets_resolve():
+    # the tracer wraps these names by lookup; one that a refactor drops
+    # would stop `perfbench/run.py --trace 1` from installing
+    targets = _span_targets()
+    assert set(targets) == {"FUNCTIONS", "METHODS"}
+    missing = [
+        ".".join(target)
+        for target in targets["FUNCTIONS"] + targets["METHODS"]
+        if not callable(_resolve(*target))
+    ]
+    assert missing == []
