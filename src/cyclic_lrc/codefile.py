@@ -52,17 +52,19 @@ def _int_list(obj, what: str) -> list[int] | None:
     return [_int(v, what) for v in obj]
 
 
-def _element_from_json(field: FiniteField, obj, what: str) -> FieldElement:
-    try:
-        if type(obj) is int:
-            return field.from_index(obj)
-        if not isinstance(obj, list) or any(type(v) is not int for v in obj):
-            raise TypeError("not an index or a list of integer digits")
-        if any(not 0 <= v < field.p for v in obj):
-            raise ValueError(f"digit out of range mod {field.p}")
-        return field.element(obj)
-    except (TypeError, ValueError) as exc:
-        raise CodeFileFormatError(f"bad element encoding for {what}: {obj!r}") from exc
+def _element_from_json(field: FiniteField, obj, what: str, digits: bool = False) -> FieldElement:
+    """The element that ``_element_to_json`` writes as obj: a bare index when
+    m = 1, else (or with ``digits``, as for beta) a list of exactly m digits.
+    No other form loads, so loading and saving reproduces the file."""
+    if digits or field.m > 1:
+        ok = isinstance(obj, list) and len(obj) == field.m and all(
+            type(v) is int and 0 <= v < field.p for v in obj
+        )
+    else:
+        ok = type(obj) is int and 0 <= obj < field.q
+    if not ok:
+        raise CodeFileFormatError(f"bad element encoding for {what}: {obj!r}")
+    return field.element(obj)
 
 
 def _poly_to_json(p: Poly) -> list:
@@ -153,7 +155,7 @@ def code_from_dict(data: dict) -> LrcCode:
         beta_p, beta_m = _int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m")
         beta_field = make_field(beta_p, beta_m)
         beta_modulus = _int_list(beta_field_json.get("modulus"), "beta modulus")
-        beta = _element_from_json(beta_field, beta_json["rep"], "beta")
+        beta = _element_from_json(beta_field, beta_json["rep"], "beta", digits=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFileFormatError(f"malformed beta: {exc}") from exc
     if (beta_modulus or []) != list(beta_field.modulus or []):

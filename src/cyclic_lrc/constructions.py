@@ -426,14 +426,16 @@ def construct(scheme: str, q: int, n: int | None = None, r: int | None = None, d
 
 
 def _prime_powers_up_to(q_max: int) -> list[int]:
-    out = []
-    for q in range(2, q_max + 1):
-        try:
-            prime_power(q)
-        except ParameterError:
-            continue
-        out.append(q)
-    return out
+    """Prime powers 2..q_max, ascending, from a sieve.  The walk stops at
+    MAX_FIELD_ORDER, since ``_plan`` rejects every larger q."""
+    limit = min(q_max, MAX_FIELD_ORDER)
+    prime = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = [p for p in range(2, limit + 1) if prime[p]]
+    powers = (p**e for p in primes if p * p <= limit for e in range(2, limit.bit_length()))
+    return sorted(primes + [q for q in powers if q <= limit])
 
 
 def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[CandidateParams, ...]:

@@ -3,8 +3,8 @@
 Messages are numbered by a counter t: symbol j of message t is the field
 element of index ``(t // q**j) % q``.  Because element indices are base-p
 digit vectors, the base-p digits of t are exactly the GF(p) coordinates of
-the message, symbol by symbol.  Two observations turn a scan over all q**k
-messages into a handful of numpy operations per block of codewords:
+the message, symbol by symbol.  Three observations make the scan a few
+big-integer operations per block of codewords, in pure Python:
 
 * **Expanded generator.**  Multiplication by a fixed element of GF(p^m) is
   a GF(p)-linear map on digit vectors, so the k x n generator over GF(q) is
@@ -16,55 +16,44 @@ messages into a handful of numpy operations per block of codewords:
   i.e. a counter in ``[q**s, 2 * q**s)`` for some s.  Scanning only those
   counters visits (q**k - 1)/(q - 1) messages and still yields the exact
   minimum over any prefix 1..count and the first counter of every support.
-
-Within ``[q**s, 2 * q**s)`` a counter splits as ``base + lo`` with the
-digits of ``base`` and ``lo`` disjoint, so its codeword is the sum of the
-codewords of ``base`` and ``lo``.  The codewords of every ``lo`` below a
-block width are built once per scan, one row of E at a time in counter
-order, and packed into symbol indices; a symbol of ``base + lo`` is zero
-exactly when the ``lo`` symbol equals the matching symbol of ``-base``, so
-each block reduces to one comparison and a column sum.  Blocks are sized by
-bytes, about ``_BLOCK_BYTES`` each.
-
-numpy is imported by the functions that use it, on first use, so that
-construction, encoding and repair run without loading it.
+* **Bit masks.**  Within ``[q**s, 2 * q**s)`` a counter splits as
+  ``base + lo`` with disjoint digits, so its codeword is the sum of theirs.
+  The low table, built once per scan, holds for each digit column x and
+  value v an int ``eq[x][v]``, bit t set when digit x of the t-th ``lo``
+  codeword is v; it takes about ``_BLOCK_BYTES`` bytes.  A symbol of
+  ``base + lo`` is zero when its m digits are those of ``-base``, an AND of
+  m masks, and the zero counts of all words add up in bit-sliced planes.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import and_
+from typing import Iterator, Sequence
 
 from .field import FieldElement, FiniteField
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TABLE_LIMIT = 1024
 _BLOCK_BYTES = 1 << 20
 
+Matrix = Sequence[Sequence[int]]
+
 
 @functools.lru_cache(maxsize=None)
-def op_tables(field: FiniteField) -> np.ndarray:
-    """Products by the power basis over element indices, m x q int16: row i
+def op_tables(field: FiniteField) -> tuple[tuple[int, ...], ...]:
+    """Products by the power basis over element indices, m rows of q: row i
     maps the index of b to the index of y**i * b, y**i being digit i."""
-    import numpy as np
     q = field.q
     if q > TABLE_LIMIT:
-        raise ValueError(
-            f"field order {q} exceeds the enumeration table limit {TABLE_LIMIT}"
-        )
+        raise ValueError(f"field order {q} exceeds the enumeration table limit {TABLE_LIMIT}")
     elems = [field.from_index(i) for i in range(q)]
     basis = [field.from_index(field.p**i) for i in range(field.m)]
-    mul = np.array([[(y * b).index for b in elems] for y in basis], dtype=np.int16)
-    mul.setflags(write=False)
-    return mul
+    return tuple(tuple((y * b).index for b in elems) for y in basis)
 
 
-def matrix_indices(rows: Sequence[Sequence[FieldElement]]) -> np.ndarray:
-    """Element rows to an int16 index matrix for the kernels."""
-    import numpy as np
-    return np.array([[e.index for e in row] for row in rows], dtype=np.int16)
+def matrix_indices(rows: Sequence[Sequence[FieldElement]]) -> tuple[tuple[int, ...], ...]:
+    """Element rows to the index matrix the kernels take."""
+    return tuple(tuple(e.index for e in row) for row in rows)
 
 
 def message_symbols(field: FiniteField, t: int, k: int) -> tuple[FieldElement, ...]:
@@ -81,120 +70,127 @@ def message_symbols(field: FiniteField, t: int, k: int) -> tuple[FieldElement, .
 # The scan.
 
 
-class _Scan:
-    """The expanded generator of one matrix and the blocks of its scan."""
-
-    def __init__(self, matrix: np.ndarray, field: FiniteField):
-        import numpy as np
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
-            raise ValueError("kernel scans need a nonempty 2-d generator matrix")
-        p, m = field.p, field.m
-        k, n = matrix.shape
-        # images[i, j, c]: index of y**i * matrix[j, c], y**i being digit i
-        images = op_tables(field)[:, matrix.astype(np.intp)]
-        digits = images[..., None] // p ** np.arange(m) % p
-        # unsigned digits with room for the sum of two
-        self.digit_type = np.uint8 if p < 128 else np.uint16
-        self.expanded = digits.transpose(1, 0, 2, 3).reshape(k * m, n * m).astype(self.digit_type)
-        self.symbol_type = np.uint8 if field.q <= 256 else np.uint16
-        self.weight_type = np.min_scalar_type(n)
-        self.field, self.n = field, n
-
-    def span(self, rows: np.ndarray) -> np.ndarray:
-        """Every GF(p)-combination of the digit rows, in counter order: row t
-        of the result takes coefficient ``(t // p**i) % p`` on rows[i]."""
-        import numpy as np
-        p = self.field.p
-        words = np.zeros((1, rows.shape[1]), dtype=self.digit_type)
-        for row in rows:
-            parts = [words]
-            for _ in range(1, p):
-                total = parts[-1] + row
-                parts.append(np.minimum(total, total - p))  # mod p, wrapping below 0
-            words = np.concatenate(parts)
-        return words
-
-    def pack(self, words: np.ndarray) -> np.ndarray:
-        """Symbol indices of digit rows, transposed to shape (n, len(words))."""
-        import numpy as np
-        p, m = self.field.p, self.field.m
-        digits = words.reshape(len(words), self.n, m).astype(self.symbol_type)
-        packed = digits[:, :, m - 1]
-        for i in range(m - 2, -1, -1):
-            packed = packed * p + digits[:, :, i]
-        return np.ascontiguousarray(packed.T)
-
-    def blocks(self, count: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(first counter, nonzero mask of shape (n, len)) per block of the
-        projective messages with counter <= count, in increasing counter order."""
-        q, p, m = self.field.q, self.field.p, self.field.m
-        table_rows = max(1, _BLOCK_BYTES // self.expanded[0].nbytes)
-        low = 0  # symbols covered by the table
-        while q ** (low + 1) <= min(table_rows, count):
-            low += 1
-        table = self.pack(self.span(self.expanded[: low * m]))
-        s = 0
-        while q**s <= count:
-            first, last = q**s, min(2 * q**s - 1, count)
-            step = q ** min(s, low)
-            # codewords of the block bases: symbol s is one, the symbols
-            # between the table and s take every value, in counter order
-            high = self.span(self.expanded[min(s, low) * m : s * m])
-            bases = (high[: (last - first) // step + 1] + self.expanded[s * m]) % p
-            negated = self.pack((p - bases) % p)
-            for i, base in enumerate(range(first, last + 1, step)):
-                size = min(step, last + 1 - base)
-                yield base, table[:, :size] != negated[:, i, None]
-            s += 1
+def _table(rows: list[list[int]], p: int, width: int) -> list[list[int]]:
+    """``eq[x][v]`` for the ``width`` digit columns: bit t set when digit x of
+    the t-th GF(p)-combination of the rows, in counter order, equals v."""
+    # word t + c * p**i is word t plus c times row i
+    shifts = [[c * p**i for c in range(p)] for i in range(len(rows))]
+    columns = [tuple(row[x] for row in rows) for x in range(width)]
+    built: dict[tuple[int, ...], list[int]] = {}
+    for column in set(columns):
+        # up to the first nonzero entry every word has digit 0
+        lead = next((i for i, e in enumerate(column) if e), len(column))
+        masks = [(1 << p**lead) - 1] + [0] * (p - 1)
+        for e, level_shifts in zip(column[lead:], shifts[lead:]):
+            level = [0] * p
+            for u, mask in enumerate(masks):
+                if mask:  # only one of them on the first level
+                    for shift in level_shifts:
+                        level[u] |= mask << shift
+                        u = (u + e) % p
+            masks = level
+        built[column] = masks
+    return [built[column] for column in columns]
 
 
-def _check_count(matrix: np.ndarray, field: FiniteField, count: int) -> None:
-    if count > field.q ** matrix.shape[0] - 1:
+def _blocks(matrix: Matrix, field: FiniteField, count: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(first counter, mask of the block's words, zero mask per symbol) per
+    block of the projective messages with counter <= count, in counter order."""
+    q, p, m, n = field.q, field.p, field.m, len(matrix[0])
+    powers, mul = [p**x for x in range(m)], op_tables(field)
+    # expanded[j*m + i][c*m + x]: digit x of y**i * matrix[j][c]
+    expanded = [
+        [products[g] // power % p for g in row for power in powers] for row in matrix for products in mul
+    ]
+    low = 0  # symbols covered by the table
+    while q ** (low + 1) <= min(_BLOCK_BYTES * 8 // (n * m * p), count):
+        low += 1
+    eq = _table(expanded[: low * m], p, n * m)
+    s = 0
+    while q**s <= count:
+        first, last = q**s, min(2 * q**s - 1, count)
+        step = q ** min(s, low)
+        rows = expanded[min(s, low) * m : s * m]
+        for j, base in enumerate(range(first, last + 1, step)):
+            # the codeword of base: row s*m, plus the digits of j on the rows
+            # between the table and symbol s; its negated digits pick masks
+            word = expanded[s * m]
+            for i, row in enumerate(rows):
+                word = [(a + j // p**i * b) % p for a, b in zip(word, row)]
+            masks = [eq[x][-d % p] for x, d in enumerate(word)]
+            full = (1 << min(step, last + 1 - base)) - 1
+            yield base, full, [functools.reduce(and_, masks[c * m : c * m + m], full) for c in range(n)]
+        s += 1
+
+
+def _counter_planes(masks: list[int]) -> list[int]:
+    """Bit-sliced sum of the masks: bit t of planes[i] is bit i of the number
+    of masks that have bit t set."""
+    planes = [0] * len(masks).bit_length()
+    for carry in masks:
+        i = 0
+        while carry:
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            i += 1
+    return planes
+
+
+def _at_least(planes: list[int], threshold: int, full: int) -> int:
+    """Mask of the words whose count is >= threshold, 0 <= threshold < 2**len(planes)."""
+    above, equal = 0, full
+    for i in reversed(range(len(planes))):
+        if threshold >> i & 1:
+            equal &= planes[i]
+        else:
+            above |= equal & planes[i]
+    return above | equal
+
+
+def _check(matrix: Matrix, field: FiniteField, count: int) -> None:
+    if not matrix:
+        raise ValueError("kernel scans need a nonempty generator matrix")
+    if count > field.q ** len(matrix) - 1:
         raise ValueError("count exceeds the number of nonzero messages")
 
 
-def min_nonzero_weight(matrix: np.ndarray, field: FiniteField, count: int) -> int:
+def min_nonzero_weight(matrix: Matrix, field: FiniteField, count: int) -> int:
     """Minimum Hamming weight over the codewords of messages 1..count.
 
     ``matrix`` holds the generator rows as element indices.  With
     ``count == q**k - 1`` it is the exact minimum distance of the row space.
     """
-    import numpy as np
-    scan = _Scan(matrix, field)
     if count < 1:
         raise ValueError("at least one message must be scanned")
-    _check_count(matrix, field, count)
-    best = scan.n + 1
-    for _, nonzero in scan.blocks(count):
-        best = min(best, int(np.add.reduce(nonzero, axis=0, dtype=scan.weight_type).min()))
+    _check(matrix, field, count)
+    n = len(matrix[0])
+    best = n + 1
+    for _, full, zero in _blocks(matrix, field, count):
+        planes = _counter_planes(zero)
+        # a word of weight below best has more than n - best zero symbols
+        while best > 0 and _at_least(planes, n - best + 1, full):
+            best -= 1
     return best
 
 
-def covering_witnesses(
-    matrix: np.ndarray, field: FiniteField, max_weight: int, count: int
-) -> np.ndarray:
+def covering_witnesses(matrix: Matrix, field: FiniteField, max_weight: int, count: int) -> list[int]:
     """Per-coordinate witness search over the row space.
 
     Scans messages 1..count and returns, for every coordinate c, the first
     message counter whose codeword has nonzero weight <= max_weight and is
     nonzero at c (-1 when no such codeword exists in the scanned range).
     """
-    import numpy as np
-    scan = _Scan(matrix, field)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    witness = np.full(scan.n, -1, dtype=np.int64)
-    if count == 0:
-        return witness
-    _check_count(matrix, field, count)
-    for base, nonzero in scan.blocks(count):
-        weights = np.add.reduce(nonzero, axis=0, dtype=scan.weight_type)
-        rows = np.flatnonzero((weights > 0) & (weights <= max_weight))
-        if rows.size == 0:
-            continue
-        hits = nonzero[:, rows]
-        fresh = (witness < 0) & hits.any(axis=1)
-        witness[fresh] = base + rows[hits[fresh].argmax(axis=1)]
-        if (witness >= 0).all():
+    _check(matrix, field, count)
+    n = len(matrix[0])
+    witness = [-1] * n
+    for base, full, zero in _blocks(matrix, field, count):
+        planes = _counter_planes(zero)
+        good = _at_least(planes, max(0, n - max_weight), full) & ~_at_least(planes, n, full)
+        for c, mask in enumerate(zero):
+            hit = good & ~mask
+            if witness[c] < 0 and hit:
+                witness[c] = base + (hit & -hit).bit_length() - 1
+        if min(witness) >= 0:
             break
     return witness

@@ -233,12 +233,11 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
         return LocalityCheck(None, r, "budget-exceeded")
     matrix = kernels.matrix_indices(dual.generator_matrix)
     counters = kernels.covering_witnesses(matrix, base.field, r + 1, total - 1)
-    if (counters < 0).any():
-        failing = int(next(i for i, t in enumerate(counters) if t < 0))
-        return LocalityCheck(False, r, "exhaustive", failing_coordinate=failing)
+    if -1 in counters:
+        return LocalityCheck(False, r, "exhaustive", failing_coordinate=counters.index(-1))
     witnesses = []
     for t in counters:
-        message = kernels.message_symbols(base.field, int(t), dual.k)
+        message = kernels.message_symbols(base.field, t, dual.k)
         word = (Poly.make(base.field, message) * dual.g).padded(base.n)
         witnesses.append(_sparse(word))
     return LocalityCheck(True, r, "exhaustive", tuple(witnesses))

@@ -34,8 +34,8 @@ from cyclic_lrc.verify import OPTIMAL_CERTIFIED, singleton_bound, verify_optimal
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # pay first-call costs (cached field tables, first numpy calls) on a tiny
-    # instance before any timed criterion
+    # pay first-call costs (cached field and multiplication tables) on a
+    # tiny instance before any timed criterion
     code = build_any_d_subgroup(7, 6, 2, 2)
     min_distance_exhaustive(code.base)
     verify_locality(code.base, 3)

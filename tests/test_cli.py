@@ -123,6 +123,32 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert rc == 64
 
 
+def test_verify_rejects_noncanonical_element_encodings(code_file, capsys, tmp_path):
+    # an element has one encoding, so that load then save reproduces the
+    # file: a bare index over a prime field, m digits over GF(p^m)
+    data = json.loads(code_file.read_text())
+    assert data["alpha"] == 3
+    data["alpha"] = [3]
+    code_file.write_text(json.dumps(data))
+    rc, out, err = _run(capsys, "verify", str(code_file))
+    assert (rc, out) == (64, "") and "bad element encoding for alpha" in err
+
+    gf4 = tmp_path / "gf4.json"
+    rc, _, err = _run(
+        capsys, "construct", "--scheme", "thm-1.1-i", "--q", "4", "--n", "9", "--r", "2",
+        "--out", str(gf4),
+    )
+    assert rc == 0, err
+    digits = json.loads(gf4.read_text())["g"][0]
+    assert len(digits) == 2
+    for bad in (digits[0] + 2 * digits[1], digits[:1]):
+        data = json.loads(gf4.read_text())
+        data["g"][0] = bad
+        code_file.write_text(json.dumps(data))
+        rc, out, err = _run(capsys, "verify", str(code_file))
+        assert (rc, out) == (64, "") and "bad element encoding for g" in err, bad
+
+
 def test_encode_and_repair_round_trip(code_file, capsys):
     rc, out, _ = _run(capsys, "encode", str(code_file), "--message", "1,0,0,0")
     assert rc == 0
@@ -243,6 +269,22 @@ def test_sweep_verify_small(capsys):
     rows = _parse_csv(out)
     assert rows
     assert all(r["verdict"] == "optimal-certified" for r in rows)
+
+
+def test_sweep_walk_stops_at_the_supported_field_order(capsys):
+    # no q above MAX_FIELD_ORDER passes _plan, so a huge --qmax must not
+    # walk every integer below it; thm-3.4 with n <= 8 stops at q = 5
+    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclic_lrc.cli", "sweep", "--scheme", "thm-3.4",
+         "--qmax", "100000000", "--nmax", "8"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, out, _ = _run(capsys, "sweep", "--scheme", "thm-3.4", "--qmax", "5", "--nmax", "8")
+    assert rc == 0
+    assert proc.stdout == out
 
 
 def test_sweep_empty_result(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -36,6 +37,28 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_module_level_imports():
     unused = [entry for path in sorted(SRC.rglob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _third_party_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.lineno, node.module))
+    return [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for line, name in names
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+
+
+def test_src_imports_only_the_standard_library():
+    # the package has no third-party dependency; every import, at module
+    # level or inside a function, is relative or from the standard library
+    imports = [entry for path in sorted(SRC.rglob("*.py")) for entry in _third_party_imports(path)]
+    assert imports == []
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
