@@ -47,12 +47,11 @@ from .field import (
     MAX_FIELD_ORDER,
     FieldElement,
     FiniteField,
-    in_base_subfield,
     make_field,
-    primitive_nth_root,
     prime_factors,
     project_to_base,
     splitting_degree,
+    splitting_root,
 )
 from .poly import Poly
 from .repair import repair_plan
@@ -176,11 +175,10 @@ def base_field(q: int) -> FiniteField:
 
 
 def _project(a: FieldElement, field: FiniteField, what: str) -> FieldElement:
-    if a.field == field:
-        return a
-    if not in_base_subfield(a, field.q):
-        raise ConstructionError(f"{what} is not fixed by the GF({field.q}) Frobenius")
-    return project_to_base(a, field)
+    try:
+        return project_to_base(a, field)
+    except ValueError:
+        raise ConstructionError(f"{what} is not fixed by the GF({field.q}) Frobenius") from None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -339,17 +337,16 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
 
     beta is the canonical primitive n-th root of unity in the splitting field
     of x^n - 1.  g is formed there and every coefficient is projected to
-    GF(q) after a Frobenius check; alpha = beta^alpha_exponent and
-    gamma = beta^gamma_exponent are projected the same way where the scheme
-    stores them.  CyclicCode.build checks g | x^n - 1, and the dimension is
-    checked against the plan.
+    GF(q), a step that fails outside the embedded copy of GF(q);
+    alpha = beta^alpha_exponent and gamma = beta^gamma_exponent are
+    projected the same way where the scheme stores them.  CyclicCode.build
+    checks g | x^n - 1, and the dimension is checked against the plan.
     """
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
         raise ParameterError(plan.gap[1])
     field = base_field(q)
-    degree = splitting_degree(q, n)
-    beta = primitive_nth_root(field if degree == 1 else make_field(field.p, field.m * degree), n)
+    beta = splitting_root(field, n)
     g_ext = Poly.from_roots([beta**e for e in plan.zeros])
     g = Poly.make(field, [_project(c, field, "generator coefficient") for c in g_ext.coeffs])
     alpha = gamma = None

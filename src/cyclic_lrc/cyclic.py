@@ -25,13 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import kernels
-from .field import (
-    FieldElement,
-    FiniteField,
-    make_field,
-    primitive_nth_root,
-    splitting_degree,
-)
+from .field import FieldElement, FiniteField, embed, splitting_root
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
@@ -95,9 +89,7 @@ class CyclicCode:
             rows.append([-c for c in rem])
             if parity:  # x * rem, its x**(n-k) term folded back in as low
                 rem = [a + rem[-1] * b for a, b in zip([field.zero()] + rem[:-1], low)]
-        # expanded by element products, so any field size works without tables
-        basis = [field.from_index(field.p**a) for a in range(field.m)]
-        expanded = [[d for c in row for d in (y * c).rep] for row in rows for y in basis]
+        expanded = kernels.expand(kernels.matrix_indices(rows), field)
         return tuple(tuple(row[col] for row in expanded) for col in range(parity * field.m))
 
     def encode_systematic(self, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -146,14 +138,13 @@ class CyclicCode:
 
 @functools.lru_cache(maxsize=None)
 def _root_exponents(code: CyclicCode) -> frozenset[int]:
-    fld = code.field
-    ext_degree = splitting_degree(fld.q, code.n)
-    ext = fld if ext_degree == 1 else make_field(fld.p, fld.m * ext_degree)
-    beta = primitive_nth_root(ext, code.n)
+    beta = splitting_root(code.field, code.n)
+    ext = beta.field
+    g = Poly.make(ext, [embed(c, ext) for c in code.g.coeffs])
     exps = []
     point = ext.one()
     for e in range(code.n):
-        if code.g(point).is_zero:
+        if g(point).is_zero:
             exps.append(e)
         point = point * beta
     return frozenset(exps)

@@ -116,22 +116,15 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p).
-
-    Degree <= 3 reduces to the no-root test; the general case checks
-    x^(p^m) == x mod f together with gcd(x^(p^(m/d)) - x, f) = 1 for every
-    prime divisor d of m.
+    """Irreducibility of a monic polynomial over GF(p) by Rabin's test:
+    x^(p^m) == x mod f and gcd(x^(p^(m/d)) - x, f) = 1 for every prime
+    divisor d of m.
     """
     m = len(coeffs) - 1
     if m <= 0:
         return False
     if coeffs[0] == 0:
-        return False  # root at 0
-    if m <= 3:
-        return all(
-            sum(c * pow(a, i, p) for i, c in enumerate(coeffs)) % p != 0
-            for a in range(p)
-        )
+        return False  # root at 0; skips the powering for a p-th of all tails
     if _x_power_mod(p**m, coeffs, p) != [0, 1]:
         return False
     for d in prime_factors(m):
@@ -372,24 +365,15 @@ def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
     return field.generator() ** ((field.q - 1) // n)
 
 
+def splitting_root(field: FiniteField, n: int) -> FieldElement:
+    """Canonical primitive n-th root of unity in the splitting field of
+    x^n - 1 over ``field``: GF(q^m) for m = splitting_degree(q, n)."""
+    degree = splitting_degree(field.q, n)
+    return primitive_nth_root(field if degree == 1 else make_field(field.p, field.m * degree), n)
+
+
 # ---------------------------------------------------------------------------
-# Subfield membership, embedding and projection.
-
-
-def in_base_subfield(a: FieldElement, q: int) -> bool:
-    """True iff a lies in the copy of GF(q) inside its field (a**q == a)."""
-    _subfield_degree(a.field, q)
-    return (a**q) == a
-
-
-def _subfield_degree(ext: FiniteField, q: int) -> int:
-    d, acc = 0, 1
-    while acc < ext.q:
-        acc *= q
-        d += 1
-    if acc != ext.q:
-        raise ValueError(f"{ext} is not an extension of a field of order {q}")
-    return d
+# Embedding and projection.
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,13 +386,10 @@ def _embedding(sub: FiniteField, ext: FiniteField) -> tuple[tuple[int, ...], dic
     """
     if sub.p != ext.p or ext.m % sub.m != 0:
         raise ValueError(f"{sub} does not embed in {ext}")
-    if sub == ext:
+    if sub.m == 1 or sub == ext:
+        # constants map to constants, and the index of the constant c is c
         fwd = tuple(range(sub.q))
         return fwd, {i: i for i in fwd}
-    if sub.m == 1:
-        # prime subfield: constants map to constants
-        fwd = tuple(ext.element((c,)).index for c in range(sub.p))
-        return fwd, {v: i for i, v in enumerate(fwd)}
     # all elements of the subfield copy are powers of w (plus zero)
     w = ext.generator() ** ((ext.q - 1) // (sub.q - 1))
     candidates = [ext.one()]

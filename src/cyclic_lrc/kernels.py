@@ -8,8 +8,9 @@ big-integer operations per block of codewords, in pure Python:
 
 * **Expanded generator.**  Multiplication by a fixed element of GF(p^m) is
   a GF(p)-linear map on digit vectors, so the k x n generator over GF(q) is
-  a km x nm matrix E over GF(p), and the codeword of message t has digits
-  ``digits(t) @ E mod p``.  One path serves prime and extension fields.
+  a km x nm matrix E over GF(p), :func:`expand`, and the codeword of
+  message t has digits ``digits(t) @ E mod p``.  One path serves prime and
+  extension fields of every order, and the systematic encoder uses it too.
 * **Projective enumeration.**  Scalar multiples of a message share the
   support of its codeword.  In counter order the smallest member of every
   scalar class is the one whose highest nonzero symbol is ``one`` (index 1),
@@ -28,27 +29,35 @@ big-integer operations per block of codewords, in pure Python:
 from __future__ import annotations
 
 import functools
-from operator import and_
+from operator import and_, mul
 from typing import Iterator, Sequence
 
 from .field import FieldElement, FiniteField
 
-TABLE_LIMIT = 1024
 _BLOCK_BYTES = 1 << 20
 
 Matrix = Sequence[Sequence[int]]
 
 
 @functools.lru_cache(maxsize=None)
-def op_tables(field: FiniteField) -> tuple[tuple[int, ...], ...]:
-    """Products by the power basis over element indices, m rows of q: row i
-    maps the index of b to the index of y**i * b, y**i being digit i."""
-    q = field.q
-    if q > TABLE_LIMIT:
-        raise ValueError(f"field order {q} exceeds the enumeration table limit {TABLE_LIMIT}")
-    elems = [field.from_index(i) for i in range(q)]
+def op_tables(field: FiniteField) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Products of the power basis, m rows of m: entry [i][a] holds the
+    digits of y**i * y**a, y**i being digit i."""
     basis = [field.from_index(field.p**i) for i in range(field.m)]
-    return tuple(tuple((y * b).index for b in elems) for y in basis)
+    return tuple(tuple((y * b).rep for b in basis) for y in basis)
+
+
+def expand(matrix: Matrix, field: FiniteField) -> list[list[int]]:
+    """The GF(p) form of an index matrix: entry [j*m + i][c*m + x] holds
+    digit x of y**i * matrix[j][c].  A message's digit vector times it, mod
+    p, is the digit vector of the codeword."""
+    p, table = field.p, op_tables(field)
+    blocks = {}
+    for e in {e for row in matrix for e in row}:
+        digits = field.from_index(e).rep
+        # y**i * e is the sum over a of digit a of e times y**i * y**a
+        blocks[e] = [[sum(map(mul, digits, column)) % p for column in zip(*products)] for products in table]
+    return [[d for e in row for d in blocks[e][i]] for row in matrix for i in range(field.m)]
 
 
 def matrix_indices(rows: Sequence[Sequence[FieldElement]]) -> tuple[tuple[int, ...], ...]:
@@ -97,11 +106,7 @@ def _blocks(matrix: Matrix, field: FiniteField, count: int) -> Iterator[tuple[in
     """(first counter, mask of the block's words, zero mask per symbol) per
     block of the projective messages with counter <= count, in counter order."""
     q, p, m, n = field.q, field.p, field.m, len(matrix[0])
-    powers, mul = [p**x for x in range(m)], op_tables(field)
-    # expanded[j*m + i][c*m + x]: digit x of y**i * matrix[j][c]
-    expanded = [
-        [products[g] // power % p for g in row for power in powers] for row in matrix for products in mul
-    ]
+    expanded = expand(matrix, field)
     low = 0  # symbols covered by the table
     while q ** (low + 1) <= min(_BLOCK_BYTES * 8 // (n * m * p), count):
         low += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .field import FieldElement, FiniteField, embed
+from .field import FieldElement, FiniteField
 
 
 @dataclass(frozen=True)
@@ -169,14 +169,10 @@ class Poly:
     # -- evaluation and shape -----------------------------------------------
 
     def __call__(self, point: FieldElement) -> FieldElement:
-        """Horner evaluation; the point may live in an extension field."""
-        acc = point.field.zero()
-        if point.field == self.field:
-            for c in reversed(self.coeffs):
-                acc = acc * point + c
-            return acc
+        """Horner evaluation at a point of the coefficient field."""
+        acc = self.field.zero()
         for c in reversed(self.coeffs):
-            acc = acc * point + embed(c, point.field)
+            acc = acc * point + c
         return acc
 
     def reciprocal(self) -> Poly:

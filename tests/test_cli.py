@@ -287,6 +287,17 @@ def test_sweep_walk_stops_at_the_supported_field_order(capsys):
     assert proc.stdout == out
 
 
+def test_sweep_verify_certifies_fields_above_order_1024(capsys):
+    # the scans take every field up to MAX_FIELD_ORDER; 1033 and 1039 give
+    # the [3, 2] and [3, 1] codes of n = 3
+    rc, out, err = _run(capsys, "sweep", "--scheme", "ex-3.2", "--qmax", "1040", "--nmax", "3", "--verify")
+    assert rc == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 200
+    assert {row["verdict"] for row in rows} == {"optimal-certified"}
+    assert [row["q"] for row in rows if int(row["q"]) > 1024] == ["1033"] * 2 + ["1039"] * 2
+
+
 def test_sweep_empty_result(capsys):
     rc, out, _ = _run(capsys, "sweep", "--scheme", "ex-3.2", "--qmax", "3", "--nmax", "2")
     assert rc == 0

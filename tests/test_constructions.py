@@ -5,7 +5,9 @@ import pytest
 from cyclic_lrc.constructions import (
     ALL_SCHEMES,
     CandidateParams,
+    ConstructionError,
     ParameterError,
+    _project,
     build_any_d_coset,
     build_any_d_subgroup,
     build_d3_unbounded,
@@ -16,7 +18,6 @@ from cyclic_lrc.constructions import (
     prime_power,
 )
 from cyclic_lrc.field import (
-    in_base_subfield,
     make_field,
     multiplicative_order,
     primitive_nth_root,
@@ -176,7 +177,15 @@ def test_coset_generator_descends_to_base_field():
     f121 = make_field(11, 2)
     beta = primitive_nth_root(f121, 12)
     lifted = Poly.from_roots([beta ** (e % 12) for e in range(-4, 5)])
-    assert all(in_base_subfield(c, 11) for c in lifted.coeffs)
+    assert all(c**11 == c for c in lifted.coeffs)
+
+
+def test_projection_rejects_an_element_outside_the_base_field(f5, f25):
+    # the runtime self-check behind every generator coefficient, alpha and gamma
+    beta = primitive_nth_root(f25, 8)
+    with pytest.raises(ConstructionError, match="^alpha is not fixed by the GF\\(5\\) Frobenius$"):
+        _project(beta, f5, "alpha")
+    assert _project(beta**2, f5, "alpha") == f5.from_index((beta**2).index)
 
 
 def test_coset_rejects_odd_decomposition():
@@ -222,7 +231,7 @@ def test_double_length_alpha_membership_gap():
         for r in range(3, n):
             if n % (r + 1) == 0:
                 alpha = beta ** (n // (r + 1))
-                assert ((q - 1) % (r + 1) == 0) == in_base_subfield(alpha, q), (q, r)
+                assert ((q - 1) % (r + 1) == 0) == (alpha**q == alpha), (q, r)
                 checked += 1
     assert checked == 58
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from cyclic_lrc.field import (
     FieldElement,
     embed,
-    in_base_subfield,
     make_field,
     multiplicative_order,
     prime_factors,
@@ -18,25 +18,32 @@ from cyclic_lrc.field import (
 )
 
 
-def _irreducible_quadratics_oracle(p):
-    """Brute-force scan of monic quadratics over GF(p), lex order from the
-    constant term up; independent of the library's search."""
+def _irreducible_low_degree_oracle(p, m):
+    """Brute-force scan of monic polynomials of degree m = 2 or 3 over GF(p),
+    lex order from the constant term up; independent of the library's
+    search.  At these degrees a polynomial without a root is irreducible."""
+    assert m in (2, 3)
     out = []
-    for c0 in range(p):
-        for c1 in range(p):
-            if all((x * x + c1 * x + c0) % p != 0 for x in range(p)):
-                out.append((c0, c1, 1))
+    for tail in itertools.product(range(p), repeat=m):
+        coeffs = (*tail, 1)
+        if all(sum(c * x**i for i, c in enumerate(coeffs)) % p != 0 for x in range(p)):
+            out.append(coeffs)
     return out
 
 
 def test_canonical_modulus_gf4_is_the_unique_irreducible_quadratic(f4):
-    assert _irreducible_quadratics_oracle(2) == [(1, 1, 1)]
+    assert _irreducible_low_degree_oracle(2, 2) == [(1, 1, 1)]
     assert f4.modulus == (1, 1, 1)
 
 
 def test_canonical_modulus_gf25_matches_exhaustive_scan(f25):
-    assert f25.modulus == _irreducible_quadratics_oracle(5)[0]
+    assert f25.modulus == _irreducible_low_degree_oracle(5, 2)[0]
     assert f25.modulus == (1, 1, 1)
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (7, 2), (13, 2), (2, 3), (3, 3), (5, 3)])
+def test_canonical_low_degree_modulus_matches_exhaustive_scan(p, m):
+    assert make_field(p, m).modulus == _irreducible_low_degree_oracle(p, m)[0]
 
 
 def test_prime_field_has_no_modulus(f5):
@@ -152,11 +159,11 @@ def test_nth_root_for_n_1_is_one(f25):
 
 def test_subfield_membership_in_gf25(f5, f25):
     one = f25.one()
-    assert in_base_subfield(one, 5)
+    assert one**5 == one
     assert project_to_base(one, f5) == f5.one()
     beta = primitive_nth_root(f25, 8)
-    assert not in_base_subfield(beta, 5)  # order 8 does not divide 4
-    assert in_base_subfield(beta ** 2, 5)
+    assert beta**5 != beta  # order 8 does not divide 4
+    assert (beta ** 2) ** 5 == beta ** 2
     with pytest.raises(ValueError):
         project_to_base(beta, f5)
 
@@ -166,7 +173,7 @@ def test_membership_matches_embedded_subfield_enumeration(sub_pm, ext_pm):
     sub = make_field(*sub_pm)
     ext = make_field(*ext_pm)
     image = {embed(a, ext) for a in sub.elements()}
-    fixed = {a for a in ext.elements() if in_base_subfield(a, sub.q)}
+    fixed = {a for a in ext.elements() if a**sub.q == a}
     assert image == fixed
     for a in sub.elements():
         assert project_to_base(embed(a, ext), sub) == a

@@ -78,9 +78,10 @@ def test_scan_matches_reference(block_bytes, monkeypatch):
 def _wide_field_generators():
     """Rows (1, ..., 1) and (-b_0, ..., -b_4), b_j being the element of index
     q - 1 - j, over GF(1021), whose first table level starts from one nonzero
-    mask, and over GF(2^10), ten digits per symbol.  The words of weight 4
-    are ``b_j * row0 + row1``: the last words of the low table."""
-    for field in (make_field(1021), make_field(2, 10)):
+    mask, over GF(2^10), ten digits per symbol, and over GF(2^11), whose q
+    is past 1024.  The words of weight 4 are ``b_j * row0 + row1``: the last
+    words of the low table."""
+    for field in (make_field(1021), make_field(2, 10), make_field(2, 11)):
         last = [field.from_index(field.q - 1 - j) for j in range(5)]
         yield field, kernels.matrix_indices([[field.one()] * 5, [-b for b in last]])
 
@@ -138,21 +139,15 @@ def test_message_symbol_order(f13):
     assert [s.index for s in kernels.message_symbols(f13, 14, 3)] == [1, 1, 0]
 
 
-def test_table_limit_guard():
-    big = make_field(2, 11)  # q = 2048 > TABLE_LIMIT
-    with pytest.raises(ValueError):
-        kernels.op_tables(big)
-
-
 def test_op_tables_agree_with_element_arithmetic():
-    for p, m in [(5, 2), (2, 10)]:
+    for p, m in [(5, 1), (5, 2), (2, 10), (2, 11)]:
         field = make_field(p, m)
         mul = kernels.op_tables(field)
-        assert len(mul) == m and all(len(row) == field.q for row in mul)
-        for i in range(m):
-            y = field.from_index(p**i)
-            for j in range(field.q):
-                assert mul[i][j] == (y * field.from_index(j)).index, (field, i, j)
+        assert len(mul) == m and all(len(row) == m for row in mul)
+        basis = [field.from_index(p**i) for i in range(m)]
+        for i, y in enumerate(basis):
+            for a, b in enumerate(basis):
+                assert mul[i][a] == (y * b).rep, (field, i, a)
 
 
 def test_scan_argument_validation(f5):

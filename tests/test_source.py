@@ -134,3 +134,17 @@ def test_perfbench_span_targets_resolve():
         if not callable(_resolve(*target))
     ]
     assert missing == []
+
+
+def test_only_field_calls_primitive_nth_root():
+    # the splitting field and its root beta are chosen in one place,
+    # field.splitting_root, so construction and the BCH bound share them
+    callers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "primitive_nth_root" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == []
