@@ -28,7 +28,7 @@ from .repair import (
     repair_vector,
     verify_locality,
 )
-from .verify import VerificationReport, singleton_bound, verify_optimal
+from .verify import VerificationReport, render_verdict, singleton_bound, verify_optimal
 
 __version__ = "0.1.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "make_field",
     "min_distance_exhaustive",
     "primitive_nth_root",
+    "render_verdict",
     "repair_erasure",
     "repair_groups",
     "repair_vector",

@@ -33,7 +33,7 @@ from .constructions import (
 from .cyclic import DEFAULT_BUDGET
 from .field import FiniteField
 from .repair import ErasedWord, RepairError, repair_erasure
-from .verify import VERDICT_EXIT_CODES, verify_optimal
+from .verify import VERDICT_EXIT_CODES, render_verdict, verify_optimal
 
 EX_CORRUPT = 5
 EX_USAGE = 64
@@ -152,7 +152,7 @@ def _cmd_sweep(args) -> int:
             verdict = "indeterminate"
         else:
             code = _construct(rec.scheme, rec.q, rec.n, rec.r, rec.d)
-            verdict = verify_optimal(code, budget=args.budget).verdict
+            verdict = render_verdict(code, budget=args.budget)[0]
         writer.writerow([rec.scheme, rec.q, rec.n, rec.k, rec.r, rec.d, verdict])
     sys.stdout.write(out.getvalue())
     return 0

@@ -38,7 +38,6 @@ parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -47,6 +46,7 @@ from .field import (
     MAX_FIELD_ORDER,
     FieldElement,
     FiniteField,
+    Immutable,
     make_field,
     prime_factors,
     project_to_base,
@@ -80,8 +80,7 @@ class ConstructionError(RuntimeError):
     """A runtime self-check failed; indicates a bug, not bad parameters."""
 
 
-@dataclass(frozen=True)
-class LrcCode:
+class LrcCode(Immutable):
     """A cyclic code together with its locality and optimality claim.
 
     ``beta`` is the primitive n-th root used for the construction (an element
@@ -89,27 +88,21 @@ class LrcCode:
     base-field quantities, where the scheme uses them.
     """
 
-    base: CyclicCode
-    r: int
-    d_claimed: int
-    scheme: str
-    beta: FieldElement
-    alpha: FieldElement | None = None
-    gamma: FieldElement | None = None
+    __slots__ = ("base", "r", "d_claimed", "scheme", "beta", "alpha", "gamma", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ConstructionError(f"locality r = {self.r} must be >= 1")
-        if self.base.n % (self.r + 1) != 0:
+    def __init__(self, base: CyclicCode, r: int, d_claimed: int, scheme: str, beta: FieldElement,
+                 alpha: FieldElement | None = None, gamma: FieldElement | None = None):
+        if r < 1:
+            raise ConstructionError(f"locality r = {r} must be >= 1")
+        if base.n % (r + 1) != 0:
+            raise ConstructionError(f"(r + 1) = {r + 1} must divide n = {base.n}")
+        rhs = singleton_bound(base.n, base.k, r)
+        if d_claimed != rhs:
             raise ConstructionError(
-                f"(r + 1) = {self.r + 1} must divide n = {self.base.n}"
+                f"claimed distance {d_claimed} misses the Singleton-type "
+                f"bound {rhs} for [n={base.n}, k={base.k}], r={r}"
             )
-        rhs = singleton_bound(self.base.n, self.base.k, self.r)
-        if self.d_claimed != rhs:
-            raise ConstructionError(
-                f"claimed distance {self.d_claimed} misses the Singleton-type "
-                f"bound {rhs} for [n={self.base.n}, k={self.base.k}], r={self.r}"
-            )
+        super().__init__(base, r, d_claimed, scheme, beta, alpha, gamma)
 
     @property
     def field(self) -> FiniteField:
@@ -133,8 +126,7 @@ class LrcCode:
         return repair_plan(self)
 
 
-@dataclass(frozen=True)
-class CandidateParams:
+class CandidateParams(NamedTuple):
     """One admissible parameter record from a scheme sweep."""
 
     scheme: str

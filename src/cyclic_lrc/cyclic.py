@@ -20,25 +20,21 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
-from .field import FieldElement, FiniteField, embed, splitting_root
+from .field import FieldElement, FiniteField, Immutable, embed, splitting_root
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
-class CyclicCode:
-    field: FiniteField
-    n: int
-    g: Poly
-    k: int
-    h: Poly
-    dual_g: Poly
+class CyclicCode(Immutable):
+    __slots__ = ("field", "n", "g", "k", "h", "dual_g", "__dict__")
+
+    def __init__(self, field: FiniteField, n: int, g: Poly, k: int, h: Poly, dual_g: Poly):
+        super().__init__(field, n, g, k, h, dual_g)
 
     @classmethod
     def build(cls, field: FiniteField, n: int, g: Poly) -> CyclicCode:
@@ -120,8 +116,10 @@ class CyclicCode:
         return tuple(word) == self.encode_systematic(word[self.n - self.k :])
 
     def dual(self) -> CyclicCode:
-        """The dual code, generated by the monic reciprocal of h."""
-        return CyclicCode.build(self.field, self.n, self.dual_g)
+        """The dual code, generated by the monic reciprocal of h.  Reversing
+        h g = x^n - 1 gives its parity polynomial -h(0) g^* and its dual g."""
+        parity = self.g.reciprocal().scaled(-self.h.coeffs[0])
+        return CyclicCode(self.field, self.n, self.dual_g, self.n - self.k, parity, self.g)
 
     def root_exponents(self) -> frozenset[int]:
         """Exponents e with g(beta**e) = 0 for the canonical primitive root."""
@@ -164,8 +162,7 @@ def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class DistanceScan:
+class DistanceScan(NamedTuple):
     """Outcome of a (possibly budget-limited) minimum-weight scan.
 
     ``exact`` is True only when the whole nonzero message space was

@@ -17,8 +17,9 @@ Every choice here is canonical so that results are reproducible run to run:
   whose order is q - 1.
 
 Each GF(p^m) has exactly one FiniteField instance, so fields compare and
-hash by identity.  Fields and elements are immutable values; all operations
-are pure and safe to share across threads.
+hash by identity.  Fields and elements are immutable values (see
+:class:`Immutable`, the base of every value class of the package); all
+operations are pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 
 # Fields larger than this are rejected outright: the trial-division factoring
 # of q - 1 and the exhaustive oracles downstream only make sense at desk scale.
@@ -139,8 +140,48 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteField:
+_set = object.__setattr__
+
+
+class Immutable:
+    """Base of the package's immutable values.  A subclass lists its
+    constructor arguments, in order, as ``__slots__`` (plus ``"__dict__"``
+    where it caches properties), and its ``__init__`` passes them to this
+    one; setting or deleting an attribute afterwards raises AttributeError.
+    Values compare and hash by their arguments, and copies and unpickled
+    values are rebuilt by calling the constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        for name, value in zip(self._fields, args):
+            _set(self, name, value)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._args = property(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        return self._args == other._args if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._args)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._args
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._args))
+        return f"{type(self).__name__}({args})"
+
+
+class FiniteField(Immutable):
     """Descriptor of GF(p^m) with a fixed defining modulus.
 
     ``modulus`` is the monic irreducible polynomial as a tuple of m+1
@@ -149,9 +190,12 @@ class FiniteField:
     equality and hashing are by identity.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...] | None = None
+    __slots__ = ("p", "m", "modulus")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
+        super().__init__(p, m, modulus)
 
     @property
     def q(self) -> int:
@@ -204,12 +248,15 @@ class FiniteField:
         return make_field, (self.p, self.m)
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Immutable):
     """An element of a FiniteField, held as its canonical digit vector."""
 
-    field: FiniteField
-    rep: tuple[int, ...]
+    __slots__ = ("field", "rep")
+
+    def __init__(self, field: FiniteField, rep: tuple[int, ...]):
+        # stored directly: arithmetic builds an element per operation
+        _set(self, "field", field)
+        _set(self, "rep", rep)
 
     @property
     def index(self) -> int:

@@ -7,16 +7,16 @@ is coefficient i.  Polynomials are immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .field import FieldElement, FiniteField
+from .field import FieldElement, FiniteField, Immutable
 
 
-@dataclass(frozen=True)
-class Poly:
-    field: FiniteField
-    coeffs: tuple[FieldElement, ...]
+class Poly(Immutable):
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FiniteField, coeffs: tuple[FieldElement, ...]):
+        super().__init__(field, coeffs)
 
     @classmethod
     def make(cls, field: FiniteField, coeffs: Iterable[FieldElement]) -> Poly:

@@ -20,8 +20,7 @@ read concurrently once built.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .cyclic import DEFAULT_BUDGET, CyclicCode, DistanceScan, min_distance_exhaustive
@@ -32,8 +31,7 @@ class RepairError(RuntimeError):
     """No qualifying repair vector exists (or none could be certified)."""
 
 
-@dataclass(frozen=True)
-class ErasedWord:
+class ErasedWord(NamedTuple):
     """A length-n word with exactly one erased coordinate."""
 
     symbols: tuple[FieldElement | None, ...]
@@ -172,8 +170,7 @@ def dual_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceScan:
 # Locality certification.
 
 
-@dataclass(frozen=True)
-class LocalityCheck:
+class LocalityCheck(NamedTuple):
     """Outcome of a locality-r_test check.
 
     ok is True with per-coordinate witnesses, False with the first failing

@@ -5,14 +5,16 @@ A locally repairable code with locality r obeys
 exhaustively measured distance equals both the claimed distance and that
 bound, and the locality claim carries a verified witness.  Verdicts are
 four-valued so that budget-limited oracle runs stay distinguishable from
-full certification.
+full certification.  :func:`render_verdict` reads only that evidence, for
+both ``sweep --verify`` and ``verify``; the dual distance and BCH bound that
+:func:`verify_optimal` adds are report-only (with locality r verified, the
+dual distance is at most r + 1, so it cannot contradict the claims).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclic import DEFAULT_BUDGET, DistanceScan, min_distance_exhaustive
 from .repair import LocalityCheck, verify_locality
@@ -48,8 +50,7 @@ def singleton_bound(n: int, k: int, r: int) -> int:
     return n - k - math.ceil(k / r) + 2
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     scheme: str
     q: int
     n: int
@@ -84,8 +85,9 @@ class VerificationReport:
         }
 
 
-def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Measure distance, dual distance and locality, and render a verdict.
+def render_verdict(code: LrcCode, budget: int = DEFAULT_BUDGET) -> tuple[str, DistanceScan, LocalityCheck]:
+    """The verdict on a code's claims, with the distance scan and locality
+    check it reads.
 
     optimal-certified   exact distance == claimed == Singleton bound and the
                         locality claim has a witness for every coordinate;
@@ -96,18 +98,12 @@ def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationR
     """
     base = code.base
     distance = min_distance_exhaustive(base, budget)
-    dual_distance = min_distance_exhaustive(base.dual(), budget, sample_cap=_DUAL_SAMPLE_CAP)
-    bch = base.bch_lower_bound()
     locality = verify_locality(code, code.r, budget)
-    degenerate = base.k == base.n
-    rhs = singleton_bound(base.n, base.k, code.r)
-
     refuted = (
-        code.d_claimed != rhs
+        code.d_claimed != singleton_bound(base.n, base.k, code.r)
         or distance.lower > code.d_claimed
         or distance.upper < code.d_claimed
         or locality.ok is False
-        or (dual_distance.exact and dual_distance.value > code.r + 1)
     )
     if refuted:
         verdict = REFUTED
@@ -117,7 +113,14 @@ def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationR
         verdict = OPTIMAL_CONSISTENT
     else:
         verdict = INDETERMINATE
+    return verdict, distance, locality
 
+
+def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationReport:
+    """The verdict of :func:`render_verdict` in a full report, which adds
+    the dual distance and the BCH lower bound; neither decides the verdict."""
+    verdict, distance, locality = render_verdict(code, budget)
+    base = code.base
     return VerificationReport(
         scheme=code.scheme,
         q=base.field.q,
@@ -126,10 +129,10 @@ def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationR
         r=code.r,
         d_claimed=code.d_claimed,
         distance=distance,
-        dual_distance=dual_distance,
-        bch_lower_bound=bch,
+        dual_distance=min_distance_exhaustive(base.dual(), budget, sample_cap=_DUAL_SAMPLE_CAP),
+        bch_lower_bound=base.bch_lower_bound(),
         locality=locality,
-        singleton_rhs=rhs,
-        degenerate=degenerate,
+        singleton_rhs=singleton_bound(base.n, base.k, code.r),
+        degenerate=base.k == base.n,
         verdict=verdict,
     )

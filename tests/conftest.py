@@ -5,11 +5,14 @@ import random
 import pytest
 
 from cyclic_lrc import (
+    ALL_SCHEMES,
     build_any_d_coset,
     build_any_d_subgroup,
     build_d3_unbounded,
     build_d4_double_length,
     build_d4_unbounded,
+    construct,
+    enumerate_valid_params,
     make_field,
 )
 
@@ -55,6 +58,18 @@ def acceptance_codes():
         "subgroup-q13-d6": build_any_d_subgroup(13, 12, 2, 6),
         "coset-q11-d10": build_any_d_coset(11, 12, 3, 10),
     }
+
+
+@pytest.fixture(scope="session")
+def criterion_box_codes():
+    """(record, code) for every constructible row of the five schemes at
+    ``--qmax 13 --nmax 24``, in sweep order."""
+    return [
+        (rec, construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d))
+        for scheme in ALL_SCHEMES
+        for rec in enumerate_valid_params(scheme, 13, 24)
+        if rec.constructible
+    ]
 
 
 @pytest.fixture()

@@ -213,3 +213,15 @@ def test_dual_contains_grid_witness(code_8_4):
 def test_dual_of_full_space_is_zero_code(f5):
     full = CyclicCode.build(f5, 8, Poly.one(f5))
     assert full.dual().k == 0
+
+
+def test_dual_without_division_equals_the_built_dual(criterion_box_codes):
+    # dual() derives the dual's parity polynomial -h(0) g^* and its dual g
+    # instead of dividing x^n - 1 again; build() divides
+    assert len(criterion_box_codes) == 260
+    for rec, code in criterion_box_codes:
+        base = code.base
+        dual = base.dual()
+        built = CyclicCode.build(base.field, base.n, base.dual_g)
+        assert (dual.g, dual.k, dual.h, dual.dual_g) == (built.g, built.k, built.h, built.dual_g), rec
+        assert dual == built and hash(dual) == hash(built)

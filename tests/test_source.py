@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,17 +40,22 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
-def _third_party_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _imported_modules(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import, at module level or inside a
+    function."""
     names = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             names += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append((node.lineno, node.module))
+    return names
+
+
+def _third_party_imports(path: Path) -> list[str]:
     return [
         f"{path.relative_to(SRC)}:{line} {name}"
-        for line, name in names
+        for line, name in _imported_modules(path)
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
 
@@ -148,3 +154,30 @@ def test_only_field_calls_primitive_nth_root():
         and "primitive_nth_root" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == []
+
+
+def test_src_does_not_import_dataclasses():
+    # dataclasses, the modules it loads and its code generation were about a
+    # third of `import cyclic_lrc.cli`; value types derive from
+    # field.Immutable or typing.NamedTuple instead
+    hits = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _imported_modules(path)
+        if name.split(".")[0] == "dataclasses"
+    ]
+    assert hits == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # -I -S: no site hooks or environment that could load them first;
+    # -B: the probe leaves no bytecode cache behind in src/
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cyclic_lrc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", probe, str(SRC)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

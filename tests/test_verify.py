@@ -14,6 +14,7 @@ from cyclic_lrc.verify import (
     OPTIMAL_CONSISTENT,
     REFUTED,
     VERDICT_EXIT_CODES,
+    render_verdict,
     singleton_bound,
     verify_optimal,
 )
@@ -107,3 +108,20 @@ def test_report_serialization_shape(code_8_4_4):
     assert data["distance"]["exact"] is True
     assert data["locality"]["ok"] is True
     assert data["singleton_bound"] == 4
+
+
+def test_verdict_core_agrees_with_the_report_over_criterion_box(criterion_box_codes):
+    # sweep --verify reads render_verdict alone; the dual scan and BCH bound
+    # that verify_optimal adds never change the verdict, and where locality
+    # r holds the dual distance is at most r + 1, so no dual-distance test
+    # could ever refute
+    budget = 1 << 20
+    in_budget = [(rec, code) for rec, code in criterion_box_codes if rec.q**rec.k <= budget]
+    assert len(in_budget) == 157
+    for rec, code in in_budget:
+        verdict, distance, locality = render_verdict(code, budget)
+        report = verify_optimal(code, budget)
+        assert verdict == report.verdict, rec
+        assert (distance, locality) == (report.distance, report.locality), rec
+        if report.dual_distance.exact and locality.ok is True:
+            assert report.dual_distance.value <= code.r + 1, rec
