@@ -1,10 +1,11 @@
 """Canonical JSON persistence of constructed codes.
 
 Field elements serialize as their base-p digit list, lowest degree first;
-prime-field elements abbreviate to a bare integer.  Files are written with
-sorted keys and a fixed layout so that save -> load -> save is byte
-identical, and loading re-validates every structural invariant so that a
-tampered file is rejected rather than silently verified.
+prime-field elements abbreviate to a bare integer; polynomial coefficients
+load as indices.  Files are written with sorted keys and a fixed layout so
+that save -> load -> save is byte identical, and loading re-validates every
+structural invariant so that a tampered file is rejected rather than
+silently verified.
 
 Two error classes separate concerns for the CLI: a file that cannot be
 parsed at all is a usage error, while a parseable file whose contents break
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .constructions import ALL_SCHEMES, ConstructionError, LrcCode
 from .cyclic import CyclicCode
-from .field import FieldElement, FiniteField, make_field, multiplicative_order
+from .field import FiniteField, make_field, multiplicative_order
 from .poly import Poly
 
 SCHEMA_VERSION = 1
@@ -32,8 +33,8 @@ class CodeFileInvariantError(ValueError):
     """The file parses but its contents violate the code invariants."""
 
 
-def _element_to_json(e: FieldElement) -> int | list[int]:
-    return e.rep[0] if e.field.m == 1 else list(e.rep)
+def _element_to_json(field: FiniteField, index: int) -> int | list[int]:
+    return index if field.m == 1 else list(field.digits(index))
 
 
 def _int(value, what: str) -> int:
@@ -52,8 +53,8 @@ def _int_list(obj, what: str) -> list[int] | None:
     return [_int(v, what) for v in obj]
 
 
-def _element_from_json(field: FiniteField, obj, what: str, digits: bool = False) -> FieldElement:
-    """The element that ``_element_to_json`` writes as obj: a bare index when
+def _element_from_json(field: FiniteField, obj, what: str, digits: bool = False) -> int:
+    """The index that ``_element_to_json`` writes as obj: a bare index when
     m = 1, else (or with ``digits``, as for beta) a list of exactly m digits.
     No other form loads, so loading and saving reproduces the file."""
     if digits or field.m > 1:
@@ -64,11 +65,11 @@ def _element_from_json(field: FiniteField, obj, what: str, digits: bool = False)
         ok = type(obj) is int and 0 <= obj < field.q
     if not ok:
         raise CodeFileFormatError(f"bad element encoding for {what}: {obj!r}")
-    return field.element(obj)
+    return field.index(obj) if isinstance(obj, list) else obj
 
 
 def _poly_to_json(p: Poly) -> list:
-    return [_element_to_json(c) for c in p.coeffs]
+    return [_element_to_json(p.field, c) for c in p.coeffs]
 
 
 def _poly_from_json(field: FiniteField, obj, what: str) -> Poly:
@@ -102,8 +103,8 @@ def code_to_dict(code: LrcCode) -> dict:
             },
             "rep": list(code.beta.rep),
         },
-        "alpha": _element_to_json(code.alpha) if code.alpha is not None else None,
-        "gamma": _element_to_json(code.gamma) if code.gamma is not None else None,
+        "alpha": _element_to_json(field, code.alpha.index) if code.alpha is not None else None,
+        "gamma": _element_to_json(field, code.gamma.index) if code.gamma is not None else None,
     }
 
 
@@ -140,6 +141,21 @@ def code_from_dict(data: dict) -> LrcCode:
 
     g = _poly_from_json(field, g_json, "g")
     try:
+        beta_field_json = beta_json["field"]
+        beta_p, beta_m = _int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m")
+        beta_field = make_field(beta_p, beta_m)
+        beta_modulus = _int_list(beta_field_json.get("modulus"), "beta modulus")
+        beta = beta_field.from_index(_element_from_json(beta_field, beta_json["rep"], "beta", digits=True))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CodeFileFormatError(f"malformed beta: {exc}") from exc
+    if (beta_modulus or []) != list(beta_field.modulus or []):
+        raise CodeFileInvariantError("beta field modulus is not canonical")
+    # before the generator is divided into x^n - 1: a primitive n-th root
+    # bounds n by the order of beta's field
+    if beta.is_zero or multiplicative_order(beta) != n:
+        raise CodeFileInvariantError("beta is not a primitive n-th root of unity")
+
+    try:
         base = CyclicCode.build(field, n, g)
     except ValueError as exc:
         raise CodeFileInvariantError(f"invalid generator polynomial: {exc}") from exc
@@ -150,19 +166,6 @@ def code_from_dict(data: dict) -> LrcCode:
     if _poly_to_json(base.h) != h_json or _poly_to_json(base.dual_g) != dual_json:
         raise CodeFileInvariantError("stored h/dual_g disagree with the generator")
 
-    try:
-        beta_field_json = beta_json["field"]
-        beta_p, beta_m = _int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m")
-        beta_field = make_field(beta_p, beta_m)
-        beta_modulus = _int_list(beta_field_json.get("modulus"), "beta modulus")
-        beta = _element_from_json(beta_field, beta_json["rep"], "beta", digits=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodeFileFormatError(f"malformed beta: {exc}") from exc
-    if (beta_modulus or []) != list(beta_field.modulus or []):
-        raise CodeFileInvariantError("beta field modulus is not canonical")
-    if beta.is_zero or multiplicative_order(beta) != n:
-        raise CodeFileInvariantError("beta is not a primitive n-th root of unity")
-
     alpha = data.get("alpha")
     gamma = data.get("gamma")
     try:
@@ -172,8 +175,8 @@ def code_from_dict(data: dict) -> LrcCode:
             d_claimed,
             scheme,
             beta,
-            _element_from_json(field, alpha, "alpha") if alpha is not None else None,
-            _element_from_json(field, gamma, "gamma") if gamma is not None else None,
+            field.from_index(_element_from_json(field, alpha, "alpha")) if alpha is not None else None,
+            field.from_index(_element_from_json(field, gamma, "gamma")) if gamma is not None else None,
         )
     except ConstructionError as exc:
         raise CodeFileInvariantError(str(exc)) from exc

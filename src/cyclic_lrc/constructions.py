@@ -29,6 +29,8 @@ precondition but cannot be built.  ``construct`` (and each ``build_*``)
 builds from the plan through one function, which forms g in the splitting
 field and re-checks at runtime that every coefficient of g and the stored
 alpha and gamma lie in GF(q), that g | x^n - 1, and that k matches the plan.
+It computes on element indices, projecting through the embedding's index
+tables; only the stored beta, alpha and gamma are elements.
 ``enumerate_valid_params`` lists exactly the sets ``_plan`` accepts, so a
 sweep and construct cannot disagree.  All choices inherit the canonical
 field conventions, so each scheme is a pure deterministic function of its
@@ -44,12 +46,11 @@ from typing import NamedTuple
 from .cyclic import CyclicCode
 from .field import (
     MAX_FIELD_ORDER,
-    FieldElement,
     FiniteField,
     Immutable,
+    _embedding,
     make_field,
     prime_factors,
-    project_to_base,
     splitting_degree,
     splitting_root,
 )
@@ -83,15 +84,15 @@ class ConstructionError(RuntimeError):
 class LrcCode(Immutable):
     """A cyclic code together with its locality and optimality claim.
 
-    ``beta`` is the primitive n-th root used for the construction (an element
-    of the splitting field); ``alpha`` and ``gamma`` are the projected
-    base-field quantities, where the scheme uses them.
+    ``beta`` is the primitive n-th root used for the construction, a
+    FieldElement of the splitting field; ``alpha`` and ``gamma`` are the
+    projected base-field elements, where the scheme uses them, else None.
     """
 
     __slots__ = ("base", "r", "d_claimed", "scheme", "beta", "alpha", "gamma", "__dict__")
 
-    def __init__(self, base: CyclicCode, r: int, d_claimed: int, scheme: str, beta: FieldElement,
-                 alpha: FieldElement | None = None, gamma: FieldElement | None = None):
+    def __init__(self, base: CyclicCode, r: int, d_claimed: int, scheme: str, beta,
+                 alpha=None, gamma=None):
         if r < 1:
             raise ConstructionError(f"locality r = {r} must be >= 1")
         if base.n % (r + 1) != 0:
@@ -121,7 +122,7 @@ class LrcCode(Immutable):
         return self.base.field.q
 
     @cached_property
-    def repair_plan(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+    def repair_plan(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """:func:`cyclic_lrc.repair.repair_plan` of this code, built once."""
         return repair_plan(self)
 
@@ -166,10 +167,11 @@ def base_field(q: int) -> FiniteField:
     return make_field(*_field_exponents(q))
 
 
-def _project(a: FieldElement, field: FiniteField, what: str) -> FieldElement:
+def _project(a: int, preimage, field: FiniteField, what: str) -> int:
+    """The GF(q) index of a, through the embedding's inverse map."""
     try:
-        return project_to_base(a, field)
-    except ValueError:
+        return preimage[a]
+    except LookupError:
         raise ConstructionError(f"{what} is not fixed by the GF({field.q}) Frobenius") from None
 
 
@@ -185,18 +187,19 @@ def _require(condition: bool, message: str) -> None:
 class _Plan(NamedTuple):
     """What one admissible parameter set determines.  ``gap`` is
     (sweep diagnostic, construct message) for a set that passes every
-    precondition but cannot be built."""
+    precondition but cannot be built; ``zeros`` is None when the splitting
+    field is too large, since n is unbounded there."""
 
     k: int
-    zeros: list[int]
+    zeros: list[int] | None
     alpha_exponent: int | None
     gamma_exponent: int | None
     gap: tuple[str, str] | None
 
 
-def _grid(n: int, r: int) -> list[int]:
+def _grid(n: int, r: int) -> range:
     """Exponents of the zeros of x^s - beta^s, s = n/(r+1): 1 + (r+1)j, j < s."""
-    return list(range(1, n, r + 1))
+    return range(1, n, r + 1)
 
 
 def _bezout_exponent(s: int, r: int) -> int:
@@ -262,6 +265,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
     """
     p, m = _field_exponents(q)
     gap = alpha_exponent = gamma_exponent = None
+    grid = range(0)  # zeros of x^s - beta^s, listed once the splitting field fits
     if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
         subgroup = scheme == SCHEME_ANY_D_SUBGROUP
         _require(n >= 1, f"length must be >= 1, got {n}")
@@ -286,7 +290,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
         )
         _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
         s = n // (r + 1)
-        zeros, k, alpha_exponent, gamma_exponent = [0, 2, *_grid(n, r)], n - s - 2, s, 2
+        zeros, grid, k, alpha_exponent, gamma_exponent = [0, 2], _grid(n, r), n - s - 2, s, 2
         # The stated hypothesis (r+1) | 2(q-1) does not by itself place
         # alpha = beta^s inside GF(q): beta has order 2(q-1), so alpha is
         # fixed by the q-power Frobenius exactly when s is even, that is when
@@ -307,20 +311,21 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
         )
         s = n // (r + 1)
-        zeros, k, alpha_exponent = [0, *_grid(n, r)], n - 1 - s, s
+        zeros, grid, k, alpha_exponent = [0], _grid(n, r), n - 1 - s, s
         if scheme == SCHEME_D4_UNBOUNDED:
             gamma_exponent = s * _bezout_exponent(s, r) % n
-            zeros, k = [0, gamma_exponent, *_grid(n, r)], k - 1
+            zeros, k = [0, gamma_exponent], k - 1
     if d is None:
         return None
-    _require(len(set(zeros)) == len(zeros), f"root exponents collide for d = {d}: {sorted(zeros)}")
     degree = splitting_degree(q, n)
-    if q**degree > MAX_FIELD_ORDER:
-        gap = (
-            "splitting-field-too-large",
+    if degree >= MAX_FIELD_ORDER.bit_length() or q**degree > MAX_FIELD_ORDER:
+        message = (
             f"field GF({p}^{m * degree}) splitting x^{n} - 1 exceeds the "
-            f"supported order {MAX_FIELD_ORDER}",
+            f"supported order {MAX_FIELD_ORDER}"
         )
+        return _Plan(k, None, alpha_exponent, gamma_exponent, ("splitting-field-too-large", message))
+    zeros += grid
+    _require(len(set(zeros)) == len(zeros), f"root exponents collide for d = {d}: {sorted(zeros)}")
     return _Plan(k, zeros, alpha_exponent, gamma_exponent, gap)
 
 
@@ -339,13 +344,15 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
         raise ParameterError(plan.gap[1])
     field = base_field(q)
     beta = splitting_root(field, n)
-    g_ext = Poly.from_roots([beta**e for e in plan.zeros])
-    g = Poly.make(field, [_project(c, field, "generator coefficient") for c in g_ext.coeffs])
+    ext, b = beta.field, beta.index
+    _, preimage = _embedding(field, ext)
+    g_ext = Poly.from_roots(ext, [ext.pow(b, e) for e in plan.zeros])
+    g = Poly.make(field, [_project(c, preimage, field, "generator coefficient") for c in g_ext.coeffs])
     alpha = gamma = None
     if plan.alpha_exponent is not None:
-        alpha = _project(beta**plan.alpha_exponent, field, "alpha")
+        alpha = field.from_index(_project(ext.pow(b, plan.alpha_exponent), preimage, field, "alpha"))
     if plan.gamma_exponent is not None:
-        gamma = _project(beta**plan.gamma_exponent, field, "gamma")
+        gamma = field.from_index(_project(ext.pow(b, plan.gamma_exponent), preimage, field, "gamma"))
     code = CyclicCode.build(field, n, g)
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")

@@ -5,7 +5,9 @@ A cyclic code of length n over GF(q) is the set of coefficient vectors of
 multiples of a monic generator g(x) dividing x**n - 1; its dimension is
 n - deg g, its parity polynomial is h = (x**n - 1)/g, and its dual is
 generated by the monic-normalized reciprocal of h.  Codes are immutable
-values; the oracle delegates its inner loop to :mod:`cyclic_lrc.kernels`.
+values on element indices, with FieldElement only in the words of
+:meth:`CyclicCode.encode_systematic` and :meth:`CyclicCode.contains`; the
+oracle delegates its inner loop to :mod:`cyclic_lrc.kernels`.
 
 Systematic encoding puts the message in the last k coordinates and reads the
 n - k parity symbols off a parity matrix built once per code, in the same
@@ -24,7 +26,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .field import FieldElement, FiniteField, Immutable, embed, splitting_root
+from .field import FieldElement, FiniteField, Immutable, _embedding, splitting_root
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
@@ -58,13 +60,10 @@ class CyclicCode(Immutable):
         return cls(field, n, g, n - g.degree, quotient, quotient.reciprocal().monic())
 
     @cached_property
-    def generator_matrix(self) -> tuple[tuple[FieldElement, ...], ...]:
+    def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
         """k rows; row i holds the coefficients of x**i * g padded to length n."""
-        zero = self.field.zero()
-        rows = []
-        for i in range(self.k):
-            rows.append((zero,) * i + self.g.coeffs + (zero,) * (self.n - i - len(self.g.coeffs)))
-        return tuple(rows)
+        g = self.g.coeffs
+        return tuple((0,) * i + g + (0,) * (self.n - i - len(g)) for i in range(self.k))
 
     @cached_property
     def systematic_parity(self) -> tuple[tuple[int, ...], ...]:
@@ -78,14 +77,15 @@ class CyclicCode(Immutable):
         vector of its parity symbols.
         """
         field, parity = self.field, self.n - self.k
-        low = [-c for c in self.g.coeffs[:parity]]  # x**(n-k) mod g
+        add, mul, neg = field.add, field.mul, field.neg
+        low = [neg(c) for c in self.g.coeffs[:parity]]  # x**(n-k) mod g
         rows = []
         rem = low
         for _ in range(self.k):
-            rows.append([-c for c in rem])
+            rows.append([neg(c) for c in rem])
             if parity:  # x * rem, its x**(n-k) term folded back in as low
-                rem = [a + rem[-1] * b for a, b in zip([field.zero()] + rem[:-1], low)]
-        expanded = kernels.expand(kernels.matrix_indices(rows), field)
+                rem = [add(a, mul(rem[-1], b)) for a, b in zip([0, *rem[:-1]], low)]
+        expanded = kernels.expand(rows, field)
         return tuple(tuple(row[col] for row in expanded) for col in range(parity * field.m))
 
     def encode_systematic(self, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -118,7 +118,7 @@ class CyclicCode(Immutable):
     def dual(self) -> CyclicCode:
         """The dual code, generated by the monic reciprocal of h.  Reversing
         h g = x^n - 1 gives its parity polynomial -h(0) g^* and its dual g."""
-        parity = self.g.reciprocal().scaled(-self.h.coeffs[0])
+        parity = self.g.reciprocal().scaled(self.field.neg(self.h.coeffs[0]))
         return CyclicCode(self.field, self.n, self.dual_g, self.n - self.k, parity, self.g)
 
     def root_exponents(self) -> frozenset[int]:
@@ -137,14 +137,15 @@ class CyclicCode(Immutable):
 @functools.lru_cache(maxsize=None)
 def _root_exponents(code: CyclicCode) -> frozenset[int]:
     beta = splitting_root(code.field, code.n)
-    ext = beta.field
-    g = Poly.make(ext, [embed(c, ext) for c in code.g.coeffs])
+    ext, b = beta.field, beta.index
+    fwd, _ = _embedding(code.field, ext)
+    g = Poly(ext, tuple(fwd[c] for c in code.g.coeffs))
     exps = []
-    point = ext.one()
+    point = 1
     for e in range(code.n):
-        if g(point).is_zero:
+        if not g(point):
             exps.append(e)
-        point = point * beta
+        point = ext.mul(point, b)
     return frozenset(exps)
 
 
@@ -205,7 +206,7 @@ def min_distance_exhaustive(
     if code.k == 0:
         return DistanceScan(code.n + 1, code.n + 1, True, 0)
     total = code.field.q**code.k
-    matrix = kernels.matrix_indices(code.generator_matrix)
+    matrix = code.generator_matrix
     if total <= budget:
         w = kernels.min_nonzero_weight(matrix, code.field, total - 1)
         return DistanceScan(w, w, True, total - 1)

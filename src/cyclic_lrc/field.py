@@ -1,18 +1,21 @@
 """Exact arithmetic in finite fields GF(p^m).
 
-Elements of GF(p^m) are represented by their coefficient vector over GF(p)
-with respect to the defining modulus: the tuple ``(c_0, ..., c_{m-1})``
-stands for ``c_0 + c_1*y + ... + c_{m-1}*y^{m-1}`` where ``y`` is the class
-of ``x`` modulo the field's irreducible polynomial.  Prime fields use
-``m == 1`` and carry no modulus.
+An element of GF(p^m) is its coefficient vector over GF(p) with respect to
+the defining modulus: the tuple ``(c_0, ..., c_{m-1})`` stands for
+``c_0 + c_1*y + ... + c_{m-1}*y^{m-1}`` where ``y`` is the class of ``x``
+modulo the field's irreducible polynomial.  Prime fields use ``m == 1`` and
+carry no modulus.  The package computes on canonical indices,
+``index = sum(c_i * p**i)``, through each field's index arithmetic (``add``,
+``sub``, ``neg``, ``mul``, ``inv``, ``pow``).  :class:`FieldElement`, the
+digit vector with its field, is built only at the public edges, and its
+operators call that arithmetic.
 
 Every choice here is canonical so that results are reproducible run to run:
 
 * the modulus of GF(p^m) is the lexicographically smallest monic irreducible
   polynomial of degree m over GF(p), coefficients compared from the constant
   term upward;
-* elements are ordered by the integer value of their digit vector,
-  ``index = sum(c_i * p**i)``;
+* elements are ordered by their index;
 * the multiplicative generator of a field is the first element in that order
   whose order is q - 1.
 
@@ -66,8 +69,8 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient polynomial helpers, used only for the modulus search.
-# Polynomials are lists of ints mod p, lowest degree first, no trailing zeros.
+# Polynomials over GF(p) as lists of residues, lowest degree first, no
+# trailing zeros; used for the modulus search and for inverses.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -76,65 +79,44 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
+def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b over GF(p)."""
+    rem = a[:]
+    quot = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
+    for shift in reversed(range(len(quot))):
+        factor = quot[shift] = rem[shift + len(b) - 1] * inv_lead % p
         for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-        _trim(a)
-        if not a:
-            break
-    return a
+            rem[shift + i] = (rem[shift + i] - factor * bi) % p
+    return _trim(quot), _trim(rem)
 
 
-def _pmulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _pmod(_trim(prod), mod, p)
+def _pgcd(field: FiniteField, a: int) -> tuple[list[int], int]:
+    """gcd of the field's modulus and the polynomial of index a, with the
+    index u for which u * a equals that gcd modulo the modulus.  The gcd is
+    a unit (a one-residue list) or has positive degree; the extended
+    Euclidean algorithm stops at the first unit remainder."""
+    r0, r1 = list(field.modulus), _trim(list(field.digits(a)))
+    u0, u1 = 0, 1
+    while len(r1) > 1:
+        # deg r1 >= 1, so the quotient has degree < m: an element index
+        quot, rem = _pdivmod(r0, r1, field.p)
+        r0, r1 = r1, rem
+        u0, u1 = u1, field.sub(u0, field.mul(field.index(quot), u1))
+    return (r1, u1) if r1 else (r0, u0)
 
 
-def _x_power_mod(e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod([0, 1], mod, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p) by Rabin's test:
-    x^(p^m) == x mod f and gcd(x^(p^(m/d)) - x, f) = 1 for every prime
-    divisor d of m.
-    """
-    m = len(coeffs) - 1
-    if m <= 0:
+def _is_irreducible(field: FiniteField) -> bool:
+    """Irreducibility of a candidate modulus, by Rabin's test on the
+    arithmetic modulo it: y^(p^m) == y and gcd(y^(p^(m/d)) - y, modulus) = 1
+    for every prime divisor d of m, y being the class of x (index p)."""
+    p, m, y = field.p, field.m, field.p
+    if field.pow(y, p**m) != y:
         return False
-    if coeffs[0] == 0:
-        return False  # root at 0; skips the powering for a p-th of all tails
-    if _x_power_mod(p**m, coeffs, p) != [0, 1]:
-        return False
-    for d in prime_factors(m):
-        h = _x_power_mod(p ** (m // d), coeffs, p)
-        h = _trim([(hi - xi) % p for hi, xi in itertools.zip_longest(h, [0, 1], fillvalue=0)])
-        g = _pgcd(coeffs[:], h, p)
-        if len(g) != 1:
-            return False
-    return True
+    return all(
+        len(_pgcd(field, field.sub(field.pow(y, p ** (m // d)), y))[0]) == 1
+        for d in prime_factors(m)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +164,44 @@ class Immutable:
 
 
 class FiniteField(Immutable):
-    """Descriptor of GF(p^m) with a fixed defining modulus.
+    """Descriptor of GF(p^m) with a fixed defining modulus, and its element
+    arithmetic on canonical indices.
 
     ``modulus`` is the monic irreducible polynomial as a tuple of m+1
-    residues, lowest degree first; it is None exactly when m == 1.  Obtain
-    fields from :func:`make_field`, which returns one instance per (p, m);
-    equality and hashing are by identity.
+    residues, lowest degree first; it is None exactly when m == 1.  The
+    functions ``add``, ``sub``, ``neg`` and ``mul`` and the methods ``inv``
+    and ``pow`` take and return indices.  Obtain fields from
+    :func:`make_field`, which returns one instance per (p, m); equality and
+    hashing are by identity.
     """
 
-    __slots__ = ("p", "m", "modulus")
+    __slots__ = ("p", "m", "modulus", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         super().__init__(p, m, modulus)
+        # plain functions, not methods: hot loops call them without binding
+        self.__dict__.update(_residue_ops(p) if m == 1 else _packed_ops(p, m, modulus))
 
     @property
     def q(self) -> int:
         return self.p**self.m
+
+    def digits(self, index: int) -> tuple[int, ...]:
+        """The m base-p digits of an index, lowest first."""
+        out = []
+        for _ in range(self.m):
+            index, d = divmod(index, self.p)
+            out.append(d)
+        return tuple(out)
+
+    def index(self, digits) -> int:
+        """The index of a digit sequence, lowest first."""
+        value = 0
+        for d in reversed(digits):
+            value = value * self.p + d
+        return value
 
     def zero(self) -> FieldElement:
         return FieldElement(self, (0,) * self.m)
@@ -211,25 +213,7 @@ class FiniteField(Immutable):
         """Element whose digit vector has integer value ``index``."""
         if not 0 <= index < self.q:
             raise ValueError(f"element index {index} out of range for GF({self.q})")
-        digits = []
-        for _ in range(self.m):
-            index, d = index // self.p, index % self.p
-            digits.append(d)
-        return FieldElement(self, tuple(digits))
-
-    def element(self, value: int | tuple[int, ...] | list[int]) -> FieldElement:
-        """Build an element from a canonical index or a digit sequence.
-
-        Integer input is a strict index in [0, q); sequences are residues
-        that get reduced mod p and zero-padded to length m.
-        """
-        if isinstance(value, int):
-            return self.from_index(value)
-        digits = [int(v) % self.p for v in value]
-        if len(digits) > self.m:
-            raise ValueError(f"too many digits for GF({self.q}) element: {value!r}")
-        digits += [0] * (self.m - len(digits))
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, self.digits(index))
 
     def elements(self):
         """All field elements in ascending canonical order."""
@@ -238,7 +222,29 @@ class FiniteField(Immutable):
 
     def generator(self) -> FieldElement:
         """Canonical generator of the multiplicative group."""
-        return _multiplicative_generator(self)
+        return self.from_index(_multiplicative_generator(self))
+
+    def inv(self, a: int) -> int:
+        """Inverse of a nonzero index: natively mod p, and in GF(p^m) by the
+        extended Euclidean algorithm, :func:`_pgcd`."""
+        if not a:
+            raise ZeroDivisionError(f"inversion of zero in {self}")
+        if self.m == 1:
+            return pow(a, -1, self.p)
+        unit, u = _pgcd(self, a)
+        return self.mul(u, pow(unit[0], -1, self.p))
+
+    def pow(self, a: int, e: int) -> int:
+        """a**e by square-and-multiply; a negative e inverts a first."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -248,8 +254,70 @@ class FiniteField(Immutable):
         return make_field, (self.p, self.m)
 
 
+def _residue_ops(p: int) -> dict:
+    """GF(p) arithmetic: native residues mod p."""
+    return {
+        "add": lambda a, b: (a + b) % p,
+        "sub": lambda a, b: (a - b) % p,
+        "neg": lambda a: -a % p,
+        "mul": lambda a, b: a * b % p,
+    }
+
+
+def _packed_ops(p: int, m: int, modulus: tuple[int, ...]) -> dict:
+    """GF(p^m) arithmetic, m >= 2, by one digit-level product.
+
+    An index is packed into one int with digit i in lane i of ``width``
+    bits, through a table of the p^ceil(m/2) low halves.  Lanes are wide
+    enough that neither sums nor the product of two packed elements carry
+    between lanes, so the product of the packed ints is the packed product
+    polynomial (Kronecker substitution).  Its lanes m..2m-2 fold onto the
+    packed x^j mod modulus, and every lane is reduced mod p once, when the
+    result is unpacked to an index.  Sums and differences take the same path.
+    """
+    width = (2 * m * (p - 1) ** 2).bit_length()  # the largest lane value fits
+    lane = (1 << width) - 1
+    half = p ** ((m + 1) // 2)
+    high = width * ((m + 1) // 2)
+    table = [0] * half
+    for i in range(1, half):
+        table[i] = i % p | table[i // p] << width
+    lanes = range(width * (m - 1), -1, -width)
+    low = (1 << width * m) - 1
+    folds = []  # (lane j, packed x^j mod modulus) for j = m .. 2m-2
+    image = [-c % p for c in modulus[:m]]
+    for j in range(m, 2 * m - 1):
+        folds.append((width * j, sum(c << width * i for i, c in enumerate(image))))
+        image = [(c - image[-1] * f) % p for c, f in zip([0, *image[:-1]], modulus)]
+
+    def pack(a: int) -> int:
+        return table[a % half] | table[a // half] << high
+
+    def unpack(x: int) -> int:
+        value = 0
+        for shift in lanes:
+            value = value * p + (x >> shift & lane) % p
+        return value
+
+    def mul(a: int, b: int) -> int:
+        x = pack(a) * pack(b)
+        folded = x & low
+        for shift, power_image in folds:
+            folded += (x >> shift & lane) % p * power_image
+        return unpack(folded)
+
+    return {
+        "add": lambda a, b: unpack(pack(a) + pack(b)),
+        "sub": lambda a, b: unpack(pack(a) + (p - 1) * pack(b)),
+        "neg": lambda a: unpack((p - 1) * pack(a)),
+        "mul": mul,
+    }
+
+
 class FieldElement(Immutable):
-    """An element of a FiniteField, held as its canonical digit vector."""
+    """An element of a FiniteField, held as its canonical digit vector.
+    Its operators compute through the field's index arithmetic and reject
+    operands from another field with ValueError."""
 
     __slots__ = ("field", "rep")
 
@@ -261,10 +329,7 @@ class FieldElement(Immutable):
     @property
     def index(self) -> int:
         """Integer value of the digit vector; the canonical scalar encoding."""
-        value = 0
-        for d in reversed(self.rep):
-            value = value * self.field.p + d
-        return value
+        return self.field.index(self.rep)
 
     @property
     def is_zero(self) -> bool:
@@ -274,68 +339,34 @@ class FieldElement(Immutable):
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
-    def __add__(self, other: FieldElement) -> FieldElement:
+    def _binary(self, op, other: FieldElement) -> FieldElement:
         self._same_field(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.rep, other.rep)))
+        return self.field.from_index(op(self.index, other.index))
+
+    def __add__(self, other: FieldElement) -> FieldElement:
+        return self._binary(self.field.add, other)
 
     def __sub__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.rep, other.rep)))
-
-    def __neg__(self) -> FieldElement:
-        p = self.field.p
-        return FieldElement(self.field, tuple(-a % p for a in self.rep))
+        return self._binary(self.field.sub, other)
 
     def __mul__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        fld = self.field
-        if fld.m == 1:
-            return FieldElement(fld, ((self.rep[0] * other.rep[0]) % fld.p,))
-        return FieldElement(fld, _mul_reduce(self.rep, other.rep, fld.modulus, fld.p, fld.m))
-
-    def inverse(self) -> FieldElement:
-        if self.is_zero:
-            raise ZeroDivisionError(f"inversion of zero in {self.field}")
-        return self ** (self.field.q - 2)
+        return self._binary(self.field.mul, other)
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         self._same_field(other)
         return self * other.inverse()
 
+    def __neg__(self) -> FieldElement:
+        return self.field.from_index(self.field.neg(self.index))
+
+    def inverse(self) -> FieldElement:
+        return self.field.from_index(self.field.inv(self.index))
+
     def __pow__(self, e: int) -> FieldElement:
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self.field.from_index(self.field.pow(self.index, e))
 
     def __repr__(self) -> str:
         return f"{self.field}:{self.index}"
-
-
-def _mul_reduce(
-    a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int, m: int
-) -> tuple[int, ...]:
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce using x^m == -(modulus minus leading term), repeatedly
-    for i in range(2 * m - 2, m - 1, -1):
-        ci = prod[i]
-        if ci:
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - ci * modulus[j]) % p
-    return tuple(prod[:m])
 
 
 def make_field(p: int, m: int = 1) -> FiniteField:
@@ -358,21 +389,21 @@ def make_field(p: int, m: int = 1) -> FiniteField:
 def _canonical_field(p: int, m: int) -> FiniteField:
     if m == 1:
         return FiniteField(p, 1, None)
-    # lexicographic scan over the non-leading coefficients, constant term first
-    for tail in itertools.product(range(p), repeat=m):
-        coeffs = list(tail) + [1]
-        if _is_irreducible(coeffs, p):
-            return FiniteField(p, m, tuple(coeffs))
+    # lexicographic scan over the non-leading coefficients, constant term
+    # first; a zero constant term is a root at 0, so the scan starts at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        candidate = FiniteField(p, m, (*tail, 1))
+        if _is_irreducible(candidate):
+            return candidate
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 @functools.lru_cache(maxsize=None)
-def _multiplicative_generator(field: FiniteField) -> FieldElement:
+def _multiplicative_generator(field: FiniteField) -> int:
     order = field.q - 1
     factors = prime_factors(order)
-    for i in range(1, field.q):
-        a = field.from_index(i)
-        if all((a ** (order // f)).index != 1 for f in factors):
+    for a in range(1, field.q):
+        if all(field.pow(a, order // f) != 1 for f in factors):
             return a
     raise AssertionError(f"no generator found in {field}")
 
@@ -381,9 +412,10 @@ def multiplicative_order(a: FieldElement) -> int:
     """Order of a nonzero element in the multiplicative group."""
     if a.is_zero:
         raise ValueError("zero has no multiplicative order")
-    order = a.field.q - 1
+    field, x = a.field, a.index
+    order = field.q - 1
     for f in prime_factors(order):
-        while order % f == 0 and (a ** (order // f)).index == 1:
+        while order % f == 0 and field.pow(x, order // f) == 1:
             order //= f
     return order
 
@@ -409,7 +441,7 @@ def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
     """
     if n < 1 or (field.q - 1) % n != 0:
         raise ValueError(f"{n} does not divide q - 1 = {field.q - 1}")
-    return field.generator() ** ((field.q - 1) // n)
+    return field.from_index(field.pow(_multiplicative_generator(field), (field.q - 1) // n))
 
 
 def splitting_root(field: FiniteField, n: int) -> FieldElement:
@@ -424,60 +456,35 @@ def splitting_root(field: FiniteField, n: int) -> FieldElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding(sub: FiniteField, ext: FiniteField) -> tuple[tuple[int, ...], dict[int, int]]:
+def _embedding(sub: FiniteField, ext: FiniteField) -> tuple[range | tuple[int, ...], range | dict[int, int]]:
     """Canonical field embedding GF(q) -> GF(q^d) as index tables.
 
     The defining generator y of the subfield maps to the smallest-index root
     of the subfield modulus inside the extension; this pins one of the d
-    conjugate ring embeddings.  Returns (forward indices, inverse map).
+    conjugate ring embeddings.  Returns (forward indices, inverse map); the
+    inverse map is the projection back, holding exactly the elements fixed
+    by the q-power Frobenius, and a lookup outside it raises LookupError.
     """
     if sub.p != ext.p or ext.m % sub.m != 0:
         raise ValueError(f"{sub} does not embed in {ext}")
     if sub.m == 1 or sub == ext:
-        # constants map to constants, and the index of the constant c is c
-        fwd = tuple(range(sub.q))
-        return fwd, {i: i for i in fwd}
+        # constants map to constants, and the index of the constant c is c;
+        # a range, not a table of up to 2^20 entries
+        return range(sub.q), range(sub.q)
     # all elements of the subfield copy are powers of w (plus zero)
-    w = ext.generator() ** ((ext.q - 1) // (sub.q - 1))
-    candidates = [ext.one()]
-    acc = w
-    while acc.index != 1:
+    w = ext.pow(_multiplicative_generator(ext), (ext.q - 1) // (sub.q - 1))
+    candidates, acc = [1], w
+    while acc != 1:
         candidates.append(acc)
-        acc = acc * w
-    image_root = None
-    for c in sorted(candidates, key=lambda e: e.index):
-        val = ext.zero()
-        for coeff in reversed(sub.modulus):
-            val = val * c + ext.element((coeff,))
-        if val.is_zero:
-            image_root = c
-            break
-    if image_root is None:
-        raise AssertionError(f"subfield modulus has no root in {ext}")
-    fwd = []
-    for i in range(sub.q):
-        a = sub.from_index(i)
-        img = ext.zero()
-        for coeff in reversed(a.rep):
-            img = img * image_root + ext.element((coeff,))
-        fwd.append(img.index)
-    return tuple(fwd), {v: i for i, v in enumerate(fwd)}
+        acc = ext.mul(acc, w)
 
+    def image(digits, root):
+        value = 0
+        for coeff in reversed(digits):
+            value = ext.add(ext.mul(value, root), coeff)
+        return value
 
-def embed(a: FieldElement, ext: FiniteField) -> FieldElement:
-    """Image of a under the canonical embedding of its field into ext."""
-    fwd, _ = _embedding(a.field, ext)
-    return ext.from_index(fwd[a.index])
-
-
-def project_to_base(a: FieldElement, sub: FiniteField) -> FieldElement:
-    """Preimage of a under the canonical embedding of sub into a's field.
-
-    Raises ValueError when a is not in the embedded copy of sub (i.e. not
-    fixed by the q-power Frobenius).
-    """
-    _, inv = _embedding(sub, a.field)
-    try:
-        return sub.from_index(inv[a.index])
-    except KeyError:
-        raise ValueError(f"{a!r} is not in the embedded copy of {sub}") from None
+    # the subfield modulus splits in ext, and its roots are powers of w
+    image_root = min(c for c in candidates if image(sub.modulus, c) == 0)
+    fwd = tuple(image(sub.digits(i), image_root) for i in range(sub.q))
+    return fwd, {v: i for i, v in enumerate(fwd)}

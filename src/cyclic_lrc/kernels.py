@@ -32,7 +32,7 @@ import functools
 from operator import and_, mul
 from typing import Iterator, Sequence
 
-from .field import FieldElement, FiniteField
+from .field import FiniteField
 
 _BLOCK_BYTES = 1 << 20
 
@@ -43,8 +43,8 @@ Matrix = Sequence[Sequence[int]]
 def op_tables(field: FiniteField) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Products of the power basis, m rows of m: entry [i][a] holds the
     digits of y**i * y**a, y**i being digit i."""
-    basis = [field.from_index(field.p**i) for i in range(field.m)]
-    return tuple(tuple((y * b).rep for b in basis) for y in basis)
+    basis = [field.p**i for i in range(field.m)]
+    return tuple(tuple(field.digits(field.mul(y, b)) for b in basis) for y in basis)
 
 
 def expand(matrix: Matrix, field: FiniteField) -> list[list[int]]:
@@ -54,25 +54,10 @@ def expand(matrix: Matrix, field: FiniteField) -> list[list[int]]:
     p, table = field.p, op_tables(field)
     blocks = {}
     for e in {e for row in matrix for e in row}:
-        digits = field.from_index(e).rep
+        digits = field.digits(e)
         # y**i * e is the sum over a of digit a of e times y**i * y**a
         blocks[e] = [[sum(map(mul, digits, column)) % p for column in zip(*products)] for products in table]
     return [[d for e in row for d in blocks[e][i]] for row in matrix for i in range(field.m)]
-
-
-def matrix_indices(rows: Sequence[Sequence[FieldElement]]) -> tuple[tuple[int, ...], ...]:
-    """Element rows to the index matrix the kernels take."""
-    return tuple(tuple(e.index for e in row) for row in rows)
-
-
-def message_symbols(field: FiniteField, t: int, k: int) -> tuple[FieldElement, ...]:
-    """Message with counter t in the enumeration order used by the kernels."""
-    q = field.q
-    out = []
-    for _ in range(k):
-        t, d = divmod(t, q)
-        out.append(field.from_index(d))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

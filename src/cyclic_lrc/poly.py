@@ -1,36 +1,32 @@
 """Univariate polynomials over a finite field.
 
-Coefficients are stored lowest degree first with no trailing zeros, so the
-zero polynomial has an empty coefficient tuple and coordinate i of a codeword
-is coefficient i.  Polynomials are immutable values.
+Coefficients are canonical element indices (see :mod:`cyclic_lrc.field`),
+stored lowest degree first with no trailing zeros, so the zero polynomial
+has an empty coefficient tuple and coordinate i of a codeword is
+coefficient i.  Arithmetic runs on the field's index operations, and a
+point of evaluation is an index too.  Polynomials are immutable values;
+ring operations on polynomials over different fields raise ValueError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import FieldElement, FiniteField, Immutable
+from .field import FiniteField, Immutable
 
 
 class Poly(Immutable):
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FiniteField, coeffs: tuple[FieldElement, ...]):
+    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
         super().__init__(field, coeffs)
 
     @classmethod
-    def make(cls, field: FiniteField, coeffs: Iterable[FieldElement]) -> Poly:
+    def make(cls, field: FiniteField, coeffs: Iterable[int]) -> Poly:
         coeffs = list(coeffs)
-        for c in coeffs:
-            if c.field != field:
-                raise ValueError(f"coefficient {c!r} not in {field}")
-        while coeffs and coeffs[-1].is_zero:
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         return cls(field, tuple(coeffs))
-
-    @classmethod
-    def from_indices(cls, field: FiniteField, indices: Sequence[int]) -> Poly:
-        return cls.make(field, (field.from_index(i) for i in indices))
 
     @classmethod
     def zero(cls, field: FiniteField) -> Poly:
@@ -38,18 +34,18 @@ class Poly(Immutable):
 
     @classmethod
     def one(cls, field: FiniteField) -> Poly:
-        return cls(field, (field.one(),))
+        return cls(field, (1,))
 
     @classmethod
     def x_pow_minus_one(cls, field: FiniteField, n: int) -> Poly:
         """x**n - 1."""
-        coeffs = [field.zero()] * (n + 1)
-        coeffs[0] = -field.one()
-        coeffs[n] = field.one()
+        coeffs = [0] * (n + 1)
+        coeffs[0] = field.neg(1)
+        coeffs[n] = 1
         return cls(field, tuple(coeffs))
 
     @classmethod
-    def from_roots(cls, roots: Sequence[FieldElement]) -> Poly:
+    def from_roots(cls, field: FiniteField, roots: Sequence[int]) -> Poly:
         """Monic product of (x - r) over the given roots.
 
         Duplicated roots are rejected: every construction served here needs
@@ -57,12 +53,11 @@ class Poly(Immutable):
         """
         if not roots:
             raise ValueError("at least one root is required")
-        field = roots[0].field
-        if len({r.rep for r in roots}) != len(roots):
+        if len(set(roots)) != len(roots):
             raise ValueError("duplicated roots are not allowed")
         acc = cls.one(field)
         for r in roots:
-            acc = acc * cls.make(field, (-r, field.one()))
+            acc = acc * cls(field, (field.neg(r), 1))
         return acc
 
     # -- basic structure ----------------------------------------------------
@@ -78,19 +73,16 @@ class Poly(Immutable):
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].index == 1
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
+    def coefficient(self, i: int) -> int:
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    def padded(self, n: int) -> tuple[FieldElement, ...]:
+    def padded(self, n: int) -> tuple[int, ...]:
         """Coefficients padded with zeros up to length n."""
         if len(self.coeffs) > n:
             raise ValueError(f"degree {self.degree} polynomial does not fit in length {n}")
-        return self.coeffs + (self.field.zero(),) * (n - len(self.coeffs))
-
-    def coefficient_indices(self) -> tuple[int, ...]:
-        return tuple(c.index for c in self.coeffs)
+        return self.coeffs + (0,) * (n - len(self.coeffs))
 
     # -- ring operations ----------------------------------------------------
 
@@ -100,54 +92,54 @@ class Poly(Immutable):
 
     def __add__(self, other: Poly) -> Poly:
         self._same_field(other)
-        zero = self.field.zero()
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(
-            self.field,
-            (self.coefficient(i) + (other.coeffs[i] if i < len(other.coeffs) else zero) for i in range(n)),
-        )
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly.make(self.field, (*map(self.field.add, a, b), *a[len(b) :]))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(self.field, tuple(-c for c in self.coeffs))
+        return Poly(self.field, tuple(map(self.field.neg, self.coeffs)))
 
     def __mul__(self, other: Poly) -> Poly:
         self._same_field(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        add, mul = self.field.add, self.field.mul
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+                out[i + j] = add(out[i + j], mul(a, b))
         return Poly.make(self.field, out)
 
-    def scaled(self, factor: FieldElement) -> Poly:
-        return Poly.make(self.field, (c * factor for c in self.coeffs))
+    def scaled(self, factor: int) -> Poly:
+        mul = self.field.mul
+        return Poly.make(self.field, (mul(c, factor) for c in self.coeffs))
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        zero = self.field.zero()
+        field = self.field
         rem = list(self.coeffs)
         q_len = len(rem) - len(other.coeffs) + 1
         if q_len <= 0:
-            return Poly.zero(self.field), self
-        quot = [zero] * q_len
-        inv_lead = other.coeffs[-1].inverse()
+            return Poly.zero(field), self
+        sub, mul = field.sub, field.mul
+        quot = [0] * q_len
+        inv_lead = field.inv(other.coeffs[-1])
         for shift in range(q_len - 1, -1, -1):
-            factor = rem[shift + other.degree] * inv_lead
-            if factor.is_zero:
+            factor = mul(rem[shift + other.degree], inv_lead)
+            if not factor:
                 continue
             quot[shift] = factor
             for i, b in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * b
-        return Poly.make(self.field, quot), Poly.make(self.field, rem)
+                rem[shift + i] = sub(rem[shift + i], mul(factor, b))
+        return Poly.make(field, quot), Poly.make(field, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -168,11 +160,12 @@ class Poly(Immutable):
 
     # -- evaluation and shape -----------------------------------------------
 
-    def __call__(self, point: FieldElement) -> FieldElement:
+    def __call__(self, point: int) -> int:
         """Horner evaluation at a point of the coefficient field."""
-        acc = self.field.zero()
+        add, mul = self.field.add, self.field.mul
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * point + c
+            acc = add(mul(acc, point), c)
         return acc
 
     def reciprocal(self) -> Poly:
@@ -184,7 +177,7 @@ class Poly(Immutable):
     def monic(self) -> Poly:
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scaled(self.coeffs[-1].inverse())
+        return self.scaled(self.field.inv(self.coeffs[-1]))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -192,11 +185,11 @@ class Poly(Immutable):
         terms = []
         for i in range(self.degree, -1, -1):
             c = self.coefficient(i)
-            if c.is_zero:
+            if not c:
                 continue
             if i == 0:
-                terms.append(str(c.index))
+                terms.append(str(c))
             else:
                 xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if c.index == 1 else f"{c.index}*{xs}")
+                terms.append(xs if c == 1 else f"{c}*{xs}")
         return " + ".join(terms)

@@ -13,8 +13,10 @@ no repair plan; its locality is decided by the exhaustive dual scan.
 Repair reads a plan built once per code from c: for i = i mod s + s*u, the
 r pairs (i mod s + s*t, -c^(t-u)) over t != u, so that c_i is the sum of the
 products with the read symbols.  The plan is cached on the code object
-(``LrcCode.repair_plan``).  All results are deterministic; plans are safe to
-read concurrently once built.
+(``LrcCode.repair_plan``).  Everything here computes on element indices;
+FieldElement appears only in :class:`ErasedWord`, the symbol
+:func:`repair_erasure` returns and the word of :func:`repair_vector`.  All
+results are deterministic; plans are safe to read concurrently once built.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .cyclic import DEFAULT_BUDGET, CyclicCode, DistanceScan, min_distance_exhaustive
-from .field import FieldElement
+from .field import FieldElement, FiniteField
 from .poly import Poly
+
 
 class RepairError(RuntimeError):
     """No qualifying repair vector exists (or none could be certified)."""
@@ -78,63 +81,61 @@ def _base_and_r(code, r_test: int | None = None) -> tuple[CyclicCode, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_constant(base: CyclicCode, r: int) -> FieldElement:
+def _grid_constant(base: CyclicCode, r: int) -> int:
     """The first c, by index, whose class-0 word (c^t at s*t, t = 0..r) is a
     dual codeword, checked against the generator basis.  That holds exactly
     when x^s - c divides g, and then c^(r+1) = 1."""
     if base.k < 1:
         raise RepairError("repair plans need a code of dimension >= 1")
-    for ci in range(1, base.field.q):
-        c = base.field.from_index(ci)
+    for c in range(1, base.field.q):
         if _is_dual_word(base, _class_word(base, r, c, 0)):
             return c
     raise RepairError(f"g has no factor x^{repair_stride(base.n, r)} - c")
 
 
-def _powers(c: FieldElement, r: int) -> list[FieldElement]:
+def _powers(field: FiniteField, c: int, r: int) -> list[int]:
     """(1, c, ..., c^r)."""
-    out = [c.field.one()]
-    for _ in range(r):
-        out.append(out[-1] * c)
-    return out
+    return [field.pow(c, t) for t in range(r + 1)]
 
 
-def _class_word(base: CyclicCode, r: int, c: FieldElement, i: int) -> tuple[FieldElement, ...]:
+def _class_word(base: CyclicCode, r: int, c: int, i: int) -> tuple[int, ...]:
     """The word with entry c^t at i mod s + s*t for t = 0..r, zero elsewhere."""
-    word = [base.field.zero()] * base.n
-    for p, value in zip(coordinate_coset(base.n, r, i), _powers(c, r)):
+    word = [0] * base.n
+    for p, value in zip(coordinate_coset(base.n, r, i), _powers(base.field, c, r)):
         word[p] = value
     return tuple(word)
 
 
-def _is_dual_word(base: CyclicCode, word: tuple[FieldElement, ...]) -> bool:
-    zero = base.field.zero()
+def _is_dual_word(base: CyclicCode, word: tuple[int, ...]) -> bool:
+    add, mul = base.field.add, base.field.mul
     for row in base.generator_matrix:
-        acc = zero
+        acc = 0
         for w, g in zip(word, row):
-            if not w.is_zero and not g.is_zero:
-                acc = acc + w * g
-        if not acc.is_zero:
+            if w and g:
+                acc = add(acc, mul(w, g))
+        if acc:
             return False
     return True
 
 
-def repair_vector(code, i: int):
+def repair_vector(code, i: int) -> tuple[FieldElement, ...]:
     """Dual codeword used to repair coordinate i, as a full-length word."""
     base, r = _base_and_r(code)
     if not 0 <= i < base.n:
         raise ValueError(f"coordinate {i} out of range for length {base.n}")
-    return _class_word(base, r, _grid_constant(base, r), i)
+    field, zero = base.field, base.field.zero()
+    return tuple(field.from_index(v) if v else zero for v in _class_word(base, r, _grid_constant(base, r), i))
 
 
-def repair_plan(code) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+def repair_plan(code) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per coordinate i = i mod s + s*u, the r pairs (i mod s + s*t,
     -c^(t-u)) over t != u that repair of c_i reads: i's repair vector scaled
-    to -1 at i.  Raises RepairError when the code has no repair vectors."""
+    to -1 at i, its entries as indices.  Raises RepairError when the code
+    has no repair vectors."""
     base, r = _base_and_r(code)
     c = _grid_constant(base, r)
     s = repair_stride(base.n, r)
-    neg = [-value for value in _powers(c, r)]
+    neg = [base.field.neg(value) for value in _powers(base.field, c, r)]
     return tuple(
         tuple((i % s + s * t, neg[(t - i // s) % (r + 1)]) for t in range(r + 1) if t != i // s)
         for i in range(base.n)
@@ -144,20 +145,25 @@ def repair_plan(code) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
 def repair_erasure(code, word: ErasedWord) -> FieldElement:
     """Recover the erased symbol c_i = -a_i^{-1} * sum over the coset of
     a_j c_j, reading only the r other coset coordinates, through the code's
-    cached repair plan."""
+    cached repair plan.  A read symbol from another field raises
+    ValueError."""
     base, _ = _base_and_r(code)
     if len(word.symbols) != base.n:
         raise ValueError(f"word length {len(word.symbols)} != n = {base.n}")
     i = word.erased_at
     if not 0 <= i < base.n:
         raise ValueError(f"coordinate {i} out of range for length {base.n}")
-    acc = base.field.zero()
+    field = base.field
+    add, mul = field.add, field.mul
+    acc = 0
     for j, coeff in code.repair_plan[i]:
         symbol = word.symbols[j]
         if symbol is None:
             raise ValueError("repair reads an erased coordinate")
-        acc = acc + coeff * symbol
-    return acc
+        if symbol.field is not field:
+            raise ValueError(f"symbol {symbol!r} at {j} not in {field}")
+        acc = add(acc, mul(coeff, symbol.index))
+    return field.from_index(acc)
 
 
 def dual_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceScan:
@@ -196,11 +202,6 @@ class LocalityCheck(NamedTuple):
         return out
 
 
-def _sparse(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    support = tuple(j for j, v in enumerate(word) if not v.is_zero)
-    return support, tuple(word[j].index for j in support)
-
-
 def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGET) -> LocalityCheck:
     """Check that every coordinate lies in the support of a dual codeword of
     weight at most r_test + 1 (the linear-code locality criterion).
@@ -219,7 +220,7 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
         except RepairError:
             pass
         else:
-            entries = tuple(value.index for value in _powers(c, r))
+            entries = tuple(_powers(base.field, c, r))
             witnesses = tuple((coordinate_coset(base.n, r, i), entries) for i in range(base.n))
             return LocalityCheck(True, r, "coset-witness", witnesses)
     dual = base.dual()
@@ -228,13 +229,15 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
     total = base.field.q**dual.k
     if total > budget:
         return LocalityCheck(None, r, "budget-exceeded")
-    matrix = kernels.matrix_indices(dual.generator_matrix)
-    counters = kernels.covering_witnesses(matrix, base.field, r + 1, total - 1)
+    q = base.field.q
+    counters = kernels.covering_witnesses(dual.generator_matrix, base.field, r + 1, total - 1)
     if -1 in counters:
         return LocalityCheck(False, r, "exhaustive", failing_coordinate=counters.index(-1))
     witnesses = []
     for t in counters:
-        message = kernels.message_symbols(base.field, t, dual.k)
+        # the message of counter t is its base-q digits, lowest first
+        message = [t // q**j % q for j in range(dual.k)]
         word = (Poly.make(base.field, message) * dual.g).padded(base.n)
-        witnesses.append(_sparse(word))
+        support = tuple(j for j, v in enumerate(word) if v)
+        witnesses.append((support, tuple(word[j] for j in support)))
     return LocalityCheck(True, r, "exhaustive", tuple(witnesses))

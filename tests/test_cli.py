@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,50 @@ def test_construct_oversized_splitting_field_is_a_precondition_failure():
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert "GF(7^9)" in proc.stderr
+
+
+def _bounded_cli(*argv, address_space_mb=1500):
+    """One CLI process under an address-space limit, so that a regression
+    that materializes a huge polynomial fails fast instead of exhausting
+    memory.  Returns the finished process and its wall time."""
+    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    limit = address_space_mb << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclic_lrc.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_construct_huge_length_decides_the_splitting_field_first():
+    # the grid of n/(r+1) root exponents is not listed before the gap
+    proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13",
+                                 "--n", "300000000", "--r", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "field GF(13^5000000) splitting x^300000000 - 1 exceeds the supported order 1048576\n"
+    )
+    assert elapsed < 10.0
+
+
+def test_verify_huge_length_is_rejected_by_the_beta_check(code_file, tmp_path):
+    # beta's order bounds n before the generator is divided into x^n - 1
+    data = json.loads(code_file.read_text())
+    data["n"] = 100000001
+    bad = tmp_path / "huge.json"
+    bad.write_text(dumps_canonical(data))
+    proc, elapsed = _bounded_cli("verify", str(bad))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "code file integrity failure: beta is not a primitive n-th root of unity\n"
+    )
+    assert elapsed < 5.0
 
 
 def test_verify_certified(code_file, capsys):

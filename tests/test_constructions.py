@@ -18,6 +18,7 @@ from cyclic_lrc.constructions import (
     prime_power,
 )
 from cyclic_lrc.field import (
+    _embedding,
     make_field,
     multiplicative_order,
     primitive_nth_root,
@@ -44,7 +45,7 @@ def test_d3_q4_n9(code_9_5_3):
     assert (code.n, code.k, code.d_claimed, code.r) == (9, 5, 3, 2)
     # alpha is a nontrivial cube root of unity in GF(4)
     assert (code.alpha ** 3).index == 1 and code.alpha.index != 1
-    assert code.base.g.coefficient_indices() == (3, 3, 0, 1, 1)
+    assert code.base.g.coeffs == (3, 3, 0, 1, 1)
     assert code.base.bch_lower_bound() >= 3
     _check_common_invariants(code)
 
@@ -77,7 +78,7 @@ def test_d3_is_deterministic():
 def test_d4_q5_n8(code_8_4_4):
     code = code_8_4_4
     assert (code.n, code.k, code.d_claimed, code.r) == (8, 4, 4, 3)
-    assert code.base.g.coefficient_indices() == (1, 2, 0, 1, 1)
+    assert code.base.g.coeffs == (1, 2, 0, 1, 1)
     assert code.alpha.index == 3 and code.gamma.index == 3
     # gamma satisfies gamma^(n/(r+1)) = alpha^2 != alpha
     assert code.gamma ** 2 == code.alpha * code.alpha
@@ -127,7 +128,7 @@ def test_subgroup_case2_q13_d6(acceptance_codes):
 def test_subgroup_minimal_instance():
     code = build_any_d_subgroup(7, 6, 2, 2)
     assert (code.n, code.k, code.d_claimed) == (6, 4, 2)
-    assert code.base.g.coefficient_indices() == (6, 0, 1)  # (x-1)(x-beta^3) = x^2 - 1
+    assert code.base.g.coeffs == (6, 0, 1)  # (x-1)(x-beta^3) = x^2 - 1
     _check_common_invariants(code)
 
 
@@ -170,22 +171,24 @@ def test_coset_q11_d2():
 def test_coset_generator_descends_to_base_field():
     code = build_any_d_coset(11, 12, 3, 10)
     assert code.field.q == 11
-    assert all(c.field == code.field for c in code.base.g.coeffs)
+    assert code.base.g.field is code.field
+    assert all(0 <= c < code.field.q for c in code.base.g.coeffs)
     # recompute in the splitting field and confirm Frobenius fixedness
     from cyclic_lrc.field import make_field, primitive_nth_root
 
     f121 = make_field(11, 2)
-    beta = primitive_nth_root(f121, 12)
-    lifted = Poly.from_roots([beta ** (e % 12) for e in range(-4, 5)])
-    assert all(c**11 == c for c in lifted.coeffs)
+    beta = primitive_nth_root(f121, 12).index
+    lifted = Poly.from_roots(f121, [f121.pow(beta, e % 12) for e in range(-4, 5)])
+    assert all(f121.pow(c, 11) == c for c in lifted.coeffs)
 
 
 def test_projection_rejects_an_element_outside_the_base_field(f5, f25):
     # the runtime self-check behind every generator coefficient, alpha and gamma
     beta = primitive_nth_root(f25, 8)
+    _, preimage = _embedding(f5, f25)
     with pytest.raises(ConstructionError, match="^alpha is not fixed by the GF\\(5\\) Frobenius$"):
-        _project(beta, f5, "alpha")
-    assert _project(beta**2, f5, "alpha") == f5.from_index((beta**2).index)
+        _project(beta.index, preimage, f5, "alpha")
+    assert _project((beta**2).index, preimage, f5, "alpha") == (beta**2).index
 
 
 def test_coset_rejects_odd_decomposition():

@@ -32,8 +32,8 @@ DATA_PATH_CODES = (
 def _reference_encode(base, message):
     # x^(n-k) m(x) minus its remainder mod g
     field = base.field
-    shifted = Poly.make(field, (field.zero(),) * (base.n - base.k) + tuple(message))
-    return (shifted - shifted % base.g).padded(base.n)
+    shifted = Poly.make(field, (0,) * (base.n - base.k) + tuple(e.index for e in message))
+    return tuple(map(field.from_index, (shifted - shifted % base.g).padded(base.n)))
 
 
 def _check_code(code, rng, messages=5):

@@ -8,14 +8,27 @@ import pytest
 
 from cyclic_lrc.field import (
     FieldElement,
-    embed,
+    _embedding,
     make_field,
     multiplicative_order,
     prime_factors,
     primitive_nth_root,
-    project_to_base,
     splitting_degree,
 )
+
+
+def _embed(a, ext):
+    fwd, _ = _embedding(a.field, ext)
+    return ext.from_index(fwd[a.index])
+
+
+def _project(a, sub):
+    """The preimage in sub, or None outside the embedded copy."""
+    _, preimage = _embedding(sub, a.field)
+    try:
+        return sub.from_index(preimage[a.index])
+    except LookupError:
+        return None
 
 
 def _irreducible_low_degree_oracle(p, m):
@@ -114,11 +127,10 @@ def test_mixed_field_arithmetic_rejected(f5, f13):
 def test_element_round_trip_and_digits(f25):
     for i in range(25):
         assert f25.from_index(i).index == i
-    assert f25.element([3, 1]).index == 8
+        assert f25.index(f25.digits(i)) == i
+    assert f25.index([3, 1]) == 8 and f25.digits(8) == (3, 1)
     with pytest.raises(ValueError):
         f25.from_index(25)
-    with pytest.raises(ValueError):
-        f25.element([1, 2, 3])
 
 
 @pytest.mark.parametrize(
@@ -160,31 +172,30 @@ def test_nth_root_for_n_1_is_one(f25):
 def test_subfield_membership_in_gf25(f5, f25):
     one = f25.one()
     assert one**5 == one
-    assert project_to_base(one, f5) == f5.one()
+    assert _project(one, f5) == f5.one()
     beta = primitive_nth_root(f25, 8)
     assert beta**5 != beta  # order 8 does not divide 4
     assert (beta ** 2) ** 5 == beta ** 2
-    with pytest.raises(ValueError):
-        project_to_base(beta, f5)
+    assert _project(beta, f5) is None
 
 
 @pytest.mark.parametrize("sub_pm, ext_pm", [((2, 2), (2, 4)), ((2, 3), (2, 6)), ((3, 1), (3, 4))])
 def test_membership_matches_embedded_subfield_enumeration(sub_pm, ext_pm):
     sub = make_field(*sub_pm)
     ext = make_field(*ext_pm)
-    image = {embed(a, ext) for a in sub.elements()}
+    image = {_embed(a, ext) for a in sub.elements()}
     fixed = {a for a in ext.elements() if a**sub.q == a}
     assert image == fixed
     for a in sub.elements():
-        assert project_to_base(embed(a, ext), sub) == a
+        assert _project(_embed(a, ext), sub) == a
 
 
 def test_embedding_is_a_ring_homomorphism(f4):
     ext = make_field(2, 6)
     for a in f4.elements():
         for b in f4.elements():
-            assert embed(a + b, ext) == embed(a, ext) + embed(b, ext)
-            assert embed(a * b, ext) == embed(a, ext) * embed(b, ext)
+            assert _embed(a + b, ext) == _embed(a, ext) + _embed(b, ext)
+            assert _embed(a * b, ext) == _embed(a, ext) * _embed(b, ext)
 
 
 def test_field_axioms_sampled(rng, f25, f13):
@@ -215,3 +226,97 @@ def test_prime_factors():
     assert prime_factors(1) == ()
     assert prime_factors(24) == (2, 3)
     assert prime_factors(63) == (3, 7)
+
+
+# -- index arithmetic against an independent oracle ---------------------------
+
+_PRIME_POWERS_TO_256 = [
+    q for q in range(2, 257) if len(prime_factors(q)) == 1
+]
+
+
+def _field_of_order(q):
+    p = prime_factors(q)[0]
+    m = 1
+    while p**m < q:
+        m += 1
+    return make_field(p, m)
+
+
+def _schoolbook(field):
+    """add, sub, neg and mul on indices, through digit lists: the product is
+    the schoolbook convolution mod p, reduced by long division by the
+    modulus.  Shares nothing with the field's own arithmetic but its modulus."""
+    p, m = field.p, field.m
+    modulus = field.modulus or (0, 1)  # GF(p) is GF(p)[x]/(x)
+
+    def digits(a):
+        return [a // p**i % p for i in range(m)]
+
+    def index(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def mul(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for top in range(2 * m - 2, m - 1, -1):
+            c = prod[top] % p
+            for i, f in enumerate(modulus):
+                prod[top - m + i] -= c * f
+        return index([c % p for c in prod[:m]])
+
+    def add(a, b):
+        return index([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def sub(a, b):
+        return index([(x - y) % p for x, y in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return index([-x % p for x in digits(a)])
+
+    return add, sub, neg, mul
+
+
+def _check_against_schoolbook(field, pairs):
+    add, sub, neg, mul = _schoolbook(field)
+    for a, b in pairs:
+        assert field.add(a, b) == add(a, b), (field, a, b)
+        assert field.sub(a, b) == sub(a, b), (field, a, b)
+        assert field.neg(a) == neg(a), (field, a)
+        assert field.mul(a, b) == mul(a, b), (field, a, b)
+
+
+@pytest.mark.parametrize("q", [q for q in _PRIME_POWERS_TO_256 if q <= 64])
+def test_index_arithmetic_matches_schoolbook_on_every_pair(q):
+    field = _field_of_order(q)
+    _check_against_schoolbook(field, itertools.product(range(q), repeat=2))
+
+
+@pytest.mark.parametrize("p, m", [(2, 10), (3, 7), (2, 20)])
+def test_index_arithmetic_matches_schoolbook_on_samples(rng, p, m):
+    field = make_field(p, m)
+    extremes = [0, 1, field.q - 1]
+    pairs = [(a, b) for a in extremes for b in extremes]
+    pairs += [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(2000)]
+    _check_against_schoolbook(field, pairs)
+    _, _, _, mul = _schoolbook(field)
+    for a in (rng.randrange(1, field.q) for _ in range(20)):
+        acc = 1
+        for e in range(12):
+            assert field.pow(a, e) == acc, (field, a, e)
+            assert field.mul(field.pow(a, -e), acc) == 1, (field, a, e)
+            acc = mul(acc, a)
+
+
+@pytest.mark.parametrize("q", _PRIME_POWERS_TO_256)
+def test_every_nonzero_index_has_an_inverse(q):
+    field = _field_of_order(q)
+    _, _, _, mul = _schoolbook(field)
+    for a in range(1, q):
+        assert mul(field.inv(a), a) == 1, (field, a)
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        field.pow(0, -1)

@@ -8,6 +8,12 @@ from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
 
 
+def _message(field, t, k):
+    """Message with counter t in the kernels' order: symbol j has the index
+    (t // q**j) % q."""
+    return [field.from_index(t // field.q**j % field.q) for j in range(k)]
+
+
 def _reference_supports(matrix, field, count):
     """Tiny exact reference: the support of the codeword of every message
     1..count, recomputed with element objects in full counter order."""
@@ -16,7 +22,7 @@ def _reference_supports(matrix, field, count):
     supports = []
     for t in range(1, count + 1):
         word = [field.zero()] * n
-        for m, row in zip(kernels.message_symbols(field, t, k), rows):
+        for m, row in zip(_message(field, t, k), rows):
             if not m.is_zero:
                 word = [w + m * g for w, g in zip(word, row)]
         supports.append([c for c, w in enumerate(word) if not w.is_zero])
@@ -41,9 +47,9 @@ def _reference_witnesses(supports, count, n, max_weight):
 def _small_codes():
     f5 = make_field(5)
     f4 = make_field(2, 2)
-    yield CyclicCode.build(f5, 8, Poly.from_indices(f5, [1, 2, 0, 1, 1]))
-    yield CyclicCode.build(f4, 9, Poly.from_indices(f4, [3, 3, 0, 1, 1]))
-    yield CyclicCode.build(f5, 6, Poly.from_indices(f5, [4, 1]))
+    yield CyclicCode.build(f5, 8, Poly.make(f5, [1, 2, 0, 1, 1]))
+    yield CyclicCode.build(f4, 9, Poly.make(f4, [3, 3, 0, 1, 1]))
+    yield CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
 
 
 def _reference_codes():
@@ -60,7 +66,7 @@ def test_scan_matches_reference(block_bytes, monkeypatch):
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
     for code in _reference_codes():
         q, k, n = code.field.q, code.k, code.n
-        matrix = kernels.matrix_indices(code.generator_matrix)
+        matrix = code.generator_matrix
         total = q**k - 1
         supports = _reference_supports(matrix, code.field, total)
         d = _reference_min_weight(supports, total, n)
@@ -82,8 +88,7 @@ def _wide_field_generators():
     is past 1024.  The words of weight 4 are ``b_j * row0 + row1``: the last
     words of the low table."""
     for field in (make_field(1021), make_field(2, 10), make_field(2, 11)):
-        last = [field.from_index(field.q - 1 - j) for j in range(5)]
-        yield field, kernels.matrix_indices([[field.one()] * 5, [-b for b in last]])
+        yield field, ((1,) * 5, tuple(field.neg(field.q - 1 - j) for j in range(5)))
 
 
 @pytest.mark.parametrize("block_bytes", [None, 40], ids=["default-blocks", "tiny-blocks"])
@@ -111,32 +116,26 @@ def test_wide_field_scan_matches_reference(block_bytes, monkeypatch):
 def test_witness_scan_covers_every_coordinate():
     code = next(_small_codes())
     dual = code.dual()
-    matrix = kernels.matrix_indices(dual.generator_matrix)
+    matrix = dual.generator_matrix
     total = code.field.q**dual.k - 1
     counters = kernels.covering_witnesses(matrix, code.field, 4, total)
     assert all(t > 0 for t in counters)
     # reconstruct each witness and verify the claim it certifies
     for coord, t in enumerate(counters):
-        message = kernels.message_symbols(code.field, t, dual.k)
+        message = [e.index for e in _message(code.field, t, dual.k)]
         word = (Poly.make(code.field, message) * dual.g).padded(code.n)
-        weight = sum(1 for w in word if not w.is_zero)
+        weight = sum(1 for w in word if w)
         assert 0 < weight <= 4
-        assert not word[coord].is_zero
+        assert word[coord]
 
 
 def test_witness_scan_reports_uncovered_coordinates():
     code = next(_small_codes())
     dual = code.dual()
-    matrix = kernels.matrix_indices(dual.generator_matrix)
+    matrix = dual.generator_matrix
     # weight threshold below the dual distance: nothing qualifies
     counters = kernels.covering_witnesses(matrix, code.field, 2, code.field.q**dual.k - 1)
     assert counters == [-1] * code.n
-
-
-def test_message_symbol_order(f13):
-    assert [s.index for s in kernels.message_symbols(f13, 1, 3)] == [1, 0, 0]
-    assert [s.index for s in kernels.message_symbols(f13, 13, 3)] == [0, 1, 0]
-    assert [s.index for s in kernels.message_symbols(f13, 14, 3)] == [1, 1, 0]
 
 
 def test_op_tables_agree_with_element_arithmetic():
@@ -151,8 +150,8 @@ def test_op_tables_agree_with_element_arithmetic():
 
 
 def test_scan_argument_validation(f5):
-    code = CyclicCode.build(f5, 6, Poly.from_indices(f5, [4, 1]))
-    matrix = kernels.matrix_indices(code.generator_matrix)
+    code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
+    matrix = code.generator_matrix
     with pytest.raises(ValueError):
         kernels.min_nonzero_weight(matrix, f5, 0)
     with pytest.raises(ValueError):

@@ -19,9 +19,10 @@ from cyclic_lrc.repair import (
 
 
 def _dot(u, v, field):
+    """u, a word of elements, times v, a generator row of indices."""
     acc = field.zero()
     for a, b in zip(u, v):
-        acc = acc + a * b
+        acc = acc + a * field.from_index(b)
     return acc
 
 
@@ -97,7 +98,7 @@ def test_bare_code_without_grid_factor_uses_exhaustive_scan():
     # x^2 + 1 is irreducible over GF(3), so g has no factor x - c and no
     # coset plan exists; the exhaustive dual scan answers instead
     f3 = make_field(3)
-    code = CyclicCode.build(f3, 4, Poly.from_indices(f3, [1, 0, 1]))
+    code = CyclicCode.build(f3, 4, Poly.make(f3, [1, 0, 1]))
     with pytest.raises(RepairError):
         _grid_constant(code, 3)
     check = verify_locality(code, 3)
@@ -127,7 +128,7 @@ def test_erased_word_validation(f5):
 
 def test_repair_worked_example(code_8_4_4):
     # erase coordinate 0 of the codeword g itself
-    word = list(code_8_4_4.base.g.padded(8))
+    word = list(map(code_8_4_4.field.from_index, code_8_4_4.base.g.padded(8)))
     expected = word[0]
     word[0] = None
     recovered = repair_erasure(code_8_4_4, ErasedWord.from_symbols(word))
@@ -154,6 +155,16 @@ def test_repair_round_trip_all_positions(acceptance_codes, rng):
                 erased[i] = None
                 got = repair_erasure(code, ErasedWord.from_symbols(erased))
                 assert got == codeword[i]
+
+
+def test_repair_rejects_a_symbol_from_another_field(code_8_4_4, f13):
+    # coordinate 0 reads 2, 4 and 6; the plan sums indices, so the field of
+    # every read symbol is checked at the edge
+    f5 = code_8_4_4.field
+    symbols = [None] + [f5.zero()] * 7
+    symbols[4] = f13.one()
+    with pytest.raises(ValueError, match="not in GF\\(5\\)"):
+        repair_erasure(code_8_4_4, ErasedWord.from_symbols(symbols))
 
 
 def test_repair_word_length_checked(code_8_4_4):
@@ -187,7 +198,7 @@ def test_repair_plan_is_built_once_per_code(monkeypatch):
         raise RepairError("grid constant read after the plan was built")
 
     monkeypatch.setattr(repair, "_grid_constant", no_plan)
-    word = list(code.base.g.padded(8))
+    word = list(map(code.field.from_index, code.base.g.padded(8)))
     expected, word[5] = word[5], None
     assert repair_erasure(code, ErasedWord.from_symbols(word)) == expected
 
@@ -199,7 +210,7 @@ def test_dual_distance_exact(code_8_4_4, code_9_5_3):
 
 def test_dual_distance_of_parity_check_code():
     f5 = make_field(5)
-    code = CyclicCode.build(f5, 6, Poly.from_indices(f5, [4, 1]))
+    code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
     assert dual_distance_exact(code).value == 6  # repetition code
 
 
@@ -231,7 +242,7 @@ def test_dual_distance_brute_force_agreement(code_8_4_4):
             if d:
                 e = field.from_index(d)
                 for c, g in enumerate(dual.generator_matrix[j]):
-                    word[c] = word[c] + e * g
+                    word[c] = word[c] + e * field.from_index(g)
         best = min(best, sum(1 for w in word if not w.is_zero))
     assert best == dual_distance_exact(code_8_4_4).value == 4
 

@@ -181,3 +181,16 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_algebra_layer_does_not_import_field_element():
+    # polynomials, the scan kernel and the constructions compute on element
+    # indices; FieldElement is built only at the public edges
+    hits = [
+        f"{name}:{node.lineno}"
+        for name in ("poly.py", "kernels.py", "constructions.py")
+        for node in ast.walk(ast.parse((SRC / "cyclic_lrc" / name).read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "FieldElement" for alias in node.names)
+    ]
+    assert hits == []
