@@ -8,11 +8,6 @@ from .constructions import (
     ConstructionError,
     LrcCode,
     ParameterError,
-    build_any_d_coset,
-    build_any_d_subgroup,
-    build_d3_unbounded,
-    build_d4_double_length,
-    build_d4_unbounded,
     construct,
     enumerate_valid_params,
 )
@@ -22,9 +17,7 @@ from .repair import (
     ErasedWord,
     LocalityCheck,
     RepairError,
-    dual_distance_exact,
     repair_erasure,
-    repair_groups,
     repair_vector,
     verify_locality,
 )
@@ -48,13 +41,7 @@ __all__ = [
     "Poly",
     "RepairError",
     "VerificationReport",
-    "build_any_d_coset",
-    "build_any_d_subgroup",
-    "build_d3_unbounded",
-    "build_d4_double_length",
-    "build_d4_unbounded",
     "construct",
-    "dual_distance_exact",
     "enumerate_valid_params",
     "load_code",
     "make_field",
@@ -62,7 +49,6 @@ __all__ = [
     "primitive_nth_root",
     "render_verdict",
     "repair_erasure",
-    "repair_groups",
     "repair_vector",
     "save_code",
     "singleton_bound",

@@ -143,6 +143,7 @@ def _cmd_sweep(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["scheme", "q", "n", "k", "r", "d", "verdict"])
+    status = 0
     for rec in records:
         if not rec.constructible:
             verdict = rec.diagnostic or "not-constructible"
@@ -151,11 +152,17 @@ def _cmd_sweep(args) -> int:
         elif rec.q**rec.k > args.budget:
             verdict = "indeterminate"
         else:
-            code = _construct(rec.scheme, rec.q, rec.n, rec.r, rec.d)
-            verdict = render_verdict(code, budget=args.budget)[0]
+            try:
+                code = _construct(rec.scheme, rec.q, rec.n, rec.r, rec.d)
+            except CliError as exc:
+                # the row keeps its place; the table still prints
+                print(str(exc), file=sys.stderr)
+                verdict, status = "construction-failed", exc.code
+            else:
+                verdict = render_verdict(code, budget=args.budget)[0]
         writer.writerow([rec.scheme, rec.q, rec.n, rec.k, rec.r, rec.d, verdict])
     sys.stdout.write(out.getvalue())
-    return 0
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

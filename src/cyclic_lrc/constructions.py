@@ -25,10 +25,11 @@ Each scheme's preconditions live only in ``_plan``, an integer-only function
 of (scheme, q, n, r, d).  It raises ParameterError with a reusable
 diagnostic, or returns k, Z, the alpha/gamma exponents and an optional gap:
 the sweep diagnostic and construct message of a set that passes every
-precondition but cannot be built.  ``construct`` (and each ``build_*``)
-builds from the plan through one function, which forms g in the splitting
-field and re-checks at runtime that every coefficient of g and the stored
-alpha and gamma lie in GF(q), that g | x^n - 1, and that k matches the plan.
+precondition but cannot be built.  ``construct``, the one way to build a
+code, goes from the plan through one function, which forms g in the
+splitting field and re-checks at runtime that every coefficient of g and
+the stored alpha and gamma lie in GF(q), that g | x^n - 1, and that k
+matches the plan.
 It computes on element indices, projecting through the embedding's index
 tables; only the stored beta, alpha and gamma are elements.
 ``enumerate_valid_params`` lists exactly the sets ``_plan`` accepts, so a
@@ -357,33 +358,6 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
     return LrcCode(code, r, d, scheme, beta, alpha, gamma)
-
-
-def build_d3_unbounded(q: int, n: int, r: int) -> LrcCode:
-    """[n, n - 1 - n/(r+1), 3] code with locality r (scheme thm-1.1-i)."""
-    return construct(SCHEME_D3_UNBOUNDED, q, n=n, r=r)
-
-
-def build_d4_unbounded(q: int, n: int, r: int) -> LrcCode:
-    """[n, n - 2 - n/(r+1), 4] code with locality r (scheme thm-1.1-ii)."""
-    return construct(SCHEME_D4_UNBOUNDED, q, n=n, r=r)
-
-
-def build_any_d_subgroup(q: int, n: int, r: int, d: int) -> LrcCode:
-    """[n, k, d] code of any feasible distance for n | q - 1 (scheme ex-3.2)."""
-    return construct(SCHEME_ANY_D_SUBGROUP, q, n=n, r=r, d=d)
-
-
-def build_any_d_coset(q: int, n: int, r: int, d: int) -> LrcCode:
-    """[n, k, d] code for n | q + 1 (scheme ex-3.3); the exponent set is
-    closed under negation, so the generator descends to GF(q)."""
-    return construct(SCHEME_ANY_D_COSET, q, n=n, r=r, d=d)
-
-
-def build_d4_double_length(q: int, r: int) -> LrcCode:
-    """[2(q-1), n - n/(r+1) - 2, 4] code (scheme thm-3.4); r >= 3 and
-    (r+1) | q - 1 are required."""
-    return construct(SCHEME_D4_DOUBLE_LENGTH, q, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -37,22 +37,6 @@ import operator
 MAX_FIELD_ORDER = 1 << 20
 
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division; adequate for orders below 2**20."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending, by trial division."""
     out = []
@@ -68,39 +52,17 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over GF(p) as lists of residues, lowest degree first, no
-# trailing zeros; used for the modulus search and for inverses.
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b over GF(p)."""
-    rem = a[:]
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    for shift in reversed(range(len(quot))):
-        factor = quot[shift] = rem[shift + len(b) - 1] * inv_lead % p
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bi) % p
-    return _trim(quot), _trim(rem)
-
-
 def _pgcd(field: FiniteField, a: int) -> tuple[list[int], int]:
     """gcd of the field's modulus and the polynomial of index a, with the
     index u for which u * a equals that gcd modulo the modulus.  The gcd is
     a unit (a one-residue list) or has positive degree; the extended
     Euclidean algorithm stops at the first unit remainder."""
-    r0, r1 = list(field.modulus), _trim(list(field.digits(a)))
-    u0, u1 = 0, 1
+    prime = _canonical_field(field.p, 1)
+    _, r1 = prime.poly_divmod(field.digits(a), field.modulus)  # a's digits, trimmed
+    r0, u0, u1 = field.modulus, 0, 1
     while len(r1) > 1:
         # deg r1 >= 1, so the quotient has degree < m: an element index
-        quot, rem = _pdivmod(r0, r1, field.p)
+        quot, rem = prime.poly_divmod(r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, field.sub(u0, field.mul(field.index(quot), u1))
     return (r1, u1) if r1 else (r0, u0)
@@ -170,7 +132,9 @@ class FiniteField(Immutable):
     ``modulus`` is the monic irreducible polynomial as a tuple of m+1
     residues, lowest degree first; it is None exactly when m == 1.  The
     functions ``add``, ``sub``, ``neg`` and ``mul`` and the methods ``inv``
-    and ``pow`` take and return indices.  Obtain fields from
+    and ``pow`` take and return indices, and ``poly_divmod`` and
+    ``poly_eval`` are the package's polynomial division and evaluation on
+    coefficient index sequences, lowest degree first.  Obtain fields from
     :func:`make_field`, which returns one instance per (p, m); equality and
     hashing are by identity.
     """
@@ -245,6 +209,34 @@ class FiniteField(Immutable):
             a = self.mul(a, a)
             e >>= 1
         return result
+
+    def poly_divmod(self, a, b) -> tuple[list[int], list[int]]:
+        """Quotient and remainder of the polynomial a by b, whose leading
+        coefficient is nonzero.  The remainder has no trailing zeros, and
+        neither has the quotient when a has none."""
+        rem = list(a)
+        top = len(b) - 1
+        quot = [0] * max(0, len(rem) - top)
+        sub, mul = self.sub, self.mul
+        inv_lead = self.inv(b[-1])
+        for shift in range(len(quot) - 1, -1, -1):
+            factor = mul(rem[shift + top], inv_lead)
+            if factor:
+                quot[shift] = factor
+                for i, c in enumerate(b):
+                    rem[shift + i] = sub(rem[shift + i], mul(factor, c))
+        del rem[top:]
+        while rem and not rem[-1]:
+            rem.pop()
+        return quot, rem
+
+    def poly_eval(self, coeffs, point: int) -> int:
+        """Horner evaluation of the polynomial at a point of this field."""
+        add, mul = self.add, self.mul
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add(mul(acc, point), c)
+        return acc
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -377,10 +369,10 @@ def make_field(p: int, m: int = 1) -> FiniteField:
     """
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    # size first: is_prime is trial division, and p**m of a huge m never ends
+    # size first: the primality test is trial division, and p**m of a huge m never ends
     if p > 1 and (m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER):
         raise ValueError(f"field order {p}^{m} exceeds the supported limit {MAX_FIELD_ORDER}")
-    if not is_prime(p):
+    if prime_factors(p) != (p,):
         raise ValueError(f"characteristic must be prime, got {p}")
     return _canonical_field(p, m)
 
@@ -398,12 +390,21 @@ def _canonical_field(p: int, m: int) -> FiniteField:
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+def _order(multiple: int, is_identity) -> int:
+    """The order of a group element from a multiple of it: the least e
+    dividing ``multiple`` with is_identity(e), where is_identity(e) tells
+    whether the element to the power e is the identity."""
+    for f in prime_factors(multiple):
+        while multiple % f == 0 and is_identity(multiple // f):
+            multiple //= f
+    return multiple
+
+
 @functools.lru_cache(maxsize=None)
 def _multiplicative_generator(field: FiniteField) -> int:
     order = field.q - 1
-    factors = prime_factors(order)
     for a in range(1, field.q):
-        if all(field.pow(a, order // f) != 1 for f in factors):
+        if _order(order, lambda e: field.pow(a, e) == 1) == order:
             return a
     raise AssertionError(f"no generator found in {field}")
 
@@ -413,11 +414,7 @@ def multiplicative_order(a: FieldElement) -> int:
     if a.is_zero:
         raise ValueError("zero has no multiplicative order")
     field, x = a.field, a.index
-    order = field.q - 1
-    for f in prime_factors(order):
-        while order % f == 0 and field.pow(x, order // f) == 1:
-            order //= f
-    return order
+    return _order(field.q - 1, lambda e: field.pow(x, e) == 1)
 
 
 def splitting_degree(q: int, n: int) -> int:
@@ -427,11 +424,11 @@ def splitting_degree(q: int, n: int) -> int:
         raise ValueError(f"length must be >= 1, got {n}")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1: no primitive {n}-th root exists")
-    m, acc = 1, q % n
-    while acc != 1 % n:
-        acc = (acc * q) % n
-        m += 1
-    return m
+    totient = n
+    for f in prime_factors(n):
+        totient -= totient // f
+    # the order of q mod n divides Euler's totient of n
+    return _order(totient, lambda e: pow(q, e, n) == 1 % n)
 
 
 def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
@@ -478,13 +475,8 @@ def _embedding(sub: FiniteField, ext: FiniteField) -> tuple[range | tuple[int, .
         candidates.append(acc)
         acc = ext.mul(acc, w)
 
-    def image(digits, root):
-        value = 0
-        for coeff in reversed(digits):
-            value = ext.add(ext.mul(value, root), coeff)
-        return value
-
-    # the subfield modulus splits in ext, and its roots are powers of w
-    image_root = min(c for c in candidates if image(sub.modulus, c) == 0)
-    fwd = tuple(image(sub.digits(i), image_root) for i in range(sub.q))
+    # the subfield modulus splits in ext, and its roots are powers of w; a
+    # digit vector over GF(p) holds the indices of its constants in ext
+    image_root = min(c for c in candidates if ext.poly_eval(sub.modulus, c) == 0)
+    fwd = tuple(ext.poly_eval(sub.digits(i), image_root) for i in range(sub.q))
     return fwd, {v: i for i, v in enumerate(fwd)}

@@ -4,8 +4,10 @@ Coefficients are canonical element indices (see :mod:`cyclic_lrc.field`),
 stored lowest degree first with no trailing zeros, so the zero polynomial
 has an empty coefficient tuple and coordinate i of a codeword is
 coefficient i.  Arithmetic runs on the field's index operations, and a
-point of evaluation is an index too.  Polynomials are immutable values;
-ring operations on polynomials over different fields raise ValueError.
+point of evaluation is an index too; ``divmod``, the one division, and
+evaluation are the field's ``poly_divmod`` and ``poly_eval``.  Polynomials
+are immutable values; ring operations on polynomials over different fields
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -124,49 +126,14 @@ class Poly(Immutable):
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        q_len = len(rem) - len(other.coeffs) + 1
-        if q_len <= 0:
-            return Poly.zero(field), self
-        sub, mul = field.sub, field.mul
-        quot = [0] * q_len
-        inv_lead = field.inv(other.coeffs[-1])
-        for shift in range(q_len - 1, -1, -1):
-            factor = mul(rem[shift + other.degree], inv_lead)
-            if not factor:
-                continue
-            quot[shift] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = sub(rem[shift + i], mul(factor, b))
-        return Poly.make(field, quot), Poly.make(field, rem)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
-    def divides(self, other: Poly) -> bool:
-        return (other % self).is_zero
-
-    def divides_cycle(self, n: int) -> bool:
-        """True iff this polynomial divides x**n - 1."""
-        if n < 1:
-            raise ValueError(f"length must be >= 1, got {n}")
-        if self.is_zero:
-            return False
-        return self.divides(Poly.x_pow_minus_one(self.field, n))
+        quot, rem = self.field.poly_divmod(self.coeffs, other.coeffs)
+        return Poly(self.field, tuple(quot)), Poly(self.field, tuple(rem))
 
     # -- evaluation and shape -----------------------------------------------
 
     def __call__(self, point: int) -> int:
         """Horner evaluation at a point of the coefficient field."""
-        add, mul = self.field.add, self.field.mul
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, point), c)
-        return acc
+        return self.field.poly_eval(self.coeffs, point)
 
     def reciprocal(self) -> Poly:
         """x**deg(f) * f(1/x): the reversed coefficient sequence."""

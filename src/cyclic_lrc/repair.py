@@ -1,4 +1,4 @@
-"""Repair groups, repair vectors, single-erasure repair and locality checks.
+"""Repair vectors, repair plans, single-erasure repair and locality checks.
 
 For the codes built here every coordinate i is repaired inside its residue
 class modulo s = n/(r+1), from a dual codeword of weight r+1 on that class.
@@ -25,7 +25,7 @@ import functools
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .cyclic import DEFAULT_BUDGET, CyclicCode, DistanceScan, min_distance_exhaustive
+from .cyclic import DEFAULT_BUDGET, CyclicCode
 from .field import FieldElement, FiniteField
 from .poly import Poly
 
@@ -58,14 +58,6 @@ def coordinate_coset(n: int, r: int, i: int) -> tuple[int, ...]:
     """All r+1 coordinates sharing i's residue class modulo n/(r+1)."""
     s = repair_stride(n, r)
     return tuple(range(i % s, n, s))
-
-
-def repair_groups(code) -> tuple[tuple[int, ...], ...]:
-    """For each coordinate, the r other coordinates read during its repair."""
-    base, r = _base_and_r(code)
-    return tuple(
-        tuple(j for j in coordinate_coset(base.n, r, i) if j != i) for i in range(base.n)
-    )
 
 
 def _base_and_r(code, r_test: int | None = None) -> tuple[CyclicCode, int]:
@@ -164,12 +156,6 @@ def repair_erasure(code, word: ErasedWord) -> FieldElement:
             raise ValueError(f"symbol {symbol!r} at {j} not in {field}")
         acc = add(acc, mul(coeff, symbol.index))
     return field.from_index(acc)
-
-
-def dual_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceScan:
-    """Minimum weight of the dual code; exact when q**(n-k) fits the budget."""
-    base = getattr(code, "base", code)
-    return min_distance_exhaustive(base.dual(), budget)
 
 
 # ---------------------------------------------------------------------------

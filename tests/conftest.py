@@ -6,11 +6,6 @@ import pytest
 
 from cyclic_lrc import (
     ALL_SCHEMES,
-    build_any_d_coset,
-    build_any_d_subgroup,
-    build_d3_unbounded,
-    build_d4_double_length,
-    build_d4_unbounded,
     construct,
     enumerate_valid_params,
     make_field,
@@ -39,24 +34,24 @@ def f25():
 
 @pytest.fixture(scope="session")
 def code_9_5_3(f4):
-    return build_d3_unbounded(4, 9, 2)
+    return construct("thm-1.1-i", 4, n=9, r=2)
 
 
 @pytest.fixture(scope="session")
 def code_8_4_4(f5):
-    return build_d4_unbounded(5, 8, 3)
+    return construct("thm-1.1-ii", 5, n=8, r=3)
 
 
 @pytest.fixture(scope="session")
 def acceptance_codes():
     """The six constructed instances the acceptance criteria revolve around."""
     return {
-        "d3-unbounded-q4": build_d3_unbounded(4, 9, 2),
-        "d4-unbounded-q5": build_d4_unbounded(5, 8, 3),
-        "d4-double-q5": build_d4_double_length(5, 3),
-        "subgroup-q13-d5": build_any_d_subgroup(13, 12, 2, 5),
-        "subgroup-q13-d6": build_any_d_subgroup(13, 12, 2, 6),
-        "coset-q11-d10": build_any_d_coset(11, 12, 3, 10),
+        "d3-unbounded-q4": construct("thm-1.1-i", 4, n=9, r=2),
+        "d4-unbounded-q5": construct("thm-1.1-ii", 5, n=8, r=3),
+        "d4-double-q5": construct("thm-3.4", 5, r=3),
+        "subgroup-q13-d5": construct("ex-3.2", 13, n=12, r=2, d=5),
+        "subgroup-q13-d6": construct("ex-3.2", 13, n=12, r=2, d=6),
+        "coset-q11-d10": construct("ex-3.3", 11, n=12, r=3, d=10),
     }
 
 

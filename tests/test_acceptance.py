@@ -20,8 +20,6 @@ from cyclic_lrc.codefile import code_to_dict, dumps_canonical, load_code, save_c
 from cyclic_lrc.constructions import (
     ALL_SCHEMES,
     ParameterError,
-    build_any_d_subgroup,
-    build_d4_double_length,
     construct,
     enumerate_valid_params,
 )
@@ -36,7 +34,7 @@ from cyclic_lrc.verify import OPTIMAL_CERTIFIED, singleton_bound, verify_optimal
 def warm_kernels():
     # pay first-call costs (cached field and multiplication tables) on a
     # tiny instance before any timed criterion
-    code = build_any_d_subgroup(7, 6, 2, 2)
+    code = construct("ex-3.2", 7, n=6, r=2, d=2)
     min_distance_exhaustive(code.base)
     verify_locality(code.base, 3)
 
@@ -87,7 +85,7 @@ def test_criterion_3_double_length_family(acceptance_codes):
     assert (code.n, code.k, code.d_claimed) == (8, 4, 4)
     _certify(code)
     with pytest.raises(ParameterError, match="alpha"):
-        build_d4_double_length(7, 3)
+        construct("thm-3.4", 7, r=3)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _pass("criterion-3", f"q=5 certified, q=7 rejected with alpha diagnostic in {elapsed:.3f}s")

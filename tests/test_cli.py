@@ -255,7 +255,6 @@ def test_oversized_field_is_rejected_before_factoring(code_file, capsys, monkeyp
 
     monkeypatch.setattr(constructions, "prime_factors", small_only(constructions.prime_factors))
     monkeypatch.setattr(field, "prime_factors", small_only(field.prime_factors))
-    monkeypatch.setattr(field, "is_prime", small_only(field.is_prime))
     rc, out, err = _run(
         capsys, "construct", "--scheme", "ex-3.2", "--q", str(big), "--n", "2", "--r", "1", "--d", "2"
     )
@@ -315,6 +314,31 @@ def test_sweep_verify_small(capsys):
     rows = _parse_csv(out)
     assert rows
     assert all(r["verdict"] == "optimal-certified" for r in rows)
+
+
+def test_sweep_verify_keeps_its_table_when_one_row_fails_a_self_check(capsys, monkeypatch):
+    from cyclic_lrc import cli
+    from cyclic_lrc.constructions import ConstructionError
+
+    real = cli.construct
+
+    def failing(scheme, q, n=None, r=None, d=None):
+        if (q, n, r) == (5, 8, 3):
+            raise ConstructionError("derived dimension 4 != scheme formula 5")
+        return real(scheme, q, n=n, r=r, d=d)
+
+    monkeypatch.setattr(cli, "construct", failing)
+    rc, out, err = _run(capsys, "sweep", "--scheme", "thm-1.1-i", "--qmax", "5", "--nmax", "12", "--verify")
+    assert rc == 1
+    assert err == "internal construction failure: derived dimension 4 != scheme formula 5\n"
+    assert out == (
+        "scheme,q,n,k,r,d,verdict\n"
+        "thm-1.1-i,4,3,1,2,3,optimal-certified\n"
+        "thm-1.1-i,4,9,5,2,3,optimal-certified\n"
+        "thm-1.1-i,5,4,2,3,3,optimal-certified\n"
+        "thm-1.1-i,5,8,5,3,3,construction-failed\n"
+        "thm-1.1-i,5,12,8,3,3,optimal-certified\n"
+    )
 
 
 def test_sweep_walk_stops_at_the_supported_field_order(capsys):

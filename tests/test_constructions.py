@@ -8,11 +8,6 @@ from cyclic_lrc.constructions import (
     ConstructionError,
     ParameterError,
     _project,
-    build_any_d_coset,
-    build_any_d_subgroup,
-    build_d3_unbounded,
-    build_d4_double_length,
-    build_d4_unbounded,
     construct,
     enumerate_valid_params,
     prime_power,
@@ -30,7 +25,7 @@ from cyclic_lrc.verify import singleton_bound
 
 def _check_common_invariants(code):
     base = code.base
-    assert base.g.divides_cycle(base.n)
+    assert divmod(Poly.x_pow_minus_one(base.field, base.n), base.g)[1].is_zero
     assert base.n % (code.r + 1) == 0
     assert code.d_claimed == singleton_bound(base.n, base.k, code.r)
     assert base.bch_lower_bound() >= code.d_claimed - 1
@@ -51,25 +46,25 @@ def test_d3_q4_n9(code_9_5_3):
 
 
 def test_d3_q7_n15():
-    code = build_d3_unbounded(7, 15, 2)
+    code = construct("thm-1.1-i", 7, n=15, r=2)
     assert (code.n, code.k) == (15, 9)
     _check_common_invariants(code)
 
 
 def test_d3_rejects_shared_factor():
     with pytest.raises(ParameterError, match="gcd"):
-        build_d3_unbounded(4, 10, 2)
+        construct("thm-1.1-i", 4, n=10, r=2)
 
 
 def test_d3_rejects_bad_locality():
     with pytest.raises(ParameterError):
-        build_d3_unbounded(4, 9, 1)
+        construct("thm-1.1-i", 4, n=9, r=1)
     with pytest.raises(ParameterError, match="divisible by r"):
-        build_d3_unbounded(4, 9, 3)
+        construct("thm-1.1-i", 4, n=9, r=3)
 
 
 def test_d3_is_deterministic():
-    assert build_d3_unbounded(4, 9, 2) == build_d3_unbounded(4, 9, 2)
+    assert construct("thm-1.1-i", 4, n=9, r=2) == construct("thm-1.1-i", 4, n=9, r=2)
 
 
 # -- distance-4 unbounded family ------------------------------------------
@@ -86,25 +81,25 @@ def test_d4_q5_n8(code_8_4_4):
 
 
 def test_d4_q13_n24():
-    code = build_d4_unbounded(13, 24, 3)
+    code = construct("thm-1.1-ii", 13, n=24, r=3)
     assert (code.n, code.k) == (24, 16)
     _check_common_invariants(code)
 
 
 def test_d4_rejects_insufficient_gcd():
     with pytest.raises(ParameterError, match="divisible by r"):
-        build_d4_unbounded(7, 8, 3)
+        construct("thm-1.1-ii", 7, n=8, r=3)
 
 
 def test_d4_rejects_bad_stride_gcd():
     # gcd(n/(r+1), r+1) = 4 does not divide 2
     with pytest.raises(ParameterError, match="divide 2"):
-        build_d4_unbounded(17, 64, 3)
+        construct("thm-1.1-ii", 17, n=64, r=3)
 
 
 def test_d4_rejects_small_locality():
     with pytest.raises(ParameterError):
-        build_d4_unbounded(5, 8, 2)
+        construct("thm-1.1-ii", 5, n=8, r=2)
 
 
 # -- any-distance family, n | q - 1 ---------------------------------------
@@ -126,14 +121,14 @@ def test_subgroup_case2_q13_d6(acceptance_codes):
 
 
 def test_subgroup_minimal_instance():
-    code = build_any_d_subgroup(7, 6, 2, 2)
+    code = construct("ex-3.2", 7, n=6, r=2, d=2)
     assert (code.n, code.k, code.d_claimed) == (6, 4, 2)
     assert code.base.g.coeffs == (6, 0, 1)  # (x-1)(x-beta^3) = x^2 - 1
     _check_common_invariants(code)
 
 
 def test_subgroup_full_distance():
-    code = build_any_d_subgroup(13, 12, 2, 12)
+    code = construct("ex-3.2", 13, n=12, r=2, d=12)
     assert code.k == 1
     _check_common_invariants(code)
 
@@ -141,14 +136,14 @@ def test_subgroup_full_distance():
 def test_subgroup_rejects_wraparound_distances():
     # d = 1 (mod r+1) forces actual distance d + 1
     with pytest.raises(ParameterError, match="request d = 5"):
-        build_any_d_subgroup(13, 12, 2, 4)
+        construct("ex-3.2", 13, n=12, r=2, d=4)
     with pytest.raises(ParameterError, match="unreachable"):
-        build_any_d_subgroup(13, 12, 2, 1)
+        construct("ex-3.2", 13, n=12, r=2, d=1)
 
 
 def test_subgroup_rejects_bad_length():
     with pytest.raises(ParameterError, match="does not divide q - 1"):
-        build_any_d_subgroup(13, 8, 3, 4)
+        construct("ex-3.2", 13, n=8, r=3, d=4)
 
 
 # -- any-distance family, n | q + 1 ---------------------------------------
@@ -162,14 +157,14 @@ def test_coset_q11_d10(acceptance_codes):
 
 
 def test_coset_q11_d2():
-    code = build_any_d_coset(11, 12, 3, 2)
+    code = construct("ex-3.3", 11, n=12, r=3, d=2)
     assert (code.n, code.k) == (12, 9)
     assert sorted(code.base.root_exponents()) == [0, 4, 8]
     _check_common_invariants(code)
 
 
 def test_coset_generator_descends_to_base_field():
-    code = build_any_d_coset(11, 12, 3, 10)
+    code = construct("ex-3.3", 11, n=12, r=3, d=10)
     assert code.field.q == 11
     assert code.base.g.field is code.field
     assert all(0 <= c < code.field.q for c in code.base.g.coeffs)
@@ -193,16 +188,16 @@ def test_projection_rejects_an_element_outside_the_base_field(f5, f25):
 
 def test_coset_rejects_odd_decomposition():
     with pytest.raises(ParameterError, match="even"):
-        build_any_d_coset(11, 12, 3, 6)
+        construct("ex-3.3", 11, n=12, r=3, d=6)
 
 
 def test_coset_rejects_bad_length():
     with pytest.raises(ParameterError, match="does not divide q \\+ 1"):
-        build_any_d_coset(11, 8, 3, 2)
+        construct("ex-3.3", 11, n=8, r=3, d=2)
 
 
 def test_coset_small_field_instance():
-    code = build_any_d_coset(3, 4, 3, 2)
+    code = construct("ex-3.3", 3, n=4, r=3, d=2)
     assert (code.n, code.k, code.d_claimed) == (4, 3, 2)
     _check_common_invariants(code)
 
@@ -211,7 +206,7 @@ def test_coset_small_field_instance():
 
 
 def test_double_length_q5_coincides_with_d4_family(code_8_4_4):
-    code = build_d4_double_length(5, 3)
+    code = construct("thm-3.4", 5, r=3)
     assert code.base.g == code_8_4_4.base.g
     assert (code.n, code.k, code.d_claimed) == (8, 4, 4)
     _check_common_invariants(code)
@@ -220,7 +215,7 @@ def test_double_length_q5_coincides_with_d4_family(code_8_4_4):
 def test_double_length_alpha_membership_gap():
     # (r+1) | 2(q-1) holds but (r+1) does not divide q-1
     with pytest.raises(ParameterError, match="alpha"):
-        build_d4_double_length(7, 3)
+        construct("thm-3.4", 7, r=3)
     # the builder tests (r+1) | q - 1 in place of alpha = beta^s in GF(q);
     # check that the two agree, with alpha computed in the splitting field
     checked = 0
@@ -242,17 +237,17 @@ def test_double_length_alpha_membership_gap():
 def test_double_length_rejects_small_locality():
     for r in (1, 2):
         with pytest.raises(ParameterError, match="locality"):
-            build_d4_double_length(9, r)
+            construct("thm-3.4", 9, r=r)
 
 
 def test_double_length_rejects_even_q():
     with pytest.raises(ParameterError, match="gcd"):
-        build_d4_double_length(4, 3)
+        construct("thm-3.4", 4, r=3)
 
 
 @pytest.mark.parametrize("q, expected_k", [(9, 10), (13, 16)])
 def test_double_length_larger_instances(q, expected_k):
-    code = build_d4_double_length(q, 3)
+    code = construct("thm-3.4", q, r=3)
     assert (code.n, code.k) == (2 * (q - 1), expected_k)
     _check_common_invariants(code)
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
+import time
 
 import pytest
 
@@ -141,6 +143,38 @@ def test_splitting_degree(q, n, expected):
     assert splitting_degree(q, n) == expected
 
 
+def _power_walk(q, n):
+    """Least m >= 1 with q^m == 1 (mod n), by walking the powers of q."""
+    m, acc = 1, q % n
+    while acc != 1 % n:
+        acc = acc * q % n
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("q", range(2, 70))
+def test_splitting_degree_matches_the_power_walk(q):
+    coprime = [n for n in range(1, 2001) if math.gcd(n, q) == 1]
+    assert coprime[0] == 1
+    assert [splitting_degree(q, n) for n in coprime] == [_power_walk(q, n) for n in coprime]
+
+
+def test_splitting_field_too_large_diagnostic_is_prompt(capsys):
+    # the order of 13 mod 3e8 is 5e6: the degree comes from the factors of
+    # Euler's totient of n, not from walking five million powers
+    from cyclic_lrc.cli import main
+
+    start = time.perf_counter()
+    rc = main(["construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "300000000", "--r", "2"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == (
+        "field GF(13^5000000) splitting x^300000000 - 1 exceeds the supported order 1048576\n"
+    )
+    assert elapsed < 0.2
+
+
 def test_splitting_degree_rejects_shared_factor():
     with pytest.raises(ValueError):
         splitting_degree(4, 10)
@@ -220,6 +254,21 @@ def test_multiplicative_order_and_generators(f25):
     assert multiplicative_order(f25.one()) == 1
     with pytest.raises(ValueError):
         multiplicative_order(f25.zero())
+
+
+def _brute_force_order(field, a):
+    order, acc = 1, a
+    while acc != 1:
+        acc = field.mul(acc, a)
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if len(prime_factors(q)) == 1])
+def test_multiplicative_order_matches_brute_force(q):
+    field = _field_of_order(q)
+    for a in range(1, q):
+        assert multiplicative_order(field.from_index(a)) == _brute_force_order(field, a), (field, a)
 
 
 def test_prime_factors():

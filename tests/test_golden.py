@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from cyclic_lrc import build_d3_unbounded, build_d4_unbounded
 from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import code_to_dict, dumps_canonical
@@ -54,14 +53,13 @@ def test_sweep_verify(capsys, argv, golden):
 
 def test_exhaustive_locality_witnesses():
     # (r_test + 1) does not divide n, so every check scans the dual exhaustively
-    builders = {"thm-1.1-i": build_d3_unbounded, "thm-1.1-ii": build_d4_unbounded}
     cases = []
     for scheme, q, n, r, r_test in [
         ("thm-1.1-i", 4, 9, 2, 3),
         ("thm-1.1-ii", 5, 8, 3, 4),
         ("thm-1.1-ii", 5, 8, 3, 2),
     ]:
-        check = verify_locality(builders[scheme](q, n, r).base, r_test)
+        check = verify_locality(construct(scheme, q, n=n, r=r).base, r_test)
         assert check.method == "exhaustive"
         cases.append(
             {"scheme": scheme, "q": q, "n": n, "r": r, "r_test": r_test, "check": check.to_dict()}

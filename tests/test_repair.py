@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from cyclic_lrc.cyclic import CyclicCode
+from cyclic_lrc.constructions import construct
+from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
 from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
 from cyclic_lrc.repair import (
@@ -10,9 +11,7 @@ from cyclic_lrc.repair import (
     RepairError,
     _grid_constant,
     coordinate_coset,
-    dual_distance_exact,
     repair_erasure,
-    repair_groups,
     repair_vector,
     verify_locality,
 )
@@ -26,18 +25,21 @@ def _dot(u, v, field):
     return acc
 
 
+def _reads(code):
+    """For each coordinate, the r other coordinates its repair reads."""
+    return tuple(tuple(j for j, _ in pairs) for pairs in code.repair_plan)
+
+
 def test_repair_groups(code_8_4_4):
-    groups = repair_groups(code_8_4_4)
+    groups = _reads(code_8_4_4)
     assert groups[0] == (2, 4, 6)
     assert groups[3] == (1, 5, 7)
     assert all(len(g) == 3 for g in groups)
 
 
 def test_repair_groups_single_coset_degenerate():
-    from cyclic_lrc.constructions import build_any_d_coset
-
-    code = build_any_d_coset(3, 4, 3, 2)  # stride 1: one coset of everything
-    groups = repair_groups(code)
+    code = construct("ex-3.3", 3, n=4, r=3, d=2)  # stride 1: one coset of everything
+    groups = _reads(code)
     assert groups[1] == (0, 2, 3)
 
 
@@ -78,9 +80,7 @@ def test_repair_vectors_shift_compatible(code_8_4_4):
 def test_repair_vector_via_structural_witness():
     # coset width 12 whose restricted solution space has dimension 10: the
     # grid witness from the factor x - c of g gives the vector in closed form
-    from cyclic_lrc.constructions import build_any_d_subgroup
-
-    code = build_any_d_subgroup(13, 12, 11, 11)
+    code = construct("ex-3.2", 13, n=12, r=11, d=11)
     vec = repair_vector(code, 5)
     assert sum(1 for e in vec if not e.is_zero) == 12
     for row in code.base.generator_matrix:
@@ -187,12 +187,13 @@ def test_repair_rejects_reading_an_erased_coordinate(code_8_4_4):
 
 def test_repair_plan_is_built_once_per_code(monkeypatch):
     from cyclic_lrc import repair
-    from cyclic_lrc.constructions import build_d4_unbounded
 
-    code = build_d4_unbounded(5, 8, 3)
+    code = construct("thm-1.1-ii", 5, n=8, r=3)
     plan = code.repair_plan
     assert plan is code.repair_plan
-    assert tuple(tuple(j for j, _ in pairs) for pairs in plan) == repair_groups(code)
+    assert _reads(code) == tuple(
+        tuple(j for j in coordinate_coset(code.n, code.r, i) if j != i) for i in range(code.n)
+    )
 
     def no_plan(base, r):
         raise RepairError("grid constant read after the plan was built")
@@ -204,19 +205,19 @@ def test_repair_plan_is_built_once_per_code(monkeypatch):
 
 
 def test_dual_distance_exact(code_8_4_4, code_9_5_3):
-    assert dual_distance_exact(code_8_4_4).value == 4
-    assert dual_distance_exact(code_9_5_3).value == 3
+    assert min_distance_exhaustive(code_8_4_4.base.dual()).value == 4
+    assert min_distance_exhaustive(code_9_5_3.base.dual()).value == 3
 
 
 def test_dual_distance_of_parity_check_code():
     f5 = make_field(5)
     code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
-    assert dual_distance_exact(code).value == 6  # repetition code
+    assert min_distance_exhaustive(code.dual()).value == 6  # repetition code
 
 
 def test_dual_distance_at_most_r_plus_1(acceptance_codes):
     for code in acceptance_codes.values():
-        scan = dual_distance_exact(code, budget=1 << 23)
+        scan = min_distance_exhaustive(code.base.dual(), budget=1 << 23)
         if scan.exact:
             assert scan.value <= code.r + 1
         else:
@@ -244,7 +245,7 @@ def test_dual_distance_brute_force_agreement(code_8_4_4):
                 for c, g in enumerate(dual.generator_matrix[j]):
                     word[c] = word[c] + e * field.from_index(g)
         best = min(best, sum(1 for w in word if not w.is_zero))
-    assert best == dual_distance_exact(code_8_4_4).value == 4
+    assert best == min_distance_exhaustive(dual).value == 4
 
 
 def test_verify_locality_with_coset_witnesses(code_8_4_4):
@@ -268,9 +269,7 @@ def test_verify_locality_below_true_locality(code_8_4_4):
 def test_verify_locality_exhaustive_positive():
     # r_test + 1 does not divide n, so only the exhaustive path can answer;
     # weight-3 dual words on the stride-2 grid still cover every coordinate
-    from cyclic_lrc.constructions import build_any_d_subgroup
-
-    code = build_any_d_subgroup(7, 6, 2, 2)
+    code = construct("ex-3.2", 7, n=6, r=2, d=2)
     check = verify_locality(code.base, 3)
     assert check.ok and check.method == "exhaustive"
     for i, (support, entries) in enumerate(check.witnesses):

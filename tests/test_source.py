@@ -129,6 +129,24 @@ def _resolve(module: str, *names: str):
     return obj
 
 
+def test_readme_library_entry_points_are_exported():
+    # every name the README's "Library entry points" block imports is in
+    # cyclic_lrc.__all__, so a retired entry cannot linger in the docs
+    import cyclic_lrc
+
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "cyclic_lrc"
+        for alias in node.names
+    ]
+    assert "construct" in imported
+    assert [name for name in imported if name not in cyclic_lrc.__all__] == []
+
+
 def test_perfbench_span_targets_resolve():
     # the tracer wraps these names by lookup; one that a refactor drops
     # would stop `perfbench/run.py --trace 1` from installing

@@ -20,14 +20,14 @@ from cyclic_lrc import (
     LrcCode,
     Poly,
     VerificationReport,
-    build_d4_unbounded,
+    construct,
     make_field,
     verify_optimal,
 )
 
 
 def _code():
-    return build_d4_unbounded(5, 8, 3)
+    return construct("thm-1.1-ii", 5, n=8, r=3)
 
 
 def _element():
