@@ -52,17 +52,48 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the polynomial a by b over the field, as
+    coefficient index sequences, lowest degree first; b's leading
+    coefficient is nonzero.  The remainder has no trailing zeros, and
+    neither has the quotient when a has none."""
+    rem = list(a)
+    top = len(b) - 1
+    quot = [0] * max(0, len(rem) - top)
+    sub, mul = field.sub, field.mul
+    inv_lead = field.inv(b[-1])
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = mul(rem[shift + top], inv_lead)
+        if factor:
+            quot[shift] = factor
+            for i, c in enumerate(b):
+                rem[shift + i] = sub(rem[shift + i], mul(factor, c))
+    del rem[top:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_eval(field: FiniteField, coeffs, point: int) -> int:
+    """Horner evaluation of a coefficient index sequence at a point of the field."""
+    add, mul = field.add, field.mul
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add(mul(acc, point), c)
+    return acc
+
+
 def _pgcd(field: FiniteField, a: int) -> tuple[list[int], int]:
     """gcd of the field's modulus and the polynomial of index a, with the
     index u for which u * a equals that gcd modulo the modulus.  The gcd is
     a unit (a one-residue list) or has positive degree; the extended
     Euclidean algorithm stops at the first unit remainder."""
     prime = _canonical_field(field.p, 1)
-    _, r1 = prime.poly_divmod(field.digits(a), field.modulus)  # a's digits, trimmed
+    _, r1 = _poly_divmod(prime, field.digits(a), field.modulus)  # a's digits, trimmed
     r0, u0, u1 = field.modulus, 0, 1
     while len(r1) > 1:
         # deg r1 >= 1, so the quotient has degree < m: an element index
-        quot, rem = prime.poly_divmod(r0, r1)
+        quot, rem = _poly_divmod(prime, r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, field.sub(u0, field.mul(field.index(quot), u1))
     return (r1, u1) if r1 else (r0, u0)
@@ -132,9 +163,7 @@ class FiniteField(Immutable):
     ``modulus`` is the monic irreducible polynomial as a tuple of m+1
     residues, lowest degree first; it is None exactly when m == 1.  The
     functions ``add``, ``sub``, ``neg`` and ``mul`` and the methods ``inv``
-    and ``pow`` take and return indices, and ``poly_divmod`` and
-    ``poly_eval`` are the package's polynomial division and evaluation on
-    coefficient index sequences, lowest degree first.  Obtain fields from
+    and ``pow`` take and return indices.  Obtain fields from
     :func:`make_field`, which returns one instance per (p, m); equality and
     hashing are by identity.
     """
@@ -209,34 +238,6 @@ class FiniteField(Immutable):
             a = self.mul(a, a)
             e >>= 1
         return result
-
-    def poly_divmod(self, a, b) -> tuple[list[int], list[int]]:
-        """Quotient and remainder of the polynomial a by b, whose leading
-        coefficient is nonzero.  The remainder has no trailing zeros, and
-        neither has the quotient when a has none."""
-        rem = list(a)
-        top = len(b) - 1
-        quot = [0] * max(0, len(rem) - top)
-        sub, mul = self.sub, self.mul
-        inv_lead = self.inv(b[-1])
-        for shift in range(len(quot) - 1, -1, -1):
-            factor = mul(rem[shift + top], inv_lead)
-            if factor:
-                quot[shift] = factor
-                for i, c in enumerate(b):
-                    rem[shift + i] = sub(rem[shift + i], mul(factor, c))
-        del rem[top:]
-        while rem and not rem[-1]:
-            rem.pop()
-        return quot, rem
-
-    def poly_eval(self, coeffs, point: int) -> int:
-        """Horner evaluation of the polynomial at a point of this field."""
-        add, mul = self.add, self.mul
-        acc = 0
-        for c in reversed(coeffs):
-            acc = add(mul(acc, point), c)
-        return acc
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -403,8 +404,9 @@ def _order(multiple: int, is_identity) -> int:
 @functools.lru_cache(maxsize=None)
 def _multiplicative_generator(field: FiniteField) -> int:
     order = field.q - 1
+    factors = prime_factors(order)
     for a in range(1, field.q):
-        if _order(order, lambda e: field.pow(a, e) == 1) == order:
+        if all(field.pow(a, order // f) != 1 for f in factors):
             return a
     raise AssertionError(f"no generator found in {field}")
 
@@ -424,11 +426,19 @@ def splitting_degree(q: int, n: int) -> int:
         raise ValueError(f"length must be >= 1, got {n}")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1: no primitive {n}-th root exists")
+    # walk the powers of q up to sqrt(n); past that, trial division of n
+    # and of its totient costs no more than the walk did, however large a
+    # prime factor of n is
+    acc = 1 % n
+    for m in range(1, math.isqrt(n) + 1):
+        acc = acc * q % n
+        if acc == 1 % n:
+            return m
     totient = n
     for f in prime_factors(n):
         totient -= totient // f
     # the order of q mod n divides Euler's totient of n
-    return _order(totient, lambda e: pow(q, e, n) == 1 % n)
+    return _order(totient, lambda e: pow(q, e, n) == 1)
 
 
 def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
@@ -477,6 +487,6 @@ def _embedding(sub: FiniteField, ext: FiniteField) -> tuple[range | tuple[int, .
 
     # the subfield modulus splits in ext, and its roots are powers of w; a
     # digit vector over GF(p) holds the indices of its constants in ext
-    image_root = min(c for c in candidates if ext.poly_eval(sub.modulus, c) == 0)
-    fwd = tuple(ext.poly_eval(sub.digits(i), image_root) for i in range(sub.q))
+    image_root = min(c for c in candidates if _poly_eval(ext, sub.modulus, c) == 0)
+    fwd = tuple(_poly_eval(ext, sub.digits(i), image_root) for i in range(sub.q))
     return fwd, {v: i for i, v in enumerate(fwd)}

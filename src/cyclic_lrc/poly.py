@@ -4,17 +4,16 @@ Coefficients are canonical element indices (see :mod:`cyclic_lrc.field`),
 stored lowest degree first with no trailing zeros, so the zero polynomial
 has an empty coefficient tuple and coordinate i of a codeword is
 coefficient i.  Arithmetic runs on the field's index operations, and a
-point of evaluation is an index too; ``divmod``, the one division, and
-evaluation are the field's ``poly_divmod`` and ``poly_eval``.  Polynomials
-are immutable values; ring operations on polynomials over different fields
-raise ValueError.
+point of evaluation is an index too; ``divmod`` is the one division.
+Polynomials are immutable values; ring operations on polynomials over
+different fields raise ValueError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import FiniteField, Immutable
+from .field import FiniteField, Immutable, _poly_divmod, _poly_eval
 
 
 class Poly(Immutable):
@@ -126,14 +125,14 @@ class Poly(Immutable):
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = self.field.poly_divmod(self.coeffs, other.coeffs)
+        quot, rem = _poly_divmod(self.field, self.coeffs, other.coeffs)
         return Poly(self.field, tuple(quot)), Poly(self.field, tuple(rem))
 
     # -- evaluation and shape -----------------------------------------------
 
     def __call__(self, point: int) -> int:
         """Horner evaluation at a point of the coefficient field."""
-        return self.field.poly_eval(self.coeffs, point)
+        return _poly_eval(self.field, self.coeffs, point)
 
     def reciprocal(self) -> Poly:
         """x**deg(f) * f(1/x): the reversed coefficient sequence."""

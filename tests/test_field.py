@@ -159,18 +159,27 @@ def test_splitting_degree_matches_the_power_walk(q):
     assert [splitting_degree(q, n) for n in coprime] == [_power_walk(q, n) for n in coprime]
 
 
-def test_splitting_field_too_large_diagnostic_is_prompt(capsys):
-    # the order of 13 mod 3e8 is 5e6: the degree comes from the factors of
-    # Euler's totient of n, not from walking five million powers
+@pytest.mark.parametrize(
+    "q, n, field",
+    [
+        # the order of 13 mod 3e8 is 5e6: the degree comes from the factors
+        # of Euler's totient of n, not from walking five million powers
+        (13, 300000000, "13^5000000"),
+        # the order of 4 mod 3(2^61 - 1) is 61: a short walk finds it, where
+        # trial division of the prime 2^61 - 1 takes about 7.6e8 steps
+        (4, 3 * (2**61 - 1), "2^122"),
+    ],
+)
+def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n, field):
     from cyclic_lrc.cli import main
 
     start = time.perf_counter()
-    rc = main(["construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "300000000", "--r", "2"])
+    rc = main(["construct", "--scheme", "thm-1.1-i", "--q", str(q), "--n", str(n), "--r", "2"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
     assert captured.err == (
-        "field GF(13^5000000) splitting x^300000000 - 1 exceeds the supported order 1048576\n"
+        f"field GF({field}) splitting x^{n} - 1 exceeds the supported order 1048576\n"
     )
     assert elapsed < 0.2
 
