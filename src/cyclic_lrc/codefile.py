@@ -75,7 +75,7 @@ def _poly_to_json(p: Poly) -> list:
 def _poly_from_json(field: FiniteField, obj, what: str) -> Poly:
     if not isinstance(obj, list):
         raise CodeFileFormatError(f"{what} must be a coefficient array")
-    return Poly.make(field, [_element_from_json(field, c, what) for c in obj])
+    return Poly(field, (_element_from_json(field, c, what) for c in obj))
 
 
 def code_to_dict(code: LrcCode) -> dict:
@@ -156,7 +156,7 @@ def code_from_dict(data: dict) -> LrcCode:
         raise CodeFileInvariantError("beta is not a primitive n-th root of unity")
 
     try:
-        base = CyclicCode.build(field, n, g)
+        base = CyclicCode(field, n, g)
     except ValueError as exc:
         raise CodeFileInvariantError(f"invalid generator polynomial: {exc}") from exc
     if base.k != k:

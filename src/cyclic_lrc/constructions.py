@@ -44,6 +44,7 @@ import math
 from functools import cache, cached_property
 from typing import NamedTuple
 
+from . import repair
 from .cyclic import CyclicCode
 from .field import (
     MAX_FIELD_ORDER,
@@ -56,7 +57,6 @@ from .field import (
     splitting_root,
 )
 from .poly import Poly
-from .repair import repair_plan
 from .verify import singleton_bound
 
 SCHEME_D3_UNBOUNDED = "thm-1.1-i"
@@ -123,9 +123,15 @@ class LrcCode(Immutable):
         return self.base.field.q
 
     @cached_property
+    def grid_constant(self) -> int:
+        """The constant c of g's factor x^(n/(r+1)) - c that every repair
+        vector is built from, found once; RepairError when g has none."""
+        return repair._grid_constant(self.base, self.r)
+
+    @cached_property
     def repair_plan(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """:func:`cyclic_lrc.repair.repair_plan` of this code, built once."""
-        return repair_plan(self)
+        return repair.repair_plan(self)
 
 
 class CandidateParams(NamedTuple):
@@ -337,8 +343,8 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     of x^n - 1.  g is formed there and every coefficient is projected to
     GF(q), a step that fails outside the embedded copy of GF(q);
     alpha = beta^alpha_exponent and gamma = beta^gamma_exponent are
-    projected the same way where the scheme stores them.  CyclicCode.build
-    checks g | x^n - 1, and the dimension is checked against the plan.
+    projected the same way where the scheme stores them.  CyclicCode checks
+    g | x^n - 1, and the dimension is checked against the plan.
     """
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
@@ -348,13 +354,13 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     ext, b = beta.field, beta.index
     _, preimage = _embedding(field, ext)
     g_ext = Poly.from_roots(ext, [ext.pow(b, e) for e in plan.zeros])
-    g = Poly.make(field, [_project(c, preimage, field, "generator coefficient") for c in g_ext.coeffs])
+    g = Poly(field, (_project(c, preimage, field, "generator coefficient") for c in g_ext.coeffs))
     alpha = gamma = None
     if plan.alpha_exponent is not None:
         alpha = field.from_index(_project(ext.pow(b, plan.alpha_exponent), preimage, field, "alpha"))
     if plan.gamma_exponent is not None:
         gamma = field.from_index(_project(ext.pow(b, plan.gamma_exponent), preimage, field, "gamma"))
-    code = CyclicCode.build(field, n, g)
+    code = CyclicCode(field, n, g)
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
     return LrcCode(code, r, d, scheme, beta, alpha, gamma)

@@ -2,12 +2,15 @@
 exhaustive minimum-distance oracle.
 
 A cyclic code of length n over GF(q) is the set of coefficient vectors of
-multiples of a monic generator g(x) dividing x**n - 1; its dimension is
-n - deg g, its parity polynomial is h = (x**n - 1)/g, and its dual is
-generated by the monic-normalized reciprocal of h.  Codes are immutable
-values on element indices, with FieldElement only in the words of
-:meth:`CyclicCode.encode_systematic` and :meth:`CyclicCode.contains`; the
-oracle delegates its inner loop to :mod:`cyclic_lrc.kernels`.
+multiples of a monic generator g(x) dividing x**n - 1.  The one
+constructor, ``CyclicCode(field, n, g)``, checks that and derives the
+dimension n - deg g, the parity polynomial h = (x**n - 1)/g and the dual's
+generator, the monic-normalized reciprocal of h; codes compare, hash and
+pickle as (field, n, g), and cache what else they derive on themselves.
+Codes are immutable values on element indices, with FieldElement only in
+the words of :meth:`CyclicCode.encode_systematic` and
+:meth:`CyclicCode.contains`; the oracle delegates its inner loop to
+:mod:`cyclic_lrc.kernels`.
 
 Systematic encoding puts the message in the last k coordinates and reads the
 n - k parity symbols off a parity matrix built once per code, in the same
@@ -19,45 +22,42 @@ symbols".
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .field import FieldElement, FiniteField, Immutable, _embedding, splitting_root
+from .field import FieldElement, FiniteField, Immutable, _embedding, _set, splitting_root
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
 
 
 class CyclicCode(Immutable):
-    __slots__ = ("field", "n", "g", "k", "h", "dual_g", "__dict__")
+    """The cyclic code of length n generated by g, with its dimension
+    ``k``, parity polynomial ``h`` and dual generator ``dual_g``.  Rejects
+    n < 1, gcd(n, q) != 1 and a g that is not a monic divisor of x**n - 1
+    over the field with ValueError."""
 
-    def __init__(self, field: FiniteField, n: int, g: Poly, k: int, h: Poly, dual_g: Poly):
-        super().__init__(field, n, g, k, h, dual_g)
+    __slots__ = ("field", "n", "g", "__dict__")
 
-    @classmethod
-    def build(cls, field: FiniteField, n: int, g: Poly) -> CyclicCode:
-        """Validate (field, n, g) and derive dimension, parity and dual.
-
-        Rejects gcd(n, q) != 1, non-monic g, and g not dividing x**n - 1.
-        """
+    def __init__(self, field: FiniteField, n: int, g: Poly):
         if n < 1:
             raise ValueError(f"length must be >= 1, got {n}")
         if math.gcd(n, field.q) != 1:
             raise ValueError(f"gcd(n, q) = {math.gcd(n, field.q)} != 1 for n={n}, q={field.q}")
-        if g.field != field:
-            raise ValueError("generator polynomial is over the wrong field")
-        if g.is_zero or not g.is_monic:
+        if not g.is_monic:
             raise ValueError("generator polynomial must be monic and nonzero")
-        if g.degree > n:
-            raise ValueError(f"deg g = {g.degree} exceeds the length {n}")
+        # a g over another field fails the division, and a g of degree
+        # above n leaves the remainder x^n - 1
         quotient, remainder = divmod(Poly.x_pow_minus_one(field, n), g)
         if not remainder.is_zero:
             raise ValueError(f"g(x) = {g} does not divide x^{n} - 1 over {field}")
-        return cls(field, n, g, n - g.degree, quotient, quotient.reciprocal().monic())
+        super().__init__(field, n, g)
+        _set(self, "k", n - g.degree)
+        _set(self, "h", quotient)
+        _set(self, "dual_g", quotient.reciprocal().monic())
 
     @cached_property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -116,14 +116,22 @@ class CyclicCode(Immutable):
         return tuple(word) == self.encode_systematic(word[self.n - self.k :])
 
     def dual(self) -> CyclicCode:
-        """The dual code, generated by the monic reciprocal of h.  Reversing
-        h g = x^n - 1 gives its parity polynomial -h(0) g^* and its dual g."""
-        parity = self.g.reciprocal().scaled(self.field.neg(self.h.coeffs[0]))
-        return CyclicCode(self.field, self.n, self.dual_g, self.n - self.k, parity, self.g)
+        """The dual code, generated by the monic reciprocal of h."""
+        return CyclicCode(self.field, self.n, self.dual_g)
 
     def root_exponents(self) -> frozenset[int]:
         """Exponents e with g(beta**e) = 0 for the canonical primitive root."""
-        return _root_exponents(self)
+        beta = splitting_root(self.field, self.n)
+        ext, b = beta.field, beta.index
+        fwd, _ = _embedding(self.field, ext)
+        g = Poly(ext, (fwd[c] for c in self.g.coeffs))
+        exps = []
+        point = 1
+        for e in range(self.n):
+            if not g(point):
+                exps.append(e)
+            point = ext.mul(point, b)
+        return frozenset(exps)
 
     def bch_lower_bound(self) -> int:
         """Certified distance lower bound from consecutive root exponents.
@@ -132,21 +140,6 @@ class CyclicCode(Immutable):
         exponents are all roots of g (n + 1 for the zero code).
         """
         return _longest_cyclic_run(self.root_exponents(), self.n) + 1
-
-
-@functools.lru_cache(maxsize=None)
-def _root_exponents(code: CyclicCode) -> frozenset[int]:
-    beta = splitting_root(code.field, code.n)
-    ext, b = beta.field, beta.index
-    fwd, _ = _embedding(code.field, ext)
-    g = Poly(ext, tuple(fwd[c] for c in code.g.coeffs))
-    exps = []
-    point = 1
-    for e in range(code.n):
-        if not g(point):
-            exps.append(e)
-        point = ext.mul(point, b)
-    return frozenset(exps)
 
 
 def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:

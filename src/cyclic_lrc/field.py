@@ -32,24 +32,99 @@ import itertools
 import math
 import operator
 
-# Fields larger than this are rejected outright: the trial-division factoring
-# of q - 1 and the exhaustive oracles downstream only make sense at desk scale.
+# Fields larger than this are rejected outright: the exhaustive oracles
+# downstream only make sense at desk scale.
 MAX_FIELD_ORDER = 1 << 20
+
+# prime_factors trial-divides by every odd number below this bound, so any
+# cofactor left below its square is prime
+_TRIAL_BOUND = 1 << 10
+
+# Miller-Rabin on these bases decides primality of every n < 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n, ascending, by trial division."""
+    """Distinct prime factors of n, ascending: trial division below
+    _TRIAL_BOUND, then perfect roots and Pollard-Brent rho on what is left,
+    with primality decided by Miller-Rabin on the bases in _WITNESSES
+    (deterministic below 3.3e24, a strong probable-prime test above)."""
     out = []
     f = 2
-    while f * f <= n:
+    while f < _TRIAL_BOUND and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_probable_prime(m):
+            out.append(m)
+        else:
+            d = _perfect_root(m) or _rho(m)
+            stack += [d, m // d]
+    return tuple(sorted(set(out)))
+
+
+def _perfect_root(n: int) -> int | None:
+    """r with r^k = n for some k >= 2, or None: rho would need about
+    sqrt(p) steps to split p^k.  The prime factors of n are above
+    _TRIAL_BOUND = 2^10, so k is at most a tenth of n's bit length."""
+    for k in range(2, n.bit_length() // 10 + 1):
+        r = 1 << -(-n.bit_length() // k)  # Newton's method from above
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r**k == n:
+            return r
+    return None
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the bases in _WITNESSES; n is odd and above them."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n that is no perfect power, by
+    Brent's variant of Pollard's rho on y -> y^2 + c from y = 2, for
+    c = 1, 2, ...: the differences between a checkpoint and the iterates
+    after it are multiplied 128 at a time before each gcd, and a batch that
+    catches all of n at once moves on to the next c."""
+    for c in itertools.count(1):
+        y, power, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            for done in range(0, power, 128):
+                product = 1
+                for _ in range(min(128, power - done)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                g = math.gcd(product, n)
+                if g != 1:
+                    break
+            power *= 2
+        if g != n:
+            return g
 
 
 def _poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
@@ -370,7 +445,7 @@ def make_field(p: int, m: int = 1) -> FiniteField:
     """
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    # size first: the primality test is trial division, and p**m of a huge m never ends
+    # size first: p**m of a huge m never ends, and a huge p need not be factored
     if p > 1 and (m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER):
         raise ValueError(f"field order {p}^{m} exceeds the supported limit {MAX_FIELD_ORDER}")
     if prime_factors(p) != (p,):
@@ -426,14 +501,6 @@ def splitting_degree(q: int, n: int) -> int:
         raise ValueError(f"length must be >= 1, got {n}")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1: no primitive {n}-th root exists")
-    # walk the powers of q up to sqrt(n); past that, trial division of n
-    # and of its totient costs no more than the walk did, however large a
-    # prime factor of n is
-    acc = 1 % n
-    for m in range(1, math.isqrt(n) + 1):
-        acc = acc * q % n
-        if acc == 1 % n:
-            return m
     totient = n
     for f in prime_factors(n):
         totient -= totient // f

@@ -1,12 +1,13 @@
 """Univariate polynomials over a finite field.
 
 Coefficients are canonical element indices (see :mod:`cyclic_lrc.field`),
-stored lowest degree first with no trailing zeros, so the zero polynomial
-has an empty coefficient tuple and coordinate i of a codeword is
-coefficient i.  Arithmetic runs on the field's index operations, and a
-point of evaluation is an index too; ``divmod`` is the one division.
-Polynomials are immutable values; ring operations on polynomials over
-different fields raise ValueError.
+stored lowest degree first.  The one constructor, ``Poly(field, coeffs)``,
+takes any iterable and drops trailing zeros, so the zero polynomial has an
+empty coefficient tuple, equal polynomials have equal tuples, and
+coordinate i of a codeword is coefficient i.  Arithmetic runs on the
+field's index operations, and a point of evaluation is an index too;
+``divmod`` is the one division.  Polynomials are immutable values; ring
+operations on polynomials over different fields raise ValueError.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from .field import FiniteField, Immutable, _poly_divmod, _poly_eval
 class Poly(Immutable):
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
-        super().__init__(field, coeffs)
-
-    @classmethod
-    def make(cls, field: FiniteField, coeffs: Iterable[int]) -> Poly:
+    def __init__(self, field: FiniteField, coeffs: Iterable[int]):
         coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        return cls(field, tuple(coeffs))
+        super().__init__(field, tuple(coeffs))
 
     @classmethod
     def zero(cls, field: FiniteField) -> Poly:
@@ -43,7 +40,7 @@ class Poly(Immutable):
         coeffs = [0] * (n + 1)
         coeffs[0] = field.neg(1)
         coeffs[n] = 1
-        return cls(field, tuple(coeffs))
+        return cls(field, coeffs)
 
     @classmethod
     def from_roots(cls, field: FiniteField, roots: Sequence[int]) -> Poly:
@@ -96,18 +93,16 @@ class Poly(Immutable):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return Poly.make(self.field, (*map(self.field.add, a, b), *a[len(b) :]))
+        return Poly(self.field, (*map(self.field.add, a, b), *a[len(b) :]))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(self.field, tuple(map(self.field.neg, self.coeffs)))
+        return Poly(self.field, map(self.field.neg, self.coeffs))
 
     def __mul__(self, other: Poly) -> Poly:
         self._same_field(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
         add, mul = self.field.add, self.field.mul
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -115,18 +110,14 @@ class Poly(Immutable):
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = add(out[i + j], mul(a, b))
-        return Poly.make(self.field, out)
-
-    def scaled(self, factor: int) -> Poly:
-        mul = self.field.mul
-        return Poly.make(self.field, (mul(c, factor) for c in self.coeffs))
+        return Poly(self.field, out)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         quot, rem = _poly_divmod(self.field, self.coeffs, other.coeffs)
-        return Poly(self.field, tuple(quot)), Poly(self.field, tuple(rem))
+        return Poly(self.field, quot), Poly(self.field, rem)
 
     # -- evaluation and shape -----------------------------------------------
 
@@ -138,12 +129,13 @@ class Poly(Immutable):
         """x**deg(f) * f(1/x): the reversed coefficient sequence."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no reciprocal")
-        return Poly.make(self.field, reversed(self.coeffs))
+        return Poly(self.field, reversed(self.coeffs))
 
     def monic(self) -> Poly:
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scaled(self.field.inv(self.coeffs[-1]))
+        mul, factor = self.field.mul, self.field.inv(self.coeffs[-1])
+        return Poly(self.field, (mul(c, factor) for c in self.coeffs))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -6,9 +6,11 @@ Such a word has a closed form.  When g has a factor x^s - c, every codeword
 reduces to zero modulo x^s - c, so for each class the word with entry c^t at
 i mod s + s*t (t = 0..r) is a dual codeword, and c^(r+1) = 1.  The grid
 constant c, the first by index whose class-0 word passes a check against the
-generator, is found once per (code, r); the repair vector of i is that word
-on i's class.  No polynomial is divided.  A code without such a factor has
-no repair plan; its locality is decided by the exhaustive dual scan.
+generator, is found once per code and cached on it (``LrcCode.grid_constant``);
+a locality check at another r finds it afresh.  The repair vector of i is
+that word on i's class.  No polynomial is divided.  A code without such a
+factor has no repair plan; its locality is decided by the exhaustive dual
+scan.
 
 Repair reads a plan built once per code from c: for i = i mod s + s*u, the
 r pairs (i mod s + s*t, -c^(t-u)) over t != u, so that c_i is the sum of the
@@ -21,7 +23,6 @@ results are deterministic; plans are safe to read concurrently once built.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Sequence
 
 from . import kernels
@@ -72,7 +73,6 @@ def _base_and_r(code, r_test: int | None = None) -> tuple[CyclicCode, int]:
 # Repair vectors.
 
 
-@functools.lru_cache(maxsize=None)
 def _grid_constant(base: CyclicCode, r: int) -> int:
     """The first c, by index, whose class-0 word (c^t at s*t, t = 0..r) is a
     dual codeword, checked against the generator basis.  That holds exactly
@@ -116,7 +116,7 @@ def repair_vector(code, i: int) -> tuple[FieldElement, ...]:
     if not 0 <= i < base.n:
         raise ValueError(f"coordinate {i} out of range for length {base.n}")
     field, zero = base.field, base.field.zero()
-    return tuple(field.from_index(v) if v else zero for v in _class_word(base, r, _grid_constant(base, r), i))
+    return tuple(field.from_index(v) if v else zero for v in _class_word(base, r, code.grid_constant, i))
 
 
 def repair_plan(code) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -125,7 +125,7 @@ def repair_plan(code) -> tuple[tuple[tuple[int, int], ...], ...]:
     to -1 at i, its entries as indices.  Raises RepairError when the code
     has no repair vectors."""
     base, r = _base_and_r(code)
-    c = _grid_constant(base, r)
+    c = code.grid_constant
     s = repair_stride(base.n, r)
     neg = [base.field.neg(value) for value in _powers(base.field, c, r)]
     return tuple(
@@ -202,7 +202,8 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
         raise ValueError(f"locality must be >= 1, got {r}")
     if base.n % (r + 1) == 0:
         try:
-            c = _grid_constant(base, r)
+            # the code's own r reads the constant cached on it
+            c = code.grid_constant if r == getattr(code, "r", None) else _grid_constant(base, r)
         except RepairError:
             pass
         else:
@@ -223,7 +224,7 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
     for t in counters:
         # the message of counter t is its base-q digits, lowest first
         message = [t // q**j % q for j in range(dual.k)]
-        word = (Poly.make(base.field, message) * dual.g).padded(base.n)
+        word = (Poly(base.field, message) * dual.g).padded(base.n)
         support = tuple(j for j, v in enumerate(word) if v)
         witnesses.append((support, tuple(word[j] for j in support)))
     return LocalityCheck(True, r, "exhaustive", tuple(witnesses))

@@ -111,6 +111,20 @@ def test_construct_huge_length_decides_the_splitting_field_first():
     assert elapsed < 10.0
 
 
+def test_construct_length_with_a_huge_prime_factor_is_prompt():
+    # n = 3(2^61 - 1): the splitting degree is read off the factored totient
+    # of n, and Miller-Rabin recognises the prime 2^61 - 1, which neither
+    # trial division nor a walk over the powers of 13 could reach in minutes
+    n = 3 * (2**61 - 1)
+    proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13",
+                                 "--n", str(n), "--r", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"field GF(13^58184279818665) splitting x^{n} - 1 exceeds the supported order 1048576\n"
+    )
+    assert elapsed < 10.0
+
+
 def test_verify_huge_length_is_rejected_by_the_beta_check(code_file, tmp_path):
     # beta's order bounds n before the generator is divided into x^n - 1
     data = json.loads(code_file.read_text())

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cyclic_lrc
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
 from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
@@ -10,7 +16,7 @@ from cyclic_lrc.poly import Poly
 @pytest.fixture(scope="module")
 def code_8_4():
     f5 = make_field(5)
-    return CyclicCode.build(f5, 8, Poly.make(f5, [1, 2, 0, 1, 1]))
+    return CyclicCode(f5, 8, Poly(f5, [1, 2, 0, 1, 1]))
 
 
 def test_build_derives_dimension_and_parity(code_8_4):
@@ -20,26 +26,81 @@ def test_build_derives_dimension_and_parity(code_8_4):
 
 
 def test_parity_check_code(f5):
-    code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
+    code = CyclicCode(f5, 6, Poly(f5, [4, 1]))
     assert code.k == 5
 
 
 def test_divisor_decided_by_division(f5):
     # x^2 + 1 factors into two fourth roots of unity, so it divides x^8 - 1
-    code = CyclicCode.build(f5, 8, Poly.make(f5, [1, 0, 1]))
+    code = CyclicCode(f5, 8, Poly(f5, [1, 0, 1]))
     assert code.k == 6
     # x^2 + x + 1 has roots of order 3, which do not divide 8
     with pytest.raises(ValueError):
-        CyclicCode.build(f5, 8, Poly.make(f5, [1, 1, 1]))
+        CyclicCode(f5, 8, Poly(f5, [1, 1, 1]))
 
 
 def test_build_rejections(f5, f4):
     with pytest.raises(ValueError):
-        CyclicCode.build(f4, 10, Poly.make(f4, [1, 1]))  # gcd(10, 4) != 1
+        CyclicCode(f4, 10, Poly(f4, [1, 1]))  # gcd(10, 4) != 1
     with pytest.raises(ValueError):
-        CyclicCode.build(f5, 8, Poly.make(f5, [1, 2]))  # not monic
+        CyclicCode(f5, 8, Poly(f5, [1, 2]))  # not monic
     with pytest.raises(ValueError):
-        CyclicCode.build(f5, 8, Poly.zero(f5))
+        CyclicCode(f5, 8, Poly.zero(f5))
+
+
+def test_one_checked_constructor(f5, f13, code_8_4):
+    # the derived values cannot be supplied, so they cannot disagree with g
+    with pytest.raises(TypeError):
+        CyclicCode(f5, 8, code_8_4.g, code_8_4.k + 1, code_8_4.h, code_8_4.dual_g)
+    assert CyclicCode(f5, 8, Poly(f5, [1, 2, 0, 1, 1, 0])) == code_8_4
+    for g in (
+        Poly(f5, [1, 1, 1]),  # does not divide x^8 - 1
+        Poly(f5, [2, 4, 0, 2, 2]),  # 2 * g of code_8_4: not monic
+        Poly(f13, [12, 1]),  # over another field
+        Poly.x_pow_minus_one(f5, 16),  # degree above n
+    ):
+        with pytest.raises(ValueError):
+            CyclicCode(f5, 8, g)
+
+
+def test_code_is_the_value_of_field_length_and_generator(code_8_4):
+    f5 = code_8_4.field
+    assert code_8_4.__reduce__() == (CyclicCode, (f5, 8, code_8_4.g))
+    assert hash(code_8_4) == hash(CyclicCode(f5, 8, code_8_4.g))
+    assert code_8_4.dual() == CyclicCode(f5, 8, code_8_4.dual_g)
+
+
+_RETENTION_PROBE = """
+import gc
+from cyclic_lrc import ALL_SCHEMES, construct, enumerate_valid_params, render_verdict
+from cyclic_lrc.cyclic import CyclicCode
+
+rows = 0
+for scheme in ALL_SCHEMES:
+    for rec in enumerate_valid_params(scheme, 13, 24):
+        if rec.constructible and rec.q**rec.k <= 1 << 20:
+            code = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            render_verdict(code, 1 << 20)
+            code.base.bch_lower_bound()
+            code.repair_plan
+            rows += 1
+del code
+gc.collect()
+print(rows, sum(type(o) is CyclicCode for o in gc.get_objects()))
+"""
+
+
+def test_checked_codes_are_not_retained():
+    # what a code derives is cached on the code, never in a module-level
+    # cache keyed by codes, so a process that checks many codes keeps none;
+    # a fresh process, because earlier tests hold codes of their own
+    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETENTION_PROBE],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert proc.stdout.split() == ["157", "0"]
 
 
 def test_systematic_encode_zero(code_8_4):
@@ -90,8 +151,8 @@ def test_contains(code_8_4, rng):
 
 
 def test_encode_and_contains_at_the_dimension_extremes(f5):
-    zero_code = CyclicCode.build(f5, 4, Poly.x_pow_minus_one(f5, 4))  # k = 0
-    full = CyclicCode.build(f5, 4, Poly.one(f5))  # k = n
+    zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))  # k = 0
+    full = CyclicCode(f5, 4, Poly.one(f5))  # k = n
     zero, one = f5.zero(), f5.one()
     assert zero_code.k == 0 and full.k == 4
     assert zero_code.encode_systematic([]) == (zero,) * 4
@@ -120,13 +181,13 @@ def test_bch_run_of_length_d_minus_1(acceptance_codes):
 
 
 def test_bch_degenerate_full_root_set(f5):
-    zero_code = CyclicCode.build(f5, 4, Poly.x_pow_minus_one(f5, 4))
+    zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))
     assert zero_code.k == 0
     assert zero_code.bch_lower_bound() == 5  # n + 1 convention
 
 
 def test_bch_empty_root_set(f5):
-    full = CyclicCode.build(f5, 4, Poly.one(f5))
+    full = CyclicCode(f5, 4, Poly.one(f5))
     assert full.bch_lower_bound() == 1
 
 
@@ -159,7 +220,7 @@ def test_exhaustive_distance_matches_brute_force(code_8_4):
 
 def test_exhaustive_distance_examples(code_9_5_3, f5):
     assert min_distance_exhaustive(code_9_5_3.base).value == 3
-    full = CyclicCode.build(f5, 8, Poly.one(f5))
+    full = CyclicCode(f5, 8, Poly.one(f5))
     assert min_distance_exhaustive(full).value == 1
 
 
@@ -173,13 +234,13 @@ def test_distance_budget_fallback(code_8_4):
 
 
 def test_distance_of_zero_code(f5):
-    zero_code = CyclicCode.build(f5, 4, Poly.x_pow_minus_one(f5, 4))
+    zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))
     scan = min_distance_exhaustive(zero_code)
     assert scan.exact and scan.value == 5
 
 
 def test_dual_of_parity_check_is_repetition(f5):
-    code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
+    code = CyclicCode(f5, 6, Poly(f5, [4, 1]))
     dual = code.dual()
     assert dual.k == 1
     ones = [f5.one()] * 6
@@ -201,7 +262,7 @@ def test_dual_orthogonality(code_8_4, code_9_5_3):
 def test_dual_contains_grid_witness(code_8_4):
     # (x^8 - 1)/(x^2 - alpha) reversed is a weight-4 dual word on one coset
     f5 = code_8_4.field
-    divisor = Poly.make(f5, [2, 0, 1])  # x^2 - 3
+    divisor = Poly(f5, [2, 0, 1])  # x^2 - 3
     assert divmod(code_8_4.g, divisor)[1].is_zero
     u, _ = divmod(Poly.x_pow_minus_one(f5, 8), divisor)
     padded = [f5.from_index(c) for c in u.padded(8)]
@@ -211,17 +272,19 @@ def test_dual_contains_grid_witness(code_8_4):
 
 
 def test_dual_of_full_space_is_zero_code(f5):
-    full = CyclicCode.build(f5, 8, Poly.one(f5))
+    full = CyclicCode(f5, 8, Poly.one(f5))
     assert full.dual().k == 0
 
 
-def test_dual_without_division_equals_the_built_dual(criterion_box_codes):
-    # dual() derives the dual's parity polynomial -h(0) g^* and its dual g
-    # instead of dividing x^n - 1 again; build() divides
+def test_dual_equals_the_code_built_from_dual_g(criterion_box_codes):
+    # dual() is the code that dual_g generates; its derived k, h and
+    # dual_g, its equality and its hash agree with that code's, and the
+    # dual of the dual is the code
     assert len(criterion_box_codes) == 260
     for rec, code in criterion_box_codes:
         base = code.base
         dual = base.dual()
-        built = CyclicCode.build(base.field, base.n, base.dual_g)
+        built = CyclicCode(base.field, base.n, base.dual_g)
         assert (dual.g, dual.k, dual.h, dual.dual_g) == (built.g, built.k, built.h, built.dual_g), rec
         assert dual == built and hash(dual) == hash(built)
+        assert dual.dual() == base, rec

@@ -32,7 +32,7 @@ DATA_PATH_CODES = (
 def _reference_encode(base, message):
     # x^(n-k) m(x) minus its remainder mod g
     field = base.field
-    shifted = Poly.make(field, (0,) * (base.n - base.k) + tuple(e.index for e in message))
+    shifted = Poly(field, (0,) * (base.n - base.k) + tuple(e.index for e in message))
     return tuple(map(field.from_index, (shifted - divmod(shifted, base.g)[1]).padded(base.n)))
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import math
 import pickle
+import signal
 import time
 
 import pytest
@@ -165,8 +167,8 @@ def test_splitting_degree_matches_the_power_walk(q):
         # the order of 13 mod 3e8 is 5e6: the degree comes from the factors
         # of Euler's totient of n, not from walking five million powers
         (13, 300000000, "13^5000000"),
-        # the order of 4 mod 3(2^61 - 1) is 61: a short walk finds it, where
-        # trial division of the prime 2^61 - 1 takes about 7.6e8 steps
+        # the order of 4 mod 3(2^61 - 1) is 61: Miller-Rabin recognises the
+        # prime 2^61 - 1, where trial division takes about 7.6e8 steps
         (4, 3 * (2**61 - 1), "2^122"),
     ],
 )
@@ -284,6 +286,69 @@ def test_prime_factors():
     assert prime_factors(1) == ()
     assert prime_factors(24) == (2, 3)
     assert prime_factors(63) == (3, 7)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (1031, 1033),  # both above the trial-division bound, product below 2^21
+        (2**61 - 1,),
+        (3, 2**61 - 1),
+        (4294967279, 4294967291),  # two 32-bit primes: rho, not trial division
+        (2**31 - 1, 1000003, 2**61 - 1),
+        (2**89 - 1,),  # a prime above 2^64
+        # a strong pseudoprime to the bases 2..23: bases 29..37 reject it
+        (149491, 747451, 34233211),
+    ],
+)
+def test_prime_factors_of_large_numbers(factors):
+    n = math.prod(factors)
+    expected = tuple(sorted(f for f in _trial_factors(factors)))
+    with _deadline(2.0):
+        assert prime_factors(n) == expected
+        # squares and cubes of large primes are perfect powers, not rho's work
+        assert prime_factors(n * n * 8) == tuple(sorted({2, *expected}))
+        assert prime_factors(n**3) == expected
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, rather than hang, when the block overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _trial_factors(factors):
+    """The distinct primes of small composite entries and the given primes."""
+    out = set()
+    for f in factors:
+        p = 2
+        while f > 1 and p * p <= f and p < 2000:
+            while f % p == 0:
+                out.add(p)
+                f //= p
+            p += 1
+        if f > 1:
+            out.add(f)
+    return out
+
+
+def test_splitting_degree_of_a_huge_length_is_certified():
+    n = 3 * (2**61 - 1)
+    with _deadline(2.0):
+        degree = splitting_degree(13, n)
+    assert degree == 58184279818665
+    assert pow(13, degree, n) == 1
+    assert all(pow(13, degree // f, n) != 1 for f in prime_factors(degree))
 
 
 # -- index arithmetic against an independent oracle ---------------------------

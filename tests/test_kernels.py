@@ -47,9 +47,9 @@ def _reference_witnesses(supports, count, n, max_weight):
 def _small_codes():
     f5 = make_field(5)
     f4 = make_field(2, 2)
-    yield CyclicCode.build(f5, 8, Poly.make(f5, [1, 2, 0, 1, 1]))
-    yield CyclicCode.build(f4, 9, Poly.make(f4, [3, 3, 0, 1, 1]))
-    yield CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
+    yield CyclicCode(f5, 8, Poly(f5, [1, 2, 0, 1, 1]))
+    yield CyclicCode(f4, 9, Poly(f4, [3, 3, 0, 1, 1]))
+    yield CyclicCode(f5, 6, Poly(f5, [4, 1]))
 
 
 def _reference_codes():
@@ -123,7 +123,7 @@ def test_witness_scan_covers_every_coordinate():
     # reconstruct each witness and verify the claim it certifies
     for coord, t in enumerate(counters):
         message = [e.index for e in _message(code.field, t, dual.k)]
-        word = (Poly.make(code.field, message) * dual.g).padded(code.n)
+        word = (Poly(code.field, message) * dual.g).padded(code.n)
         weight = sum(1 for w in word if w)
         assert 0 < weight <= 4
         assert word[coord]
@@ -150,7 +150,7 @@ def test_op_tables_agree_with_element_arithmetic():
 
 
 def test_scan_argument_validation(f5):
-    code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
+    code = CyclicCode(f5, 6, Poly(f5, [4, 1]))
     matrix = code.generator_matrix
     with pytest.raises(ValueError):
         kernels.min_nonzero_weight(matrix, f5, 0)

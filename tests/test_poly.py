@@ -8,13 +8,13 @@ from cyclic_lrc.poly import Poly
 
 def _random_poly(rng, field, max_degree):
     degree = rng.randrange(max_degree + 1)
-    return Poly.make(field, [rng.randrange(field.q) for _ in range(degree + 1)])
+    return Poly(field, [rng.randrange(field.q) for _ in range(degree + 1)])
 
 
 def test_cycle_division_identity(f5):
     # (x^8 - 1) / (x^2 - 2) over GF(5); quotient checked by re-multiplying
     numerator = Poly.x_pow_minus_one(f5, 8)
-    divisor = Poly.make(f5, [3, 0, 1])  # x^2 - 2
+    divisor = Poly(f5, [3, 0, 1])  # x^2 - 2
     quotient, remainder = divmod(numerator, divisor)
     assert remainder.is_zero
     assert quotient.coeffs == (3, 0, 4, 0, 2, 0, 1)
@@ -33,6 +33,15 @@ def test_division_by_self(f5, rng):
 def test_product_of_linear_factors(f13):
     prod = Poly.from_roots(f13, [1, 2])
     assert prod.coeffs == (2, 10, 1)  # x^2 + 10x + 2
+
+
+def test_constructor_trims_trailing_zeros(f5):
+    # the one constructor normalises, so a trailing zero changes nothing
+    padded = Poly(f5, (1, 0))
+    assert padded == Poly(f5, [1]) and hash(padded) == hash(Poly(f5, [1]))
+    assert padded.degree == 0 and padded.is_monic
+    assert divmod(Poly(f5, [3, 2]), padded) == (Poly(f5, [3, 2]), Poly.zero(f5))
+    assert Poly(f5, iter([0, 0])).is_zero
 
 
 def test_division_by_zero_rejected(f5):
@@ -55,7 +64,7 @@ def test_from_roots_quartic_over_gf25_projects_down(f5, f25):
         assert quartic(r) == 0
     assert all(f25.pow(c, 5) == c for c in quartic.coeffs)
     _, preimage = _embedding(f5, f25)
-    projected = Poly.make(f5, [preimage[c] for c in quartic.coeffs])
+    projected = Poly(f5, [preimage[c] for c in quartic.coeffs])
     assert projected.coeffs == (1, 1, 0, 2, 1)  # x^4 + 2x^3 + x + 1
     for idx in (1, 2):
         assert projected(idx) == 0
@@ -75,8 +84,8 @@ def test_from_roots_rejects_duplicates(f5):
 
 
 def test_reciprocal_examples(f5):
-    assert Poly.make(f5, [4, 1]).reciprocal().coeffs == (1, 4)
-    witness = Poly.make(f5, [3, 0, 4, 0, 2, 0, 1])
+    assert Poly(f5, [4, 1]).reciprocal().coeffs == (1, 4)
+    witness = Poly(f5, [3, 0, 4, 0, 2, 0, 1])
     assert witness.reciprocal().coeffs == (1, 0, 2, 0, 4, 0, 3)
     assert Poly.one(f5).reciprocal() == Poly.one(f5)
     with pytest.raises(ValueError):
@@ -84,7 +93,7 @@ def test_reciprocal_examples(f5):
 
 
 def test_evaluation_example(f5):
-    g = Poly.make(f5, [1, 1, 0, 2, 1])
+    g = Poly(f5, [1, 1, 0, 2, 1])
     assert g(1) == 0
 
 
@@ -93,11 +102,11 @@ def _divides_cycle(f, n):
 
 
 def test_divides_cycle(f5):
-    x_minus_1 = Poly.make(f5, [4, 1])
+    x_minus_1 = Poly(f5, [4, 1])
     for n in (1, 2, 7, 12):
         assert _divides_cycle(x_minus_1, n)
-    assert _divides_cycle(Poly.make(f5, [1, 1, 0, 2, 1]), 8)
-    assert not _divides_cycle(Poly.make(f5, [1, 1, 1]), 8)  # roots have order 3
+    assert _divides_cycle(Poly(f5, [1, 1, 0, 2, 1]), 8)
+    assert not _divides_cycle(Poly(f5, [1, 1, 1]), 8)  # roots have order 3
 
 
 def test_reciprocal_involution(rng, f13):
@@ -154,5 +163,5 @@ def test_mismatched_fields_rejected(f5, f13):
 
 
 def test_str_rendering(f5):
-    assert str(Poly.make(f5, [1, 1, 0, 2, 1])) == "x^4 + 2*x^3 + x + 1"
+    assert str(Poly(f5, [1, 1, 0, 2, 1])) == "x^4 + 2*x^3 + x + 1"
     assert str(Poly.zero(f5)) == "0"

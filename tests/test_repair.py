@@ -89,7 +89,7 @@ def test_repair_vector_via_structural_witness():
 
 def test_repair_vector_rejects_zero_dimensional_code():
     f5 = make_field(5)
-    zero_code = CyclicCode.build(f5, 4, Poly.x_pow_minus_one(f5, 4))
+    zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))
     with pytest.raises(RepairError):
         _grid_constant(zero_code, 3)
 
@@ -98,7 +98,7 @@ def test_bare_code_without_grid_factor_uses_exhaustive_scan():
     # x^2 + 1 is irreducible over GF(3), so g has no factor x - c and no
     # coset plan exists; the exhaustive dual scan answers instead
     f3 = make_field(3)
-    code = CyclicCode.build(f3, 4, Poly.make(f3, [1, 0, 1]))
+    code = CyclicCode(f3, 4, Poly(f3, [1, 0, 1]))
     with pytest.raises(RepairError):
         _grid_constant(code, 3)
     check = verify_locality(code, 3)
@@ -211,7 +211,7 @@ def test_dual_distance_exact(code_8_4_4, code_9_5_3):
 
 def test_dual_distance_of_parity_check_code():
     f5 = make_field(5)
-    code = CyclicCode.build(f5, 6, Poly.make(f5, [4, 1]))
+    code = CyclicCode(f5, 6, Poly(f5, [4, 1]))
     assert min_distance_exhaustive(code.dual()).value == 6  # repetition code
 
 
@@ -278,7 +278,7 @@ def test_verify_locality_exhaustive_positive():
 
 def test_verify_locality_full_space_is_false():
     f5 = make_field(5)
-    full = CyclicCode.build(f5, 8, Poly.one(f5))
+    full = CyclicCode(f5, 8, Poly.one(f5))
     assert verify_locality(full, 3).ok is False
 
 

@@ -160,6 +160,25 @@ def test_perfbench_span_targets_resolve():
     assert missing == []
 
 
+def test_cli_import_loads_every_span_target_module():
+    # the tracer imports only cyclic_lrc.cli and then reads sys.modules for
+    # each targeted module, so a module the CLI loaded lazily would make
+    # every `perfbench/run.py --trace 1` run raise KeyError; a fresh
+    # process, since this test session has imported every module already
+    targets = _span_targets()
+    modules = sorted({target[0] for target in targets["FUNCTIONS"] + targets["METHODS"]})
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cyclic_lrc.cli; "
+        "print([m for m in sys.argv[2:] if 'cyclic_lrc.' + m not in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", probe, str(SRC), *modules],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert "codefile" in modules  # the layer once proposed to load lazily
+    assert out.stdout.strip() == "[]"
+
+
 def test_only_field_calls_primitive_nth_root():
     # the splitting field and its root beta are chosen in one place,
     # field.splitting_root, so construction and the BCH bound share them

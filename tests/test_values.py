@@ -39,8 +39,8 @@ def _element():
 FACTORIES = {
     FiniteField: (lambda: make_field(5, 2), "p"),
     FieldElement: (_element, "rep"),
-    Poly: (lambda: Poly.make(make_field(5, 2), [3, 0, 7, 1]), "coeffs"),
-    CyclicCode: (lambda: CyclicCode.build(make_field(5), 8, _code().base.g), "g"),
+    Poly: (lambda: Poly(make_field(5, 2), [3, 0, 7, 1]), "coeffs"),
+    CyclicCode: (lambda: CyclicCode(make_field(5), 8, _code().base.g), "g"),
     LrcCode: (lambda: LrcCode(_code().base, 3, 4, "thm-1.1-ii", _code().beta, _code().alpha,
                               _code().gamma), "r"),
     DistanceScan: (lambda: DistanceScan(4, 4, True, 624), "lower"),
@@ -119,8 +119,8 @@ def test_values_of_different_types_or_contents_differ():
     f5, f25 = make_field(5), make_field(5, 2)
     assert f5 != f25
     assert f5.from_index(3) != f25.from_index(3)
-    assert Poly.make(f5, [1, 1]) != Poly.make(f5, [1, 2])
+    assert Poly(f5, [1, 1]) != Poly(f5, [1, 2])
     code = _code()
     assert code.base != code.base.dual()
     assert repr(f25.from_index(7)) == "GF(25):7"
-    assert repr(Poly.make(f5, [2])) == "Poly(field=GF(5), coeffs=(2,))"
+    assert repr(Poly(f5, [2])) == "Poly(field=GF(5), coeffs=(2,))"

@@ -76,7 +76,7 @@ def test_verify_refutes_corrupted_code(code_8_4_4):
     # same [8, 4] shape and a valid Singleton claim, but the generator
     # x^4 - 1 has a weight-2 multiple, so the distance claim is false
     f5 = make_field(5)
-    base = CyclicCode.build(f5, 8, Poly.x_pow_minus_one(f5, 4))
+    base = CyclicCode(f5, 8, Poly.x_pow_minus_one(f5, 4))
     corrupted = LrcCode(base, 3, 4, "thm-1.1-ii", beta=code_8_4_4.beta)
     report = verify_optimal(corrupted)
     assert report.verdict == REFUTED
@@ -86,7 +86,7 @@ def test_verify_refutes_corrupted_code(code_8_4_4):
 def test_verify_budget_limits_distance_but_not_coset_locality():
     f13 = make_field(13)
     beta = primitive_nth_root(f13, 12)
-    base = CyclicCode.build(f13, 12, Poly.from_roots(f13, [(beta**e).index for e in (0, 1, 2, 3, 6, 9)]))
+    base = CyclicCode(f13, 12, Poly.from_roots(f13, [(beta**e).index for e in (0, 1, 2, 3, 6, 9)]))
     code = LrcCode(base, 2, 5, "ex-3.2", beta=beta)
     report = verify_optimal(code, budget=200)
     assert report.locality.ok  # coset witnesses need no budget
