@@ -43,12 +43,17 @@ _TRIAL_BOUND = 1 << 10
 # Miller-Rabin on these bases decides primality of every n < 3.3e24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# splitting_degree walks this many powers before it factors n: rho needs
+# about sqrt(p) steps for the second-largest prime p of n, however small
+# the degree is
+_POWER_WALK = 1 << 16
+
 
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending: trial division below
-    _TRIAL_BOUND, then perfect roots and Pollard-Brent rho on what is left,
-    with primality decided by Miller-Rabin on the bases in _WITNESSES
-    (deterministic below 3.3e24, a strong probable-prime test above)."""
+    _TRIAL_BOUND, then Pollard-Brent rho on what is left, with primality
+    decided by Miller-Rabin on the bases in _WITNESSES (deterministic below
+    3.3e24, a strong probable-prime test above)."""
     out = []
     f = 2
     while f < _TRIAL_BOUND and f * f <= n:
@@ -63,25 +68,9 @@ def prime_factors(n: int) -> tuple[int, ...]:
         if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_probable_prime(m):
             out.append(m)
         else:
-            d = _perfect_root(m) or _rho(m)
+            d = _rho(m)
             stack += [d, m // d]
     return tuple(sorted(set(out)))
-
-
-def _perfect_root(n: int) -> int | None:
-    """r with r^k = n for some k >= 2, or None: rho would need about
-    sqrt(p) steps to split p^k.  The prime factors of n are above
-    _TRIAL_BOUND = 2^10, so k is at most a tenth of n's bit length."""
-    for k in range(2, n.bit_length() // 10 + 1):
-        r = 1 << -(-n.bit_length() // k)  # Newton's method from above
-        while True:
-            s = ((k - 1) * r + n // r ** (k - 1)) // k
-            if s >= r:
-                break
-            r = s
-        if r**k == n:
-            return r
-    return None
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -103,11 +92,11 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _rho(n: int) -> int:
-    """A proper factor of an odd composite n that is no perfect power, by
-    Brent's variant of Pollard's rho on y -> y^2 + c from y = 2, for
-    c = 1, 2, ...: the differences between a checkpoint and the iterates
-    after it are multiplied 128 at a time before each gcd, and a batch that
-    catches all of n at once moves on to the next c."""
+    """A proper factor of an odd composite n, by Brent's variant of
+    Pollard's rho on y -> y^2 + c from y = 2, for c = 1, 2, ...: the
+    differences between a checkpoint and the iterates after it are
+    multiplied 128 at a time before each gcd, and a batch that catches all
+    of n at once moves on to the next c."""
     for c in itertools.count(1):
         y, power, g = 2, 1, 1
         while g == 1:
@@ -496,11 +485,21 @@ def multiplicative_order(a: FieldElement) -> int:
 
 def splitting_degree(q: int, n: int) -> int:
     """Least m >= 1 with q^m == 1 (mod n): the degree of the extension of
-    GF(q) generated by a primitive n-th root of unity."""
+    GF(q) generated by a primitive n-th root of unity.
+
+    A degree up to _POWER_WALK is found by walking the powers of q, without
+    factoring n.  A larger one is read off the factored totient of n; above
+    3.3e24 that factoring, and so the degree, rests on a probable-prime test.
+    """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1: no primitive {n}-th root exists")
+    power = 1
+    for m in range(1, _POWER_WALK + 1):
+        power = power * q % n
+        if power == 1 % n:
+            return m
     totient = n
     for f in prime_factors(n):
         totient -= totient // f

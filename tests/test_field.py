@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from cyclic_lrc import field as field_module
 from cyclic_lrc.field import (
     FieldElement,
     _embedding,
@@ -161,15 +162,27 @@ def test_splitting_degree_matches_the_power_walk(q):
     assert [splitting_degree(q, n) for n in coprime] == [_power_walk(q, n) for n in coprime]
 
 
+@pytest.mark.parametrize("q", range(2, 70))
+def test_splitting_degree_from_the_totient_matches_the_power_walk(monkeypatch, q):
+    # with no walk at all, every degree is read off the factored totient
+    monkeypatch.setattr(field_module, "_POWER_WALK", 0)
+    coprime = [n for n in range(1, 2001) if math.gcd(n, q) == 1]
+    assert [splitting_degree(q, n) for n in coprime] == [_power_walk(q, n) for n in coprime]
+
+
 @pytest.mark.parametrize(
     "q, n, field",
     [
         # the order of 13 mod 3e8 is 5e6: the degree comes from the factors
         # of Euler's totient of n, not from walking five million powers
         (13, 300000000, "13^5000000"),
-        # the order of 4 mod 3(2^61 - 1) is 61: Miller-Rabin recognises the
-        # prime 2^61 - 1, where trial division takes about 7.6e8 steps
+        # the order of 4 mod 3(2^61 - 1) is 61: the walk finds it without
+        # factoring n
         (4, 3 * (2**61 - 1), "2^122"),
+        # the order of 4 mod 3(2^61 - 1)(2^89 - 1) is lcm(61, 89) = 5429:
+        # the walk finds it, where rho would need about 1.5e9 steps to split
+        # the two Mersenne primes
+        (4, 3 * (2**61 - 1) * (2**89 - 1), "2^10858"),
     ],
 )
 def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n, field):
@@ -306,9 +319,6 @@ def test_prime_factors_of_large_numbers(factors):
     expected = tuple(sorted(f for f in _trial_factors(factors)))
     with _deadline(2.0):
         assert prime_factors(n) == expected
-        # squares and cubes of large primes are perfect powers, not rho's work
-        assert prime_factors(n * n * 8) == tuple(sorted({2, *expected}))
-        assert prime_factors(n**3) == expected
 
 
 @contextlib.contextmanager
