@@ -5,7 +5,9 @@ prime-field elements abbreviate to a bare integer; polynomial coefficients
 load as indices.  Files are written with sorted keys and a fixed layout so
 that save -> load -> save is byte identical, and loading re-validates every
 structural invariant so that a tampered file is rejected rather than
-silently verified.
+silently verified: beta must be the canonical primitive n-th root of unity,
+and alpha and gamma the elements ``construct`` derives from it for the
+file's scheme and parameters.
 
 Two error classes separate concerns for the CLI: a file that cannot be
 parsed at all is a usage error, while a parseable file whose contents break
@@ -17,9 +19,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .constructions import ALL_SCHEMES, ConstructionError, LrcCode
+from .constructions import (
+    ALL_SCHEMES,
+    ConstructionError,
+    LrcCode,
+    ParameterError,
+    _plan,
+    _scheme_elements,
+)
 from .cyclic import CyclicCode
-from .field import FiniteField, make_field, multiplicative_order
+from .field import FiniteField, make_field, splitting_root
 from .poly import Poly
 
 SCHEMA_VERSION = 1
@@ -150,10 +159,14 @@ def code_from_dict(data: dict) -> LrcCode:
         raise CodeFileFormatError(f"malformed beta: {exc}") from exc
     if (beta_modulus or []) != list(beta_field.modulus or []):
         raise CodeFileInvariantError("beta field modulus is not canonical")
-    # before the generator is divided into x^n - 1: a primitive n-th root
-    # bounds n by the order of beta's field
-    if beta.is_zero or multiplicative_order(beta) != n:
-        raise CodeFileInvariantError("beta is not a primitive n-th root of unity")
+    # before the generator is divided into x^n - 1: beta exists only for an
+    # n whose splitting field fits, and that bounds n
+    try:
+        canonical = splitting_root(field, n)
+    except ValueError:
+        canonical = None
+    if beta != canonical:
+        raise CodeFileInvariantError("beta is not the canonical primitive n-th root of unity")
 
     try:
         base = CyclicCode(field, n, g)
@@ -178,8 +191,13 @@ def code_from_dict(data: dict) -> LrcCode:
             field.from_index(_element_from_json(field, alpha, "alpha")) if alpha is not None else None,
             field.from_index(_element_from_json(field, gamma, "gamma")) if gamma is not None else None,
         )
-    except ConstructionError as exc:
+        # after the LrcCode checks; a scheme precondition that fails, or a
+        # thm-3.4 alpha outside GF(q), leaves construct nothing to build
+        elements = _scheme_elements(_plan(scheme, q, n, r, d_claimed), field, beta)
+    except (ConstructionError, ParameterError) as exc:
         raise CodeFileInvariantError(str(exc)) from exc
+    if (code.alpha, code.gamma) != elements:
+        raise CodeFileInvariantError(f"alpha and gamma are not the ones {scheme} derives from beta")
     return code
 
 

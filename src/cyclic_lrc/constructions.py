@@ -147,13 +147,14 @@ class CandidateParams(NamedTuple):
     diagnostic: str | None = None
 
 
+@cache  # _plan starts here for every (q, n, r, d) an enumeration tries
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p**m or raise ParameterError."""
-    if q < 2:
-        raise ParameterError(f"field order must be >= 2, got {q}")
+    """Decompose q = p**m within MAX_FIELD_ORDER or raise ParameterError.
+    The size is checked before q is factored."""
+    _require(q >= 2, f"field order must be >= 2, got {q}")
+    _require(q <= MAX_FIELD_ORDER, f"field order {q} exceeds the supported order {MAX_FIELD_ORDER}")
     factors = prime_factors(q)
-    if len(factors) != 1:
-        raise ParameterError(f"q = {q} is not a prime power")
+    _require(len(factors) == 1, f"q = {q} is not a prime power")
     p = factors[0]
     m = 0
     while q % p == 0:
@@ -162,16 +163,8 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-@cache  # _plan starts here for every (q, n, r, d) an enumeration tries
-def _field_exponents(q: int) -> tuple[int, int]:
-    """(p, m) with q = p**m within MAX_FIELD_ORDER, or ParameterError.  The
-    size is checked before q is factored."""
-    _require(q <= MAX_FIELD_ORDER, f"field order {q} exceeds the supported order {MAX_FIELD_ORDER}")
-    return prime_power(q)
-
-
 def base_field(q: int) -> FiniteField:
-    return make_field(*_field_exponents(q))
+    return make_field(*prime_power(q))
 
 
 def _project(a: int, preimage, field: FiniteField, what: str) -> int:
@@ -270,7 +263,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
     ParameterError with its diagnostic.  With d = None only the checks that
     do not involve d run, and None is returned.
     """
-    p, m = _field_exponents(q)
+    prime_power(q)  # or ParameterError
     gap = alpha_exponent = gamma_exponent = None
     grid = range(0)  # zeros of x^s - beta^s, listed once the splitting field fits
     if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
@@ -324,12 +317,8 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             zeros, k = [0, gamma_exponent], k - 1
     if d is None:
         return None
-    degree = splitting_degree(q, n)
-    if degree >= MAX_FIELD_ORDER.bit_length() or q**degree > MAX_FIELD_ORDER:
-        message = (
-            f"field GF({p}^{m * degree}) splitting x^{n} - 1 exceeds the "
-            f"supported order {MAX_FIELD_ORDER}"
-        )
+    if splitting_degree(q, n) is None:
+        message = f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order {MAX_FIELD_ORDER}"
         return _Plan(k, None, alpha_exponent, gamma_exponent, ("splitting-field-too-large", message))
     zeros += grid
     _require(len(set(zeros)) == len(zeros), f"root exponents collide for d = {d}: {sorted(zeros)}")
@@ -341,9 +330,8 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
 
     beta is the canonical primitive n-th root of unity in the splitting field
     of x^n - 1.  g is formed there and every coefficient is projected to
-    GF(q), a step that fails outside the embedded copy of GF(q);
-    alpha = beta^alpha_exponent and gamma = beta^gamma_exponent are
-    projected the same way where the scheme stores them.  CyclicCode checks
+    GF(q), a step that fails outside the embedded copy of GF(q); alpha and
+    gamma come from :func:`_scheme_elements`.  CyclicCode checks
     g | x^n - 1, and the dimension is checked against the plan.
     """
     plan = _plan(scheme, q, n, r, d)
@@ -355,15 +343,21 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     _, preimage = _embedding(field, ext)
     g_ext = Poly.from_roots(ext, [ext.pow(b, e) for e in plan.zeros])
     g = Poly(field, (_project(c, preimage, field, "generator coefficient") for c in g_ext.coeffs))
-    alpha = gamma = None
-    if plan.alpha_exponent is not None:
-        alpha = field.from_index(_project(ext.pow(b, plan.alpha_exponent), preimage, field, "alpha"))
-    if plan.gamma_exponent is not None:
-        gamma = field.from_index(_project(ext.pow(b, plan.gamma_exponent), preimage, field, "gamma"))
     code = CyclicCode(field, n, g)
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
-    return LrcCode(code, r, d, scheme, beta, alpha, gamma)
+    return LrcCode(code, r, d, scheme, beta, *_scheme_elements(plan, field, beta))
+
+
+def _scheme_elements(plan: _Plan, field: FiniteField, beta) -> tuple:
+    """(alpha, gamma): beta^alpha_exponent and beta^gamma_exponent of the
+    plan, projected to GF(q), each None where the scheme stores none."""
+    ext, b = beta.field, beta.index
+    _, preimage = _embedding(field, ext)
+    return tuple(
+        None if e is None else field.from_index(_project(ext.pow(b, e), preimage, field, what))
+        for e, what in ((plan.alpha_exponent, "alpha"), (plan.gamma_exponent, "gamma"))
+    )
 
 
 # ---------------------------------------------------------------------------

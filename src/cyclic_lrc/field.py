@@ -19,6 +19,12 @@ Every choice here is canonical so that results are reproducible run to run:
 * the multiplicative generator of a field is the first element in that order
   whose order is q - 1.
 
+Only the length n of a root of unity may exceed MAX_FIELD_ORDER:
+:func:`splitting_degree` looks for the splitting field of x^n - 1 among the
+fields that fit, by walking the powers of q mod n, and never factors n.
+Every number :func:`prime_factors` sees is at most MAX_FIELD_ORDER, so it
+is plain trial division.
+
 Each GF(p^m) has exactly one FiniteField instance, so fields compare and
 hash by identity.  Fields and elements are immutable values (see
 :class:`Immutable`, the base of every value class of the package); all
@@ -36,84 +42,23 @@ import operator
 # downstream only make sense at desk scale.
 MAX_FIELD_ORDER = 1 << 20
 
-# prime_factors trial-divides by every odd number below this bound, so any
-# cofactor left below its square is prime
-_TRIAL_BOUND = 1 << 10
-
-# Miller-Rabin on these bases decides primality of every n < 3.3e24
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# splitting_degree walks this many powers before it factors n: rho needs
-# about sqrt(p) steps for the second-largest prime p of n, however small
-# the degree is
-_POWER_WALK = 1 << 16
-
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n, ascending: trial division below
-    _TRIAL_BOUND, then Pollard-Brent rho on what is left, with primality
-    decided by Miller-Rabin on the bases in _WITNESSES (deterministic below
-    3.3e24, a strong probable-prime test above)."""
+    """Distinct prime factors of n, ascending, by trial division.  Every
+    caller passes a number of at most MAX_FIELD_ORDER (a field order, one
+    less than it, its characteristic or its degree), so no divisor above
+    2^10 is tried."""
     out = []
     f = 2
-    while f < _TRIAL_BOUND and f * f <= n:
+    while f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_probable_prime(m):
-            out.append(m)
-        else:
-            d = _rho(m)
-            stack += [d, m // d]
-    return tuple(sorted(set(out)))
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin on the bases in _WITNESSES; n is odd and above them."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """A proper factor of an odd composite n, by Brent's variant of
-    Pollard's rho on y -> y^2 + c from y = 2, for c = 1, 2, ...: the
-    differences between a checkpoint and the iterates after it are
-    multiplied 128 at a time before each gcd, and a batch that catches all
-    of n at once moves on to the next c."""
-    for c in itertools.count(1):
-        y, power, g = 2, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(power):
-                y = (y * y + c) % n
-            for done in range(0, power, 128):
-                product = 1
-                for _ in range(min(128, power - done)):
-                    y = (y * y + c) % n
-                    product = product * (x - y) % n
-                g = math.gcd(product, n)
-                if g != 1:
-                    break
-            power *= 2
-        if g != n:
-            return g
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def _poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
@@ -455,16 +400,6 @@ def _canonical_field(p: int, m: int) -> FiniteField:
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-def _order(multiple: int, is_identity) -> int:
-    """The order of a group element from a multiple of it: the least e
-    dividing ``multiple`` with is_identity(e), where is_identity(e) tells
-    whether the element to the power e is the identity."""
-    for f in prime_factors(multiple):
-        while multiple % f == 0 and is_identity(multiple // f):
-            multiple //= f
-    return multiple
-
-
 @functools.lru_cache(maxsize=None)
 def _multiplicative_generator(field: FiniteField) -> int:
     order = field.q - 1
@@ -475,36 +410,24 @@ def _multiplicative_generator(field: FiniteField) -> int:
     raise AssertionError(f"no generator found in {field}")
 
 
-def multiplicative_order(a: FieldElement) -> int:
-    """Order of a nonzero element in the multiplicative group."""
-    if a.is_zero:
-        raise ValueError("zero has no multiplicative order")
-    field, x = a.field, a.index
-    return _order(field.q - 1, lambda e: field.pow(x, e) == 1)
+def splitting_degree(q: int, n: int) -> int | None:
+    """Least m >= 1 with q^m == 1 (mod n), the degree of the extension of
+    GF(q) generated by a primitive n-th root of unity, if q^m is at most
+    MAX_FIELD_ORDER; None when the splitting field of x^n - 1 is larger.
 
-
-def splitting_degree(q: int, n: int) -> int:
-    """Least m >= 1 with q^m == 1 (mod n): the degree of the extension of
-    GF(q) generated by a primitive n-th root of unity.
-
-    A degree up to _POWER_WALK is found by walking the powers of q, without
-    factoring n.  A larger one is read off the factored totient of n; above
-    3.3e24 that factoring, and so the degree, rests on a probable-prime test.
+    The walk over q, q^2, ... stops past MAX_FIELD_ORDER, so it takes at
+    most 20 steps and never factors n, however large n is.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1: no primitive {n}-th root exists")
-    power = 1
-    for m in range(1, _POWER_WALK + 1):
-        power = power * q % n
-        if power == 1 % n:
+    power, m = q, 1
+    while power <= MAX_FIELD_ORDER:
+        if power % n == 1 % n:
             return m
-    totient = n
-    for f in prime_factors(n):
-        totient -= totient // f
-    # the order of q mod n divides Euler's totient of n
-    return _order(totient, lambda e: pow(q, e, n) == 1)
+        power, m = power * q, m + 1
+    return None
 
 
 def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
@@ -519,8 +442,11 @@ def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
 
 def splitting_root(field: FiniteField, n: int) -> FieldElement:
     """Canonical primitive n-th root of unity in the splitting field of
-    x^n - 1 over ``field``: GF(q^m) for m = splitting_degree(q, n)."""
+    x^n - 1 over ``field``: GF(q^m) for m = splitting_degree(q, n).
+    Raises ValueError when that field exceeds MAX_FIELD_ORDER."""
     degree = splitting_degree(field.q, n)
+    if degree is None:
+        raise ValueError(f"the splitting field of x^{n} - 1 over {field} exceeds {MAX_FIELD_ORDER}")
     return primitive_nth_root(field if degree == 1 else make_field(field.p, field.m * degree), n)
 
 

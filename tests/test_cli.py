@@ -78,7 +78,7 @@ def test_construct_oversized_splitting_field_is_a_precondition_failure():
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
-    assert "GF(7^9)" in proc.stderr
+    assert "the splitting field of x^27 - 1 over GF(7) exceeds" in proc.stderr
 
 
 def _bounded_cli(*argv, address_space_mb=1500):
@@ -106,27 +106,27 @@ def test_construct_huge_length_decides_the_splitting_field_first():
                                  "--n", "300000000", "--r", "2")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
-        "field GF(13^5000000) splitting x^300000000 - 1 exceeds the supported order 1048576\n"
+        "the splitting field of x^300000000 - 1 over GF(13) exceeds the supported order 1048576\n"
     )
     assert elapsed < 10.0
 
 
 def test_construct_length_with_a_huge_prime_factor_is_prompt():
-    # n = 3(2^61 - 1): the splitting degree is read off the factored totient
-    # of n, and Miller-Rabin recognises the prime 2^61 - 1, which neither
-    # trial division nor a walk over the powers of 13 could reach in minutes
-    n = 3 * (2**61 - 1)
-    proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13",
-                                 "--n", str(n), "--r", "2")
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == (
-        f"field GF(13^58184279818665) splitting x^{n} - 1 exceeds the supported order 1048576\n"
-    )
-    assert elapsed < 10.0
+    # the powers of 13 are walked only up to the supported order, so n is
+    # never factored: 3(2^61 - 1)(2^89 - 1) would take rho about 1.5e9 steps
+    for n in (3 * (2**61 - 1), 3 * (2**61 - 1) * (2**89 - 1)):
+        proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13",
+                                     "--n", str(n), "--r", "2")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"the splitting field of x^{n} - 1 over GF(13) exceeds the supported order 1048576\n"
+        )
+        assert elapsed < 10.0
 
 
 def test_verify_huge_length_is_rejected_by_the_beta_check(code_file, tmp_path):
-    # beta's order bounds n before the generator is divided into x^n - 1
+    # beta exists only for an n whose splitting field fits, and is checked
+    # before the generator is divided into x^n - 1
     data = json.loads(code_file.read_text())
     data["n"] = 100000001
     bad = tmp_path / "huge.json"
@@ -134,7 +134,7 @@ def test_verify_huge_length_is_rejected_by_the_beta_check(code_file, tmp_path):
     proc, elapsed = _bounded_cli("verify", str(bad))
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
-        "code file integrity failure: beta is not a primitive n-th root of unity\n"
+        "code file integrity failure: beta is not the canonical primitive n-th root of unity\n"
     )
     assert elapsed < 5.0
 
@@ -273,6 +273,17 @@ def test_oversized_field_is_rejected_before_factoring(code_file, capsys, monkeyp
         capsys, "construct", "--scheme", "ex-3.2", "--q", str(big), "--n", "2", "--r", "1", "--d", "2"
     )
     assert (rc, out) == (1, "") and "exceeds the supported order" in err
+    # nor is a length factored, however large
+    for n in (300000000, 3 * (2**61 - 1), 3 * (2**61 - 1) * (2**89 - 1)):
+        rc, out, err = _run(capsys, "construct", "--scheme", "thm-1.1-i", "--q", "13",
+                            "--n", str(n), "--r", "2")
+        assert (rc, out) == (1, "") and "exceeds the supported order" in err
+    data = json.loads(code_file.read_text())
+    data["n"] = 100000001
+    huge = code_file.with_name("huge.json")
+    huge.write_text(dumps_canonical(data))
+    rc, out, err = _run(capsys, "verify", str(huge))
+    assert (rc, out) == (3, "") and "beta is not the canonical" in err
     data = json.loads(code_file.read_text())
     data["p"] = big
     code_file.write_text(json.dumps(data))

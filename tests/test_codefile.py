@@ -79,10 +79,21 @@ def test_noncanonical_modulus_rejected(code_9_5_3):
 
 
 def test_tampered_beta_rejected(code_8_4_4):
-    data = code_to_dict(code_8_4_4)
-    data["beta"]["rep"] = [1, 0]  # the identity is no primitive 8th root
-    with pytest.raises(CodeFileInvariantError, match="primitive"):
-        code_from_dict(data)
+    # the [8, 4, 4] GF(5) code stores beta = GF(25):8 and alpha = gamma =
+    # beta^2 = 3; alpha and gamma are powers of beta, so checked with it
+    for key, value, message in [
+        ("beta", [1, 0], "primitive"),  # the identity is no primitive 8th root
+        ("beta", [4, 3], "canonical primitive"),  # beta^3: primitive, not canonical
+        ("alpha", 2, "alpha and gamma"),
+        ("gamma", 4, "alpha and gamma"),
+    ]:
+        data = code_to_dict(code_8_4_4)
+        if key == "beta":
+            data["beta"]["rep"] = value
+        else:
+            data[key] = value
+        with pytest.raises(CodeFileInvariantError, match=message):
+            code_from_dict(data)
 
 
 def test_schema_version_guard(code_8_4_4):

@@ -15,7 +15,6 @@ from cyclic_lrc.constructions import (
 from cyclic_lrc.field import (
     _embedding,
     make_field,
-    multiplicative_order,
     primitive_nth_root,
     splitting_degree,
 )
@@ -29,7 +28,8 @@ def _check_common_invariants(code):
     assert base.n % (code.r + 1) == 0
     assert code.d_claimed == singleton_bound(base.n, base.k, code.r)
     assert base.bch_lower_bound() >= code.d_claimed - 1
-    assert multiplicative_order(code.beta) == base.n
+    # beta is a primitive n-th root: n is the least power that is 1
+    assert [t for t in range(1, base.n + 1) if (code.beta**t).index == 1] == [base.n]
 
 
 # -- distance-3 unbounded family ------------------------------------------
@@ -277,6 +277,9 @@ def test_prime_power_decomposition():
         prime_power(12)
     with pytest.raises(ParameterError):
         prime_power(1)
+    # the size is checked first: trial division of this prime would take minutes
+    with pytest.raises(ParameterError, match="exceeds the supported order"):
+        prime_power(10**18 + 3)
 
 
 def test_enumerate_d3_includes_spec_instances():

@@ -10,12 +10,11 @@ import time
 
 import pytest
 
-from cyclic_lrc import field as field_module
 from cyclic_lrc.field import (
+    MAX_FIELD_ORDER,
     FieldElement,
     _embedding,
     make_field,
-    multiplicative_order,
     prime_factors,
     primitive_nth_root,
     splitting_degree,
@@ -140,7 +139,12 @@ def test_element_round_trip_and_digits(f25):
 
 @pytest.mark.parametrize(
     "q, n, expected",
-    [(13, 12, 1), (4, 9, 3), (5, 1, 1), (5, 8, 2), (11, 12, 2), (7, 15, 4)],
+    [
+        (13, 12, 1), (4, 9, 3), (5, 1, 1), (5, 8, 2), (11, 12, 2), (7, 15, 4),
+        (2, 2**20 - 1, 20),  # GF(2^20) is the largest field that fits
+        (2, 2**21 - 1, None),  # GF(2^21) does not
+        (7, 27, None),  # GF(7^9) does not
+    ],
 )
 def test_splitting_degree(q, n, expected):
     assert splitting_degree(q, n) == expected
@@ -155,37 +159,56 @@ def _power_walk(q, n):
     return m
 
 
+def _within_bound(q, m):
+    """The degree m, if GF(q^m) fits the supported order, else None."""
+    return m if q**m <= MAX_FIELD_ORDER else None
+
+
 @pytest.mark.parametrize("q", range(2, 70))
 def test_splitting_degree_matches_the_power_walk(q):
     coprime = [n for n in range(1, 2001) if math.gcd(n, q) == 1]
     assert coprime[0] == 1
-    assert [splitting_degree(q, n) for n in coprime] == [_power_walk(q, n) for n in coprime]
+    expected = [_within_bound(q, _power_walk(q, n)) for n in coprime]
+    assert [splitting_degree(q, n) for n in coprime] == expected
+    assert None in expected  # both answers occur
+
+
+def _order_from_the_totient(q, n):
+    """The order of q mod n, read off Euler's totient of n, which it
+    divides: every prime is divided out of phi(n) while q^e stays 1."""
+    order = n
+    for f in prime_factors(n):
+        order -= order // f
+    for f in prime_factors(order):
+        while order % f == 0 and pow(q, order // f, n) == 1 % n:
+            order //= f
+    return order
 
 
 @pytest.mark.parametrize("q", range(2, 70))
-def test_splitting_degree_from_the_totient_matches_the_power_walk(monkeypatch, q):
-    # with no walk at all, every degree is read off the factored totient
-    monkeypatch.setattr(field_module, "_POWER_WALK", 0)
+def test_splitting_degree_from_the_totient_matches_the_power_walk(q):
+    # an oracle that walks no powers: the degree is the order of q mod n
     coprime = [n for n in range(1, 2001) if math.gcd(n, q) == 1]
-    assert [splitting_degree(q, n) for n in coprime] == [_power_walk(q, n) for n in coprime]
+    expected = [_within_bound(q, _order_from_the_totient(q, n)) for n in coprime]
+    assert [splitting_degree(q, n) for n in coprime] == expected
 
 
 @pytest.mark.parametrize(
-    "q, n, field",
+    "q, n",
     [
-        # the order of 13 mod 3e8 is 5e6: the degree comes from the factors
-        # of Euler's totient of n, not from walking five million powers
-        (13, 300000000, "13^5000000"),
-        # the order of 4 mod 3(2^61 - 1) is 61: the walk finds it without
-        # factoring n
-        (4, 3 * (2**61 - 1), "2^122"),
-        # the order of 4 mod 3(2^61 - 1)(2^89 - 1) is lcm(61, 89) = 5429:
-        # the walk finds it, where rho would need about 1.5e9 steps to split
-        # the two Mersenne primes
-        (4, 3 * (2**61 - 1) * (2**89 - 1), "2^10858"),
+        # the order of 13 mod 3e8 is 5e6
+        (13, 300000000),
+        # the order of 4 mod 3(2^61 - 1) is 61
+        (4, 3 * (2**61 - 1)),
+        # the order of 4 mod 3(2^61 - 1)(2^89 - 1) is lcm(61, 89) = 5429
+        (4, 3 * (2**61 - 1) * (2**89 - 1)),
+        # rho would need about 1.5e9 steps to split the two Mersenne primes
+        (13, 3 * (2**61 - 1) * (2**89 - 1)),
     ],
 )
-def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n, field):
+def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n):
+    # n > 2^20, so no field that fits holds a primitive n-th root; the walk
+    # stops after at most 20 powers of q, whatever the factors of n
     from cyclic_lrc.cli import main
 
     start = time.perf_counter()
@@ -194,7 +217,7 @@ def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n, field):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
     assert captured.err == (
-        f"field GF({field}) splitting x^{n} - 1 exceeds the supported order 1048576\n"
+        f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order 1048576\n"
     )
     assert elapsed < 0.2
 
@@ -274,10 +297,10 @@ def test_field_axioms_sampled(rng, f25, f13):
 def test_multiplicative_order_and_generators(f25):
     gen = f25.generator()
     assert gen.index == 7
-    assert multiplicative_order(gen) == 24
-    assert multiplicative_order(f25.one()) == 1
-    with pytest.raises(ValueError):
-        multiplicative_order(f25.zero())
+    assert _brute_force_order(f25, gen.index) == 24
+    assert _brute_force_order(f25, f25.one().index) == 1
+    # the generator is the first element of order q - 1
+    assert all(_brute_force_order(f25, a) < 24 for a in range(1, gen.index))
 
 
 def _brute_force_order(field, a):
@@ -290,9 +313,12 @@ def _brute_force_order(field, a):
 
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if len(prime_factors(q)) == 1])
 def test_multiplicative_order_matches_brute_force(q):
+    # the orders the package promises: q - 1 for the generator, n for the
+    # primitive n-th root of every n dividing q - 1
     field = _field_of_order(q)
-    for a in range(1, q):
-        assert multiplicative_order(field.from_index(a)) == _brute_force_order(field, a), (field, a)
+    assert _brute_force_order(field, field.generator().index) == q - 1
+    for n in (n for n in range(1, q) if (q - 1) % n == 0):
+        assert _brute_force_order(field, primitive_nth_root(field, n).index) == n, (field, n)
 
 
 def test_prime_factors():
@@ -304,18 +330,20 @@ def test_prime_factors():
 @pytest.mark.parametrize(
     "factors",
     [
-        (1031, 1033),  # both above the trial-division bound, product below 2^21
-        (2**61 - 1,),
-        (3, 2**61 - 1),
-        (4294967279, 4294967291),  # two 32-bit primes: rho, not trial division
-        (2**31 - 1, 1000003, 2**61 - 1),
-        (2**89 - 1,),  # a prime above 2^64
-        # a strong pseudoprime to the bases 2..23: bases 29..37 reject it
-        (149491, 747451, 34233211),
+        (1019, 1021),  # two primes above 2^10, product below 2^20
+        (1048573,),  # the largest prime below 2^20
+        (2, 2**19 - 1),
+        (3**12,),
+        (1023, 1025),  # 2^20 - 1
+        (2**20,),
+        (1021, 1024),
     ],
 )
 def test_prime_factors_of_large_numbers(factors):
+    # every caller passes at most MAX_FIELD_ORDER: a field order, one less
+    # than it, its characteristic or its degree
     n = math.prod(factors)
+    assert n <= MAX_FIELD_ORDER
     expected = tuple(sorted(f for f in _trial_factors(factors)))
     with _deadline(2.0):
         assert prime_factors(n) == expected
@@ -353,12 +381,12 @@ def _trial_factors(factors):
 
 
 def test_splitting_degree_of_a_huge_length_is_certified():
+    # the verdict for a length with a 61-bit prime factor is exact: no power
+    # of 13 within the supported order is 1 mod n
     n = 3 * (2**61 - 1)
     with _deadline(2.0):
-        degree = splitting_degree(13, n)
-    assert degree == 58184279818665
-    assert pow(13, degree, n) == 1
-    assert all(pow(13, degree // f, n) != 1 for f in prime_factors(degree))
+        assert splitting_degree(13, n) is None
+    assert all(pow(13, m, n) != 1 for m in range(1, 21) if 13**m <= MAX_FIELD_ORDER)
 
 
 # -- index arithmetic against an independent oracle ---------------------------
