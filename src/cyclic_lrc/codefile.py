@@ -1,17 +1,21 @@
 """Canonical JSON persistence of constructed codes.
 
 Field elements serialize as their base-p digit list, lowest degree first;
-prime-field elements abbreviate to a bare integer; polynomial coefficients
-load as indices.  Files are written with sorted keys and a fixed layout so
-that save -> load -> save is byte identical, and loading re-validates every
-structural invariant so that a tampered file is rejected rather than
-silently verified: beta must be the canonical primitive n-th root of unity,
-and alpha and gamma the elements ``construct`` derives from it for the
-file's scheme and parameters.
+prime-field elements abbreviate to a bare integer.  Files are written with
+sorted keys and a fixed layout so that save -> load -> save is byte
+identical.
+
+A file is valid exactly when it is what ``construct`` writes.  Loading
+parses and type-checks every field, rebuilds the code with
+``construct(scheme, q, n, r, d_claimed)`` and requires ``code_to_dict`` of
+it to equal the stored object key by key, JSON types included, so a
+tampered file is rejected rather than silently verified.  Which codes exist
+is decided in :mod:`cyclic_lrc.constructions` alone.
 
 Two error classes separate concerns for the CLI: a file that cannot be
-parsed at all is a usage error, while a parseable file whose contents break
-the code invariants is a (reportable) integrity failure.
+parsed at all is a usage error, while a parseable file whose parameters
+``construct`` refuses, or whose contents differ from the code it builds, is
+a (reportable) integrity failure.
 """
 
 from __future__ import annotations
@@ -19,16 +23,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .constructions import (
-    ALL_SCHEMES,
-    ConstructionError,
-    LrcCode,
-    ParameterError,
-    _plan,
-    _scheme_elements,
-)
-from .cyclic import CyclicCode
-from .field import FiniteField, make_field, splitting_root
+from .constructions import ALL_SCHEMES, ConstructionError, LrcCode, ParameterError, construct
+from .field import FiniteField, make_field
 from .poly import Poly
 
 SCHEMA_VERSION = 1
@@ -39,7 +35,7 @@ class CodeFileFormatError(ValueError):
 
 
 class CodeFileInvariantError(ValueError):
-    """The file parses but its contents violate the code invariants."""
+    """The file parses but is not the code its parameters construct."""
 
 
 def _element_to_json(field: FiniteField, index: int) -> int | list[int]:
@@ -53,19 +49,19 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _int_list(obj, what: str) -> list[int] | None:
-    """obj, if it is null or a list of JSON integers."""
-    if obj is None:
-        return None
-    if not isinstance(obj, list):
-        raise CodeFileFormatError(f"malformed {what}: {obj!r} is not a list")
-    return [_int(v, what) for v in obj]
+def _check_int_list(obj, what: str) -> None:
+    """Accept null or a list of JSON integers."""
+    if obj is not None:
+        if not isinstance(obj, list):
+            raise CodeFileFormatError(f"malformed {what}: {obj!r} is not a list")
+        for v in obj:
+            _int(v, what)
 
 
-def _element_from_json(field: FiniteField, obj, what: str, digits: bool = False) -> int:
-    """The index that ``_element_to_json`` writes as obj: a bare index when
-    m = 1, else (or with ``digits``, as for beta) a list of exactly m digits.
-    No other form loads, so loading and saving reproduces the file."""
+def _check_element(field: FiniteField, obj, what: str, digits: bool = False) -> None:
+    """Accept obj only as ``_element_to_json`` writes an element: a bare
+    index when m = 1, else (or with ``digits``, as for beta) a list of
+    exactly m digits."""
     if digits or field.m > 1:
         ok = isinstance(obj, list) and len(obj) == field.m and all(
             type(v) is int and 0 <= v < field.p for v in obj
@@ -74,17 +70,10 @@ def _element_from_json(field: FiniteField, obj, what: str, digits: bool = False)
         ok = type(obj) is int and 0 <= obj < field.q
     if not ok:
         raise CodeFileFormatError(f"bad element encoding for {what}: {obj!r}")
-    return field.index(obj) if isinstance(obj, list) else obj
 
 
 def _poly_to_json(p: Poly) -> list:
     return [_element_to_json(p.field, c) for c in p.coeffs]
-
-
-def _poly_from_json(field: FiniteField, obj, what: str) -> Poly:
-    if not isinstance(obj, list):
-        raise CodeFileFormatError(f"{what} must be a coefficient array")
-    return Poly(field, (_element_from_json(field, c, what) for c in obj))
 
 
 def code_to_dict(code: LrcCode) -> dict:
@@ -126,7 +115,7 @@ def code_from_dict(data: dict) -> LrcCode:
         p, m, n, k, r, d_claimed, q = (
             _int(data[key], key) for key in ("p", "m", "n", "k", "r", "d_claimed", "q")
         )
-        g_json, h_json, dual_json = data["g"], data["h"], data["dual_g"]
+        polys = {key: data[key] for key in ("g", "h", "dual_g")}
         beta_json = data["beta"]
     except KeyError as exc:
         raise CodeFileFormatError(f"missing key: {exc.args[0]}") from exc
@@ -139,65 +128,40 @@ def code_from_dict(data: dict) -> LrcCode:
         field = make_field(p, m)
     except ValueError as exc:
         raise CodeFileFormatError(str(exc)) from exc
-    if field.q != q:
-        raise CodeFileInvariantError(f"q = {q} does not match p^m = {field.q}")
-    stored_modulus = _int_list(data.get("modulus"), "modulus")
-    expected_modulus = list(field.modulus) if field.modulus else None
-    if stored_modulus != expected_modulus:
-        raise CodeFileInvariantError(
-            f"modulus {stored_modulus} is not the canonical modulus {expected_modulus}"
-        )
-
-    g = _poly_from_json(field, g_json, "g")
+    _check_int_list(data.get("modulus"), "modulus")
+    for key, coeffs in polys.items():
+        if not isinstance(coeffs, list):
+            raise CodeFileFormatError(f"{key} must be a coefficient array")
+        for c in coeffs:
+            _check_element(field, c, key)
     try:
         beta_field_json = beta_json["field"]
-        beta_p, beta_m = _int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m")
-        beta_field = make_field(beta_p, beta_m)
-        beta_modulus = _int_list(beta_field_json.get("modulus"), "beta modulus")
-        beta = beta_field.from_index(_element_from_json(beta_field, beta_json["rep"], "beta", digits=True))
+        beta_field = make_field(_int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m"))
+        _check_int_list(beta_field_json.get("modulus"), "beta modulus")
+        _check_element(beta_field, beta_json["rep"], "beta", digits=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFileFormatError(f"malformed beta: {exc}") from exc
-    if (beta_modulus or []) != list(beta_field.modulus or []):
-        raise CodeFileInvariantError("beta field modulus is not canonical")
-    # before the generator is divided into x^n - 1: beta exists only for an
-    # n whose splitting field fits, and that bounds n
-    try:
-        canonical = splitting_root(field, n)
-    except ValueError:
-        canonical = None
-    if beta != canonical:
-        raise CodeFileInvariantError("beta is not the canonical primitive n-th root of unity")
+    for key in ("alpha", "gamma"):
+        if data.get(key) is not None:
+            _check_element(field, data[key], key)
 
     try:
-        base = CyclicCode(field, n, g)
-    except ValueError as exc:
-        raise CodeFileInvariantError(f"invalid generator polynomial: {exc}") from exc
-    if base.k != k:
-        raise CodeFileInvariantError(f"stored k = {k} but n - deg g = {base.k}")
-    _poly_from_json(field, h_json, "h")
-    _poly_from_json(field, dual_json, "dual_g")
-    if _poly_to_json(base.h) != h_json or _poly_to_json(base.dual_g) != dual_json:
-        raise CodeFileInvariantError("stored h/dual_g disagree with the generator")
-
-    alpha = data.get("alpha")
-    gamma = data.get("gamma")
-    try:
-        code = LrcCode(
-            base,
-            r,
-            d_claimed,
-            scheme,
-            beta,
-            field.from_index(_element_from_json(field, alpha, "alpha")) if alpha is not None else None,
-            field.from_index(_element_from_json(field, gamma, "gamma")) if gamma is not None else None,
-        )
-        # after the LrcCode checks; a scheme precondition that fails, or a
-        # thm-3.4 alpha outside GF(q), leaves construct nothing to build
-        elements = _scheme_elements(_plan(scheme, q, n, r, d_claimed), field, beta)
+        code = construct(scheme, q, n, r, d_claimed)
     except (ConstructionError, ParameterError) as exc:
         raise CodeFileInvariantError(str(exc)) from exc
-    if (code.alpha, code.gamma) != elements:
-        raise CodeFileInvariantError(f"alpha and gamma are not the ones {scheme} derives from beta")
+    built = code_to_dict(code)
+    # compared as JSON text, which tells true from 1 and 1.0 from 1; the
+    # first key that differs is named
+    if json.dumps(data, sort_keys=True) != json.dumps(built, sort_keys=True):
+        for key in [*built, *sorted(data.keys() - built.keys())]:
+            stored, expected = (
+                json.dumps(obj[key], sort_keys=True) if key in obj else "(absent)" for obj in (data, built)
+            )
+            if stored != expected:
+                raise CodeFileInvariantError(
+                    f"stored {key} = {stored}, but {scheme} at q = {q}, n = {n}, r = {r}, "
+                    f"d = {d_claimed} builds {key} = {expected}"
+                )
     return code
 
 

@@ -119,8 +119,10 @@ class CyclicCode(Immutable):
         """The dual code, generated by the monic reciprocal of h."""
         return CyclicCode(self.field, self.n, self.dual_g)
 
+    @cached_property
     def root_exponents(self) -> frozenset[int]:
-        """Exponents e with g(beta**e) = 0 for the canonical primitive root."""
+        """Exponents e with g(beta**e) = 0 for the canonical primitive root,
+        found once per code."""
         beta = splitting_root(self.field, self.n)
         ext, b = beta.field, beta.index
         fwd, _ = _embedding(self.field, ext)
@@ -139,7 +141,7 @@ class CyclicCode(Immutable):
         Returns the largest delta such that delta - 1 cyclically consecutive
         exponents are all roots of g (n + 1 for the zero code).
         """
-        return _longest_cyclic_run(self.root_exponents(), self.n) + 1
+        return _longest_cyclic_run(self.root_exponents, self.n) + 1
 
 
 def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:

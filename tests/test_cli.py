@@ -15,6 +15,10 @@ import pytest
 import cyclic_lrc
 from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import code_to_dict, dumps_canonical, load_code
+from cyclic_lrc.constructions import LrcCode, base_field
+from cyclic_lrc.cyclic import CyclicCode
+from cyclic_lrc.field import splitting_root
+from cyclic_lrc.poly import Poly
 
 
 def _run(capsys, *argv):
@@ -124,19 +128,22 @@ def test_construct_length_with_a_huge_prime_factor_is_prompt():
         assert elapsed < 10.0
 
 
-def test_verify_huge_length_is_rejected_by_the_beta_check(code_file, tmp_path):
-    # beta exists only for an n whose splitting field fits, and is checked
-    # before the generator is divided into x^n - 1
-    data = json.loads(code_file.read_text())
-    data["n"] = 100000001
-    bad = tmp_path / "huge.json"
-    bad.write_text(dumps_canonical(data))
-    proc, elapsed = _bounded_cli("verify", str(bad))
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == (
-        "code file integrity failure: beta is not the canonical primitive n-th root of unity\n"
-    )
-    assert elapsed < 5.0
+def test_verify_huge_length_is_rejected_by_construct(code_file, tmp_path):
+    # the loader rebuilds the code, so a length is checked by the scheme's
+    # preconditions and the splitting-field walk before any generator is
+    # divided into x^n - 1; 100000004 passes every thm-1.1-ii precondition
+    for n, reason in [
+        (100000001, "gcd(n, q - 1) = 1 is not divisible by r + 1 = 4"),
+        (100000004, "the splitting field of x^100000004 - 1 over GF(5) exceeds the supported order 1048576"),
+    ]:
+        data = json.loads(code_file.read_text())
+        data["n"] = n
+        bad = tmp_path / "huge.json"
+        bad.write_text(dumps_canonical(data))
+        proc, elapsed = _bounded_cli("verify", str(bad))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"code file integrity failure: {reason}\n"
+        assert elapsed < 5.0
 
 
 def test_verify_certified(code_file, capsys):
@@ -173,7 +180,53 @@ def test_tampered_locality_is_an_integrity_failure(code_file, capsys, tmp_path, 
     bad.write_text(dumps_canonical(data))
     rc, out, err = _run(capsys, command[0], str(bad), *command[1:])
     assert (rc, out) == (3, "")
-    assert err == f"code file integrity failure: locality r = {r} must be >= 1\n"
+    assert err == f"code file integrity failure: locality must be >= 3, got {r}\n"
+
+
+def _hand_made_file(path, scheme, q, n, r, d, zeros, elements=(None, None)):
+    """A code file for g = prod over e in zeros of (x - beta^e), beta the
+    canonical primitive n-th root in GF(q), stored with the given claims and
+    alpha = beta^a, gamma = beta^c for (a, c) = elements, where not None;
+    written without construct and its scheme preconditions."""
+    field = base_field(q)
+    beta = splitting_root(field, n)
+    assert beta.field is field
+    g = Poly.from_roots(field, [(beta**e).index for e in zeros])
+    alpha, gamma = (None if e is None else beta**e for e in elements)
+    code = LrcCode(CyclicCode(field, n, g), r, d, scheme, beta, alpha, gamma)
+    path.write_text(dumps_canonical(code_to_dict(code)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command", [["verify"], ["encode", "--message", "1"], ["repair", "--word", "_,1,1,1"]]
+)
+def test_thm_3_4_file_of_another_length_is_an_integrity_failure(capsys, tmp_path, command):
+    # the thm-3.4 root set {0, 2} + grid at q = 5, n = 4, r = 3 gives a
+    # [4, 1, 4] code, but thm-3.4 fixes n = 2(q - 1) = 8
+    bad = _hand_made_file(tmp_path / "bad.json", "thm-3.4", 5, 4, 3, 4, (0, 1, 2), (1, 2))
+    rc, out, err = _run(capsys, command[0], str(bad), *command[1:])
+    assert (rc, out) == (3, "")
+    assert err == "code file integrity failure: scheme thm-3.4 fixes n = 2(q - 1) = 8, got 4\n"
+
+
+def test_generator_of_another_divisor_is_an_integrity_failure(capsys, tmp_path):
+    # zeros beta^0..beta^5 instead of the ex-3.2 set: the same n, k and
+    # claims, and a g, h and dual_g that agree with each other
+    good = tmp_path / "good.json"
+    rc, _, err = _run(capsys, "construct", "--scheme", "ex-3.2", "--q", "13", "--n", "12",
+                      "--r", "2", "--d", "5", "--out", str(good))
+    assert rc == 0, err
+    other = json.loads(_hand_made_file(tmp_path / "other.json", "ex-3.2", 13, 12, 2, 5,
+                                       range(6)).read_text())
+    data = json.loads(good.read_text())
+    assert data["g"] != other["g"] and data["k"] == other["k"] == 6
+    data.update({key: other[key] for key in ("g", "h", "dual_g")})
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(data))
+    rc, out, err = _run(capsys, "encode", str(bad), "--message", "1,0,0,0,0,0")
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"code file integrity failure: stored g = {json.dumps(other['g'])}, ")
 
 
 def test_verify_malformed_file(tmp_path, capsys):
@@ -278,12 +331,13 @@ def test_oversized_field_is_rejected_before_factoring(code_file, capsys, monkeyp
         rc, out, err = _run(capsys, "construct", "--scheme", "thm-1.1-i", "--q", "13",
                             "--n", str(n), "--r", "2")
         assert (rc, out) == (1, "") and "exceeds the supported order" in err
-    data = json.loads(code_file.read_text())
-    data["n"] = 100000001
-    huge = code_file.with_name("huge.json")
-    huge.write_text(dumps_canonical(data))
-    rc, out, err = _run(capsys, "verify", str(huge))
-    assert (rc, out) == (3, "") and "beta is not the canonical" in err
+    for n, reason in [(100000001, "is not divisible by r + 1"), (100000004, "exceeds the supported order")]:
+        data = json.loads(code_file.read_text())
+        data["n"] = n
+        huge = code_file.with_name("huge.json")
+        huge.write_text(dumps_canonical(data))
+        rc, out, err = _run(capsys, "verify", str(huge))
+        assert (rc, out) == (3, "") and reason in err
     data = json.loads(code_file.read_text())
     data["p"] = big
     code_file.write_text(json.dumps(data))

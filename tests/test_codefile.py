@@ -46,7 +46,7 @@ def test_extension_field_elements_are_digit_lists(code_9_5_3):
 def test_tampered_generator_rejected(code_8_4_4):
     data = code_to_dict(code_8_4_4)
     data["g"][0] = 3
-    with pytest.raises(CodeFileInvariantError, match="does not divide"):
+    with pytest.raises(CodeFileInvariantError, match=r"^stored g = \[3, 2, 0, 1, 1\], "):
         code_from_dict(data)
 
 
@@ -60,32 +60,32 @@ def test_tampered_dimension_rejected(code_8_4_4):
 def test_tampered_parity_rejected(code_8_4_4):
     data = code_to_dict(code_8_4_4)
     data["h"][0] = 1
-    with pytest.raises(CodeFileInvariantError, match="disagree"):
+    with pytest.raises(CodeFileInvariantError, match=r"^stored h = \[1, "):
         code_from_dict(data)
 
 
 def test_tampered_claim_rejected(code_8_4_4):
     data = code_to_dict(code_8_4_4)
     data["d_claimed"] = 5
-    with pytest.raises(CodeFileInvariantError, match="Singleton"):
+    with pytest.raises(CodeFileInvariantError, match="^scheme thm-1.1-ii fixes d = 4, got 5$"):
         code_from_dict(data)
 
 
 def test_noncanonical_modulus_rejected(code_9_5_3):
     data = code_to_dict(code_9_5_3)
     data["modulus"] = [1, 0, 1]
-    with pytest.raises(CodeFileInvariantError, match="canonical"):
+    with pytest.raises(CodeFileInvariantError, match=r"^stored modulus = \[1, 0, 1\], .* builds modulus = \[1, 1, 1\]$"):
         code_from_dict(data)
 
 
 def test_tampered_beta_rejected(code_8_4_4):
     # the [8, 4, 4] GF(5) code stores beta = GF(25):8 and alpha = gamma =
-    # beta^2 = 3; alpha and gamma are powers of beta, so checked with it
+    # beta^2 = 3
     for key, value, message in [
-        ("beta", [1, 0], "primitive"),  # the identity is no primitive 8th root
-        ("beta", [4, 3], "canonical primitive"),  # beta^3: primitive, not canonical
-        ("alpha", 2, "alpha and gamma"),
-        ("gamma", 4, "alpha and gamma"),
+        ("beta", [1, 0], r"^stored beta = .*\[1, 0\]"),  # the identity is no primitive 8th root
+        ("beta", [4, 3], r"^stored beta = .*\[4, 3\]"),  # beta^3: primitive, not canonical
+        ("alpha", 2, "^stored alpha = 2, .* builds alpha = 3$"),
+        ("gamma", 4, "^stored gamma = 4, .* builds gamma = 3$"),
     ]:
         data = code_to_dict(code_8_4_4)
         if key == "beta":
@@ -94,6 +94,19 @@ def test_tampered_beta_rejected(code_8_4_4):
             data[key] = value
         with pytest.raises(CodeFileInvariantError, match=message):
             code_from_dict(data)
+
+
+def test_file_must_equal_the_constructed_code_key_by_key(code_8_4_4, code_9_5_3):
+    # every key construct writes is required, and no other key is allowed
+    data = code_to_dict(code_9_5_3)
+    del data["gamma"]
+    with pytest.raises(CodeFileInvariantError, match=r"^stored gamma = \(absent\), .* builds gamma = null$"):
+        code_from_dict(data)
+    data = code_to_dict(code_8_4_4)
+    data["comment"] = "hand edited"
+    with pytest.raises(CodeFileInvariantError, match=r'^stored comment = "hand edited", .* = \(absent\)$'):
+        code_from_dict(data)
+    assert code_from_dict(code_to_dict(code_8_4_4)) == code_8_4_4
 
 
 def test_schema_version_guard(code_8_4_4):

@@ -108,7 +108,7 @@ def test_d4_rejects_small_locality():
 def test_subgroup_case1_q13_d5(acceptance_codes):
     code = acceptance_codes["subgroup-q13-d5"]
     assert (code.n, code.k, code.d_claimed) == (12, 6, 5)
-    assert sorted(code.base.root_exponents()) == [0, 1, 2, 3, 6, 9]
+    assert sorted(code.base.root_exponents) == [0, 1, 2, 3, 6, 9]
     assert code.base.bch_lower_bound() >= 5
     _check_common_invariants(code)
 
@@ -116,7 +116,7 @@ def test_subgroup_case1_q13_d5(acceptance_codes):
 def test_subgroup_case2_q13_d6(acceptance_codes):
     code = acceptance_codes["subgroup-q13-d6"]
     assert (code.n, code.k, code.d_claimed) == (12, 5, 6)
-    assert sorted(code.base.root_exponents()) == [0, 1, 2, 3, 4, 7, 10]
+    assert sorted(code.base.root_exponents) == [0, 1, 2, 3, 4, 7, 10]
     _check_common_invariants(code)
 
 
@@ -159,7 +159,7 @@ def test_coset_q11_d10(acceptance_codes):
 def test_coset_q11_d2():
     code = construct("ex-3.3", 11, n=12, r=3, d=2)
     assert (code.n, code.k) == (12, 9)
-    assert sorted(code.base.root_exponents()) == [0, 4, 8]
+    assert sorted(code.base.root_exponents) == [0, 4, 8]
     _check_common_invariants(code)
 
 

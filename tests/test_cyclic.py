@@ -164,19 +164,19 @@ def test_encode_and_contains_at_the_dimension_extremes(f5):
 
 
 def test_root_exponents_and_bch(code_8_4):
-    assert sorted(code_8_4.root_exponents()) == [0, 1, 2, 5]
+    assert sorted(code_8_4.root_exponents) == [0, 1, 2, 5]
     assert code_8_4.bch_lower_bound() == 4
 
 
 def test_bch_on_distance3_code(code_9_5_3):
     base = code_9_5_3.base
-    assert sorted(base.root_exponents()) == [0, 1, 4, 7]
+    assert sorted(base.root_exponents) == [0, 1, 4, 7]
     assert base.bch_lower_bound() == 3
 
 
 def test_bch_run_of_length_d_minus_1(acceptance_codes):
     base = acceptance_codes["subgroup-q13-d5"].base
-    assert sorted(base.root_exponents()) == [0, 1, 2, 3, 6, 9]
+    assert sorted(base.root_exponents) == [0, 1, 2, 3, 6, 9]
     assert base.bch_lower_bound() == 5
 
 

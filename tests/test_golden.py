@@ -5,13 +5,14 @@ rewritten; any change to enumeration order or witness choice shows here."""
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cli import main
-from cyclic_lrc.codefile import code_to_dict, dumps_canonical
+from cyclic_lrc.codefile import code_from_dict, code_to_dict, dumps_canonical
 from cyclic_lrc.repair import verify_locality
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,6 +50,19 @@ def test_sweep_verify(capsys, argv, golden):
     rc, out = _run(capsys, "sweep", "--verify", *argv)
     assert rc == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_sweep_verify_over_criterion_box(capsys):
+    # the five tables of the benchmark's sweep-box workload, one digest over
+    # their concatenation in ALL_SCHEMES order; captured before code files
+    # were rebuilt by construct
+    digest = hashlib.sha256()
+    for scheme in ALL_SCHEMES:
+        rc, out = _run(capsys, "sweep", "--verify", "--scheme", scheme, "--qmax", "13",
+                       "--nmax", "24", "--budget", str(1 << 20))
+        assert rc == 0, scheme
+        digest.update(out.encode())
+    assert digest.hexdigest() == (GOLDEN / "sweep-verify-qmax13-nmax24.sha256").read_text().strip()
 
 
 def test_exhaustive_locality_witnesses():
@@ -99,7 +113,10 @@ def test_code_files_over_criterion_box():
             if not rec.constructible:
                 continue
             code = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
-            digest.update(dumps_canonical(code_to_dict(code)).encode())
+            text = dumps_canonical(code_to_dict(code))
+            # save -> load -> save is byte identical
+            assert dumps_canonical(code_to_dict(code_from_dict(json.loads(text)))) == text, rec
+            digest.update(text.encode())
             rows += 1
     assert rows == 260
     assert digest.hexdigest() == (GOLDEN / "codes-qmax13-nmax24.sha256").read_text().strip()

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import pytest
 
-from cyclic_lrc.constructions import LrcCode
+from cyclic_lrc.constructions import LrcCode, construct
 from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.field import make_field, primitive_nth_root
 from cyclic_lrc.poly import Poly
@@ -92,6 +93,26 @@ def test_verify_budget_limits_distance_but_not_coset_locality():
     assert report.locality.ok  # coset witnesses need no budget
     assert report.verdict == OPTIMAL_CONSISTENT
     assert verify_optimal(code, budget=13**6).verdict == OPTIMAL_CERTIFIED
+
+
+def test_root_exponents_are_found_once_per_code(monkeypatch):
+    # over budget, the distance scan and the report both read the code's BCH
+    # bound, and the dual scan reads the dual's
+    found = []
+
+    def counting(code):
+        found.append(code)
+        return real(code)
+
+    real = CyclicCode.root_exponents.func
+    cached = cached_property(counting)
+    cached.__set_name__(CyclicCode, "root_exponents")
+    monkeypatch.setattr(CyclicCode, "root_exponents", cached)
+    code = construct("ex-3.2", 13, n=12, r=2, d=5)
+    report = verify_optimal(code, budget=200)
+    assert not report.distance.exact and not report.dual_distance.exact
+    assert report.bch_lower_bound == report.distance.lower == 5
+    assert found == [code.base, code.base.dual()]
 
 
 def test_exit_code_mapping():
