@@ -330,9 +330,10 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
 
     beta is the canonical primitive n-th root of unity in the splitting field
     of x^n - 1.  g is formed there and every coefficient is projected to
-    GF(q), a step that fails outside the embedded copy of GF(q); alpha and
-    gamma come from :func:`_scheme_elements`.  CyclicCode checks
-    g | x^n - 1, and the dimension is checked against the plan.
+    GF(q), a step that fails outside the embedded copy of GF(q); so are
+    alpha = beta^alpha_exponent and gamma = beta^gamma_exponent of the plan,
+    each None where the scheme stores none.  CyclicCode checks g | x^n - 1,
+    and the dimension is checked against the plan.
     """
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
@@ -346,18 +347,11 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     code = CyclicCode(field, n, g)
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
-    return LrcCode(code, r, d, scheme, beta, *_scheme_elements(plan, field, beta))
-
-
-def _scheme_elements(plan: _Plan, field: FiniteField, beta) -> tuple:
-    """(alpha, gamma): beta^alpha_exponent and beta^gamma_exponent of the
-    plan, projected to GF(q), each None where the scheme stores none."""
-    ext, b = beta.field, beta.index
-    _, preimage = _embedding(field, ext)
-    return tuple(
+    alpha, gamma = (
         None if e is None else field.from_index(_project(ext.pow(b, e), preimage, field, what))
         for e, what in ((plan.alpha_exponent, "alpha"), (plan.gamma_exponent, "gamma"))
     )
+    return LrcCode(code, r, d, scheme, beta, alpha, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -61,28 +61,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_divmod(field: FiniteField, a, b) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of the polynomial a by b over the field, as
-    coefficient index sequences, lowest degree first; b's leading
-    coefficient is nonzero.  The remainder has no trailing zeros, and
-    neither has the quotient when a has none."""
-    rem = list(a)
-    top = len(b) - 1
-    quot = [0] * max(0, len(rem) - top)
-    sub, mul = field.sub, field.mul
-    inv_lead = field.inv(b[-1])
-    for shift in range(len(quot) - 1, -1, -1):
-        factor = mul(rem[shift + top], inv_lead)
-        if factor:
-            quot[shift] = factor
-            for i, c in enumerate(b):
-                rem[shift + i] = sub(rem[shift + i], mul(factor, c))
-    del rem[top:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
 def _poly_eval(field: FiniteField, coeffs, point: int) -> int:
     """Horner evaluation of a coefficient index sequence at a point of the field."""
     add, mul = field.add, field.mul
@@ -92,31 +70,19 @@ def _poly_eval(field: FiniteField, coeffs, point: int) -> int:
     return acc
 
 
-def _pgcd(field: FiniteField, a: int) -> tuple[list[int], int]:
-    """gcd of the field's modulus and the polynomial of index a, with the
-    index u for which u * a equals that gcd modulo the modulus.  The gcd is
-    a unit (a one-residue list) or has positive degree; the extended
-    Euclidean algorithm stops at the first unit remainder."""
-    prime = _canonical_field(field.p, 1)
-    _, r1 = _poly_divmod(prime, field.digits(a), field.modulus)  # a's digits, trimmed
-    r0, u0, u1 = field.modulus, 0, 1
-    while len(r1) > 1:
-        # deg r1 >= 1, so the quotient has degree < m: an element index
-        quot, rem = _poly_divmod(prime, r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, field.sub(u0, field.mul(field.index(quot), u1))
-    return (r1, u1) if r1 else (r0, u0)
-
-
 def _is_irreducible(field: FiniteField) -> bool:
     """Irreducibility of a candidate modulus, by Rabin's test on the
-    arithmetic modulo it: y^(p^m) == y and gcd(y^(p^(m/d)) - y, modulus) = 1
-    for every prime divisor d of m, y being the class of x (index p)."""
-    p, m, y = field.p, field.m, field.p
-    if field.pow(y, p**m) != y:
+    arithmetic modulo it, y being the class of x (index p): y^(p^m) == y,
+    and gcd(y^(p^(m/d)) - y, modulus) = 1 for every prime divisor d of m.
+    Both are tested by powering.  Once y^(p^m) == y, the modulus divides
+    x^(p^m) - x, a product of distinct irreducibles of degrees dividing m,
+    so the ring is a product of fields GF(p^e) with e | m.  There an element
+    z is prime to the modulus exactly when it is a unit: z^(p^m - 1) == 1."""
+    p, m, q, y = field.p, field.m, field.q, field.p
+    if field.pow(y, q) != y:
         return False
     return all(
-        len(_pgcd(field, field.sub(field.pow(y, p ** (m // d)), y))[0]) == 1
+        field.pow(field.sub(field.pow(y, p ** (m // d)), y), q - 1) == 1
         for d in prime_factors(m)
     )
 
@@ -227,14 +193,10 @@ class FiniteField(Immutable):
         return self.from_index(_multiplicative_generator(self))
 
     def inv(self, a: int) -> int:
-        """Inverse of a nonzero index: natively mod p, and in GF(p^m) by the
-        extended Euclidean algorithm, :func:`_pgcd`."""
+        """Inverse of a nonzero index, a^(q-2), since a^(q-1) == 1."""
         if not a:
             raise ZeroDivisionError(f"inversion of zero in {self}")
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        unit, u = _pgcd(self, a)
-        return self.mul(u, pow(unit[0], -1, self.p))
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; a negative e inverts a first."""

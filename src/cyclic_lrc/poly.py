@@ -5,16 +5,18 @@ stored lowest degree first.  The one constructor, ``Poly(field, coeffs)``,
 takes any iterable and drops trailing zeros, so the zero polynomial has an
 empty coefficient tuple, equal polynomials have equal tuples, and
 coordinate i of a codeword is coefficient i.  Arithmetic runs on the
-field's index operations, and a point of evaluation is an index too;
-``divmod`` is the one division.  Polynomials are immutable values; ring
-operations on polynomials over different fields raise ValueError.
+field's index operations, and a point of evaluation is an index too.
+``divmod``, long division, is the package's one polynomial division: the
+field's inverse and its irreducibility test are powers, not gcds.
+Polynomials are immutable values; ring operations on polynomials over
+different fields raise ValueError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import FiniteField, Immutable, _poly_divmod, _poly_eval
+from .field import FiniteField, Immutable, _poly_eval
 
 
 class Poly(Immutable):
@@ -113,11 +115,23 @@ class Poly(Immutable):
         return Poly(self.field, out)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Quotient and remainder by long division, one inversion of the
+        divisor's leading coefficient."""
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = _poly_divmod(self.field, self.coeffs, other.coeffs)
-        return Poly(self.field, quot), Poly(self.field, rem)
+        field, b = self.field, other.coeffs
+        sub, mul = field.sub, field.mul
+        rem, top = list(self.coeffs), len(b) - 1
+        quot = [0] * max(0, len(rem) - top)
+        inv_lead = field.inv(b[-1])
+        for shift in range(len(quot) - 1, -1, -1):
+            factor = mul(rem[shift + top], inv_lead)
+            if factor:
+                quot[shift] = factor
+                for i, c in enumerate(b):
+                    rem[shift + i] = sub(rem[shift + i], mul(factor, c))
+        return Poly(field, quot), Poly(field, rem[:top])
 
     # -- evaluation and shape -----------------------------------------------
 

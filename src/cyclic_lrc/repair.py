@@ -61,14 +61,6 @@ def coordinate_coset(n: int, r: int, i: int) -> tuple[int, ...]:
     return tuple(range(i % s, n, s))
 
 
-def _base_and_r(code, r_test: int | None = None) -> tuple[CyclicCode, int]:
-    base = getattr(code, "base", code)
-    r = r_test if r_test is not None else getattr(code, "r", None)
-    if r is None:
-        raise ValueError("a locality value is required for a bare cyclic code")
-    return base, r
-
-
 # ---------------------------------------------------------------------------
 # Repair vectors.
 
@@ -111,12 +103,13 @@ def _is_dual_word(base: CyclicCode, word: tuple[int, ...]) -> bool:
 
 
 def repair_vector(code, i: int) -> tuple[FieldElement, ...]:
-    """Dual codeword used to repair coordinate i, as a full-length word."""
-    base, r = _base_and_r(code)
-    if not 0 <= i < base.n:
-        raise ValueError(f"coordinate {i} out of range for length {base.n}")
-    field, zero = base.field, base.field.zero()
-    return tuple(field.from_index(v) if v else zero for v in _class_word(base, r, code.grid_constant, i))
+    """Dual codeword used to repair coordinate i of an LrcCode, as a
+    full-length word."""
+    if not 0 <= i < code.n:
+        raise ValueError(f"coordinate {i} out of range for length {code.n}")
+    field, zero = code.field, code.field.zero()
+    word = _class_word(code.base, code.r, code.grid_constant, i)
+    return tuple(field.from_index(v) if v else zero for v in word)
 
 
 def repair_plan(code) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -124,13 +117,12 @@ def repair_plan(code) -> tuple[tuple[tuple[int, int], ...], ...]:
     -c^(t-u)) over t != u that repair of c_i reads: i's repair vector scaled
     to -1 at i, its entries as indices.  Raises RepairError when the code
     has no repair vectors."""
-    base, r = _base_and_r(code)
-    c = code.grid_constant
-    s = repair_stride(base.n, r)
-    neg = [base.field.neg(value) for value in _powers(base.field, c, r)]
+    field, n, r = code.field, code.n, code.r
+    s = repair_stride(n, r)
+    neg = [field.neg(value) for value in _powers(field, code.grid_constant, r)]
     return tuple(
         tuple((i % s + s * t, neg[(t - i // s) % (r + 1)]) for t in range(r + 1) if t != i // s)
-        for i in range(base.n)
+        for i in range(n)
     )
 
 
@@ -139,13 +131,12 @@ def repair_erasure(code, word: ErasedWord) -> FieldElement:
     a_j c_j, reading only the r other coset coordinates, through the code's
     cached repair plan.  A read symbol from another field raises
     ValueError."""
-    base, _ = _base_and_r(code)
-    if len(word.symbols) != base.n:
-        raise ValueError(f"word length {len(word.symbols)} != n = {base.n}")
+    field, n = code.field, code.n
+    if len(word.symbols) != n:
+        raise ValueError(f"word length {len(word.symbols)} != n = {n}")
     i = word.erased_at
-    if not 0 <= i < base.n:
-        raise ValueError(f"coordinate {i} out of range for length {base.n}")
-    field = base.field
+    if not 0 <= i < n:
+        raise ValueError(f"coordinate {i} out of range for length {n}")
     add, mul = field.add, field.mul
     acc = 0
     for j, coeff in code.repair_plan[i]:
@@ -197,7 +188,10 @@ def verify_locality(code, r_test: int | None = None, budget: int = DEFAULT_BUDGE
     which also proves negative answers.  A scan whose dual space exceeds the
     budget reports ok = None.
     """
-    base, r = _base_and_r(code, r_test)
+    base = getattr(code, "base", code)
+    r = r_test if r_test is not None else getattr(code, "r", None)
+    if r is None:
+        raise ValueError("a locality value is required for a bare cyclic code")
     if r < 1:
         raise ValueError(f"locality must be >= 1, got {r}")
     if base.n % (r + 1) == 0:

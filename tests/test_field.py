@@ -13,12 +13,15 @@ import pytest
 from cyclic_lrc.field import (
     MAX_FIELD_ORDER,
     FieldElement,
+    FiniteField,
     _embedding,
+    _is_irreducible,
     make_field,
     prime_factors,
     primitive_nth_root,
     splitting_degree,
 )
+from cyclic_lrc.poly import Poly
 
 
 def _embed(a, ext):
@@ -101,6 +104,65 @@ def test_higher_degree_modulus_is_irreducible():
     for a in make_field(2).elements():
         value = sum(c * pow(a.index, i, 2) for i, c in enumerate(coeffs)) % 2
         assert value != 0
+
+
+def _divides(p, b, a):
+    """Whether the monic b divides a over GF(p), by long division on
+    residue lists."""
+    rem, top = list(a), len(b) - 1
+    for shift in range(len(rem) - 1 - top, -1, -1):
+        c = rem[shift + top]
+        for i, f in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - c * f) % p
+    return not any(rem[:top])
+
+
+def _has_a_factor(p, coeffs):
+    """Trial division of a monic polynomial over GF(p) by every monic
+    polynomial of degree 1 to half its degree."""
+    m = len(coeffs) - 1
+    return any(
+        _divides(p, (*tail, 1), coeffs)
+        for k in range(1, m // 2 + 1)
+        for tail in itertools.product(range(p), repeat=k)
+    )
+
+
+def _irreducible_count(p, m):
+    """Gauss's count of the monic irreducibles of degree m over GF(p):
+    (1/m) * sum over d | m of mu(d) p^(m/d)."""
+    total = 0
+    for d in range(1, m + 1):
+        if m % d == 0 and all(d % (f * f) for f in prime_factors(d)):
+            total += (-1) ** len(prime_factors(d)) * p ** (m // d)
+    return total // m
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5), (5, 3)])
+def test_rabin_test_matches_trial_division(p, max_degree):
+    # every monic candidate with a nonzero constant term, as the modulus
+    # search scans them; a zero constant term is a root at 0
+    for m in range(2, max_degree + 1):
+        verdicts = []
+        for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+            modulus = (*tail, 1)
+            verdict = _is_irreducible(FiniteField(p, m, modulus))
+            assert verdict is not _has_a_factor(p, modulus), (p, modulus)
+            verdicts.append(verdict)
+        assert sum(verdicts) == _irreducible_count(p, m), (p, m)
+
+
+def test_rabin_test_rejects_a_product_of_factors_of_dividing_degrees():
+    # 1 + x + x^4 + x^6 = (x + 1)(x^2 + x + 1)(x^3 + x + 1) over GF(2): every
+    # factor's degree divides 6, so y^64 = y, while y^8 != y and y^4 != y;
+    # only the coprimality condition rejects it
+    f2, modulus = make_field(2), (1, 1, 0, 0, 1, 0, 1)
+    factors = [Poly(f2, (1, 1)), Poly(f2, (1, 1, 1)), Poly(f2, (1, 1, 0, 1))]
+    assert math.prod(factors, start=Poly.one(f2)) == Poly(f2, modulus)
+    field, y = FiniteField(2, 6, modulus), 2
+    assert field.pow(y, 64) == y
+    assert field.pow(y, 8) != y and field.pow(y, 4) != y
+    assert not _is_irreducible(field)
 
 
 def test_extension_multiplication_follows_modulus(f4):
@@ -481,3 +543,14 @@ def test_every_nonzero_index_has_an_inverse(q):
         field.inv(0)
     with pytest.raises(ZeroDivisionError):
         field.pow(0, -1)
+
+
+@pytest.mark.parametrize("p, m", [(2, 20), (3, 12), (1021, 2), (1021, 1)])
+def test_inverse_on_the_largest_fields(rng, p, m):
+    field = make_field(p, m)
+    _, _, _, mul = _schoolbook(field)
+    for a in [1, field.q - 1, *(rng.randrange(1, field.q) for _ in range(200))]:
+        assert field.mul(field.inv(a), a) == 1, (field, a)
+        assert mul(field.inv(a), a) == 1, (field, a)
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
