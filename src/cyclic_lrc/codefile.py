@@ -3,7 +3,9 @@
 Field elements serialize as their base-p digit list, lowest degree first;
 prime-field elements abbreviate to a bare integer.  Files are written with
 sorted keys and a fixed layout so that save -> load -> save is byte
-identical.
+identical.  Schema version 2 stores ``beta`` (with its field) only for
+ex-3.2 and ex-3.3, and null for the thm schemes, which are built in GF(q)
+from alpha and gamma alone; a version 1 file is a format error.
 
 A file is valid exactly when it is what ``construct`` writes.  Loading
 parses and type-checks every field, rebuilds the code with
@@ -27,7 +29,7 @@ from .constructions import ALL_SCHEMES, ConstructionError, LrcCode, ParameterErr
 from .field import FiniteField, make_field
 from .poly import Poly
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CodeFileFormatError(ValueError):
@@ -93,7 +95,7 @@ def code_to_dict(code: LrcCode) -> dict:
         "g": _poly_to_json(base.g),
         "h": _poly_to_json(base.h),
         "dual_g": _poly_to_json(base.dual_g),
-        "beta": {
+        "beta": None if code.beta is None else {
             "field": {
                 "p": code.beta.field.p,
                 "m": code.beta.field.m,
@@ -134,13 +136,14 @@ def code_from_dict(data: dict) -> LrcCode:
             raise CodeFileFormatError(f"{key} must be a coefficient array")
         for c in coeffs:
             _check_element(field, c, key)
-    try:
-        beta_field_json = beta_json["field"]
-        beta_field = make_field(_int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m"))
-        _check_int_list(beta_field_json.get("modulus"), "beta modulus")
-        _check_element(beta_field, beta_json["rep"], "beta", digits=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodeFileFormatError(f"malformed beta: {exc}") from exc
+    if beta_json is not None:
+        try:
+            beta_field_json = beta_json["field"]
+            beta_field = make_field(_int(beta_field_json["p"], "beta p"), _int(beta_field_json["m"], "beta m"))
+            _check_int_list(beta_field_json.get("modulus"), "beta modulus")
+            _check_element(beta_field, beta_json["rep"], "beta", digits=True)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CodeFileFormatError(f"malformed beta: {exc}") from exc
     for key in ("alpha", "gamma"):
         if data.get(key) is not None:
             _check_element(field, data[key], key)

@@ -1,41 +1,34 @@
 """Generator-polynomial constructions of optimal cyclic locally repairable
 codes, plus admissible-parameter enumeration.
 
-Each scheme is a set Z of root exponents modulo n.  With beta the canonical
-primitive n-th root of unity in the splitting field of x^n - 1, the generator
-is g = prod over e in Z of (x - beta^e), and k = n - |Z|.  With s = n/(r+1),
-the five schemes, named by the identifiers used on the CLI and in code
-files, are:
+With s = n/(r+1) and omega the canonical generator of GF(q), the five
+schemes, named by the identifiers used on the CLI and in code files, are:
 
 * ``thm-1.1-i``   distance 3, (r+1) | gcd(n, q-1), r >= 2;
-                  Z = {0} + {1 + (r+1)j : j < s}, so g = (x - 1)(x^s - alpha)
-                  with alpha = beta^s.
+                  g = (x - 1)(x^s - alpha), alpha = omega^((q-1)/(r+1)).
 * ``thm-1.1-ii``  distance 4, r >= 3, additionally gcd(s, r+1) | 2;
-                  Z = the thm-1.1-i set + {s*a}, so g gains x - gamma with
-                  gamma = beta^(s*a) = alpha^a, a*s + b*(r+1) = 2.
-* ``ex-3.2``      n | q - 1, any feasible distance d;
-                  Z = {0, ..., d-2} + a stride-(r+1) tail; beta is in GF(q).
+                  g gains x - gamma, gamma = alpha^a, a*s + b*(r+1) = 2.
+* ``ex-3.2``      n | q - 1, any feasible distance d; g = prod over e in Z
+                  of (x - beta^e), beta the primitive n-th root in GF(q),
+                  Z = {0, ..., d-2} + a stride-(r+1) tail.
 * ``ex-3.3``      n | q + 1, d = a(r+1) + b with a even and b even, b >= 2;
-                  Z = {-(d-2)/2, ..., (d-2)/2} + {(r+1)j : a/2 < j < s - a/2},
-                  closed under negation, so g descends to GF(q).
+                  beta in GF(q^2), Z = {-(d-2)/2, ..., (d-2)/2} +
+                  {(r+1)j : a/2 < j < s - a/2}, closed under negation, so g
+                  descends to GF(q).
 * ``thm-3.4``     n = 2(q - 1), distance 4, (r+1) | q - 1;
-                  Z = {0, 2} + the thm-1.1-i grid, with gamma = beta^2.
+                  g = (x - 1)(x - omega)(x^s - alpha), alpha = omega^(s/2).
+
+No splitting field of x^n - 1 is formed: MAX_LENGTH bounds n for every
+scheme, and only ex-3.3 also needs GF(q^2) within MAX_FIELD_ORDER.
 
 Each scheme's preconditions live only in ``_plan``, an integer-only function
-of (scheme, q, n, r, d).  It raises ParameterError with a reusable
-diagnostic, or returns k, Z, the alpha/gamma exponents and an optional gap:
-the sweep diagnostic and construct message of a set that passes every
-precondition but cannot be built.  ``construct``, the one way to build a
-code, goes from the plan through one function, which forms g in the
-splitting field and re-checks at runtime that every coefficient of g and
-the stored alpha and gamma lie in GF(q), that g | x^n - 1, and that k
-matches the plan.
-It computes on element indices, projecting through the embedding's index
-tables; only the stored beta, alpha and gamma are elements.
-``enumerate_valid_params`` lists exactly the sets ``_plan`` accepts, so a
-sweep and construct cannot disagree.  All choices inherit the canonical
-field conventions, so each scheme is a pure deterministic function of its
-parameters.
+of (scheme, q, n, r, d), which raises ParameterError with a reusable
+diagnostic or returns a ``_Plan``.  ``construct``, the one way to build a
+code, goes from the plan through ``_from_zeros``, on element indices; only
+the stored beta, alpha and gamma are elements.  ``enumerate_valid_params``
+lists exactly the sets ``_plan`` accepts, so a sweep and construct cannot
+disagree.  All choices inherit the canonical field conventions, so each
+scheme is a pure deterministic function of its parameters.
 """
 
 from __future__ import annotations
@@ -48,13 +41,13 @@ from . import repair
 from .cyclic import CyclicCode
 from .field import (
     MAX_FIELD_ORDER,
+    MAX_LENGTH,
     FiniteField,
     Immutable,
     _embedding,
     make_field,
     prime_factors,
-    splitting_degree,
-    splitting_root,
+    primitive_nth_root,
 )
 from .poly import Poly
 from .verify import singleton_bound
@@ -85,9 +78,11 @@ class ConstructionError(RuntimeError):
 class LrcCode(Immutable):
     """A cyclic code together with its locality and optimality claim.
 
-    ``beta`` is the primitive n-th root used for the construction, a
-    FieldElement of the splitting field; ``alpha`` and ``gamma`` are the
-    projected base-field elements, where the scheme uses them, else None.
+    ``beta`` is the primitive n-th root whose powers are the roots of g, a
+    FieldElement of GF(q) (ex-3.2) or GF(q^2) (ex-3.3), and None for the thm
+    schemes, which use none; ``alpha`` and ``gamma`` are the GF(q) elements
+    of g's factors x^(n/(r+1)) - alpha and x - gamma, where the scheme has
+    them, else None.
     """
 
     __slots__ = ("base", "r", "d_claimed", "scheme", "beta", "alpha", "gamma", "__dict__")
@@ -185,21 +180,19 @@ def _require(condition: bool, message: str) -> None:
 
 
 class _Plan(NamedTuple):
-    """What one admissible parameter set determines.  ``gap`` is
-    (sweep diagnostic, construct message) for a set that passes every
-    precondition but cannot be built; ``zeros`` is None when the splitting
-    field is too large, since n is unbounded there."""
+    """What one admissible parameter set determines: g is the product of
+    x - rho^e over ``zeros``, rho the canonical primitive root of unity of
+    order ``order``, times x^(n/(r+1)) - rho^alpha_exponent where that is
+    not None; gamma = rho^gamma_exponent is stored where not None.  ``gap``
+    is (sweep diagnostic, construct message) for a set that passes every
+    precondition but cannot be built."""
 
     k: int
-    zeros: list[int] | None
+    order: int
+    zeros: list[int]
     alpha_exponent: int | None
     gamma_exponent: int | None
     gap: tuple[str, str] | None
-
-
-def _grid(n: int, r: int) -> range:
-    """Exponents of the zeros of x^s - beta^s, s = n/(r+1): 1 + (r+1)j, j < s."""
-    return range(1, n, r + 1)
 
 
 def _bezout_exponent(s: int, r: int) -> int:
@@ -264,13 +257,13 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
     do not involve d run, and None is returned.
     """
     prime_power(q)  # or ParameterError
+    _require(n <= MAX_LENGTH, f"length n = {n} exceeds the supported length {MAX_LENGTH}")
     gap = alpha_exponent = gamma_exponent = None
-    grid = range(0)  # zeros of x^s - beta^s, listed once the splitting field fits
     if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
         subgroup = scheme == SCHEME_ANY_D_SUBGROUP
         _require(n >= 1, f"length must be >= 1, got {n}")
-        order = q - 1 if subgroup else q + 1
-        _require(order % n == 0, f"n = {n} does not divide q {'-' if subgroup else '+'} 1 = {order}")
+        group = q - 1 if subgroup else q + 1
+        _require(group % n == 0, f"n = {n} does not divide q {'-' if subgroup else '+'} 1 = {group}")
         _require(r >= 2, f"locality must be >= 2, got {r}")
         _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide n = {n}")
         if d is None:
@@ -278,6 +271,10 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
         d_min = 1 if subgroup else 2
         _require(d_min <= d <= n, f"distance d = {d} out of range {d_min}..{n}")
         zeros, k = (_subgroup_exponents if subgroup else _coset_exponents)(n, r, d)
+        order = n  # rho = beta, a primitive n-th root
+        if not subgroup and q * q > MAX_FIELD_ORDER:  # beta of ex-3.3 lies in GF(q^2)
+            message = f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order {MAX_FIELD_ORDER}"
+            gap = ("splitting-field-too-large", message)
     elif scheme == SCHEME_D4_DOUBLE_LENGTH:
         _require(
             math.gcd(n, q) == 1,
@@ -290,11 +287,10 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
         )
         _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
         s = n // (r + 1)
-        zeros, grid, k, alpha_exponent, gamma_exponent = [0, 2], _grid(n, r), n - s - 2, s, 2
-        # The stated hypothesis (r+1) | 2(q-1) does not by itself place
-        # alpha = beta^s inside GF(q): beta has order 2(q-1), so alpha is
-        # fixed by the q-power Frobenius exactly when s is even, that is when
-        # (r+1) | q - 1.
+        # rho = omega, gamma = omega and alpha = omega^(s/2)
+        order, zeros, k, alpha_exponent, gamma_exponent = q - 1, [0, 1], n - s - 2, s // 2, 1
+        # (r+1) | 2(q-1) does not by itself place alpha = beta^s, beta of
+        # order 2(q-1), in GF(q): that needs s even, that is (r+1) | q - 1
         if (q - 1) % (r + 1):
             gap = (
                 "alpha-membership-failed",
@@ -310,48 +306,42 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             math.gcd(n, q - 1) % (r + 1) == 0,
             f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
         )
-        s = n // (r + 1)
-        zeros, grid, k, alpha_exponent = [0], _grid(n, r), n - 1 - s, s
+        # rho = alpha, a primitive (r+1)-th root
+        order, zeros, k, alpha_exponent = r + 1, [0], n - 1 - n // (r + 1), 1
         if scheme == SCHEME_D4_UNBOUNDED:
-            gamma_exponent = s * _bezout_exponent(s, r) % n
+            gamma_exponent = _bezout_exponent(n // (r + 1), r)
             zeros, k = [0, gamma_exponent], k - 1
     if d is None:
         return None
-    if splitting_degree(q, n) is None:
-        message = f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order {MAX_FIELD_ORDER}"
-        return _Plan(k, None, alpha_exponent, gamma_exponent, ("splitting-field-too-large", message))
-    zeros += grid
     _require(len(set(zeros)) == len(zeros), f"root exponents collide for d = {d}: {sorted(zeros)}")
-    return _Plan(k, zeros, alpha_exponent, gamma_exponent, gap)
+    return _Plan(k, order, zeros, alpha_exponent, gamma_exponent, gap)
 
 
 def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
-    """The one generator path: g = prod over e in the plan's zeros of (x - beta^e).
-
-    beta is the canonical primitive n-th root of unity in the splitting field
-    of x^n - 1.  g is formed there and every coefficient is projected to
-    GF(q), a step that fails outside the embedded copy of GF(q); so are
-    alpha = beta^alpha_exponent and gamma = beta^gamma_exponent of the plan,
-    each None where the scheme stores none.  CyclicCode checks g | x^n - 1,
-    and the dimension is checked against the plan.
+    """The one generator path: the product of x - rho^e over the plan's
+    zeros, rho in GF(q), or in GF(q^2) where its order does not divide
+    q - 1 (ex-3.3), and then projected to GF(q), a step that fails outside
+    the embedded copy of GF(q); times x^s - alpha where the plan has an
+    alpha.  Without one, rho is stored as beta.  CyclicCode checks
+    g | x^n - 1, and the dimension is checked against the plan.
     """
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
         raise ParameterError(plan.gap[1])
     field = base_field(q)
-    beta = splitting_root(field, n)
-    ext, b = beta.field, beta.index
-    _, preimage = _embedding(field, ext)
-    g_ext = Poly.from_roots(ext, [ext.pow(b, e) for e in plan.zeros])
-    g = Poly(field, (_project(c, preimage, field, "generator coefficient") for c in g_ext.coeffs))
+    ext = field if (q - 1) % plan.order == 0 else make_field(field.p, 2 * field.m)
+    rho = primitive_nth_root(ext, plan.order)
+    g = Poly.from_roots(ext, [ext.pow(rho.index, e) for e in plan.zeros])
+    if ext is not field:
+        _, preimage = _embedding(field, ext)
+        g = Poly(field, (_project(c, preimage, field, "generator coefficient") for c in g.coeffs))
+    alpha, gamma = (None if e is None else rho**e for e in (plan.alpha_exponent, plan.gamma_exponent))
+    if alpha is not None:
+        g = g * Poly(field, [field.neg(alpha.index), *[0] * (n // (r + 1) - 1), 1])
     code = CyclicCode(field, n, g)
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
-    alpha, gamma = (
-        None if e is None else field.from_index(_project(ext.pow(b, e), preimage, field, what))
-        for e, what in ((plan.alpha_exponent, "alpha"), (plan.gamma_exponent, "gamma"))
-    )
-    return LrcCode(code, r, d, scheme, beta, alpha, gamma)
+    return LrcCode(code, r, d, scheme, rho if alpha is None else None, alpha, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +397,10 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
 
     These are the sets construct builds, plus the sets it rejects although
     they pass every precondition, listed with constructible=False and a
-    diagnostic: ``splitting-field-too-large`` when the splitting field of
-    x^n - 1 exceeds MAX_FIELD_ORDER, and, for thm-3.4,
-    ``alpha-membership-failed`` when the stated hypothesis holds but alpha
-    lies outside GF(q).
+    diagnostic: for ex-3.3, ``splitting-field-too-large`` when GF(q^2)
+    exceeds MAX_FIELD_ORDER, and, for thm-3.4, ``alpha-membership-failed``
+    when the stated hypothesis holds but alpha lies outside GF(q).  The walk
+    over lengths stops at MAX_LENGTH, since ``_plan`` rejects every longer n.
     """
     if scheme not in ALL_SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -420,7 +410,7 @@ def enumerate_valid_params(scheme: str, q_max: int, n_max: int) -> tuple[Candida
     records: list[CandidateParams] = []
     for q in _prime_powers_up_to(q_max):
         if fixed_n is None:
-            lengths = range(2, n_max + 1)
+            lengths = range(2, min(n_max, MAX_LENGTH) + 1)
         else:
             lengths = [n for n in (fixed_n(q),) if n <= n_max]
         for n in lengths:

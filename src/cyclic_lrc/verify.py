@@ -59,7 +59,7 @@ class VerificationReport(NamedTuple):
     d_claimed: int
     distance: DistanceScan
     dual_distance: DistanceScan
-    bch_lower_bound: int
+    bch_lower_bound: int | None
     locality: LocalityCheck
     singleton_rhs: int
     degenerate: bool
@@ -118,7 +118,8 @@ def render_verdict(code: LrcCode, budget: int = DEFAULT_BUDGET) -> tuple[str, Di
 
 def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """The verdict of :func:`render_verdict` in a full report, which adds
-    the dual distance and the BCH lower bound; neither decides the verdict."""
+    the dual distance and the BCH lower bound (None past the splitting-field
+    limit); neither decides the verdict."""
     verdict, distance, locality = render_verdict(code, budget)
     base = code.base
     return VerificationReport(

@@ -17,7 +17,7 @@ from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import code_to_dict, dumps_canonical, load_code
 from cyclic_lrc.constructions import LrcCode, base_field
 from cyclic_lrc.cyclic import CyclicCode
-from cyclic_lrc.field import splitting_root
+from cyclic_lrc.field import primitive_nth_root
 from cyclic_lrc.poly import Poly
 
 
@@ -46,7 +46,7 @@ def test_construct_summary_and_file(code_file, capsys, tmp_path):
     assert rc == 0
     assert "[n, k, d] = [8, 4, 4] over GF(5)" in out
     assert "locality r = 3" in out
-    assert "g(x) = x^4 + x^3 + 2*x + 1" in out
+    assert "g(x) = x^4 + 2*x^3 + x + 1" in out
     assert (tmp_path / "again.json").read_bytes() == code_file.read_bytes()
 
 
@@ -70,19 +70,20 @@ def test_construct_precondition_diagnostics(capsys):
 
 
 def test_construct_oversized_splitting_field_is_a_precondition_failure():
-    # x^27 - 1 over GF(7) splits only in GF(7^9), beyond the supported order
+    # ex-3.3 takes beta from GF(q^2), and GF(2048^2) is beyond the supported
+    # order; the thm schemes need no such field
     package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(package_root))
     proc = subprocess.run(
-        [sys.executable, "-m", "cyclic_lrc.cli", "construct", "--scheme", "thm-1.1-i",
-         "--q", "7", "--n", "27", "--r", "2"],
+        [sys.executable, "-m", "cyclic_lrc.cli", "construct", "--scheme", "ex-3.3",
+         "--q", "2048", "--n", "3", "--r", "2", "--d", "2"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
-    assert "the splitting field of x^27 - 1 over GF(7) exceeds" in proc.stderr
+    assert "the splitting field of x^3 - 1 over GF(2048) exceeds" in proc.stderr
 
 
 def _bounded_cli(*argv, address_space_mb=1500):
@@ -104,37 +105,35 @@ def _bounded_cli(*argv, address_space_mb=1500):
     return proc, time.perf_counter() - start
 
 
-def test_construct_huge_length_decides_the_splitting_field_first():
-    # the grid of n/(r+1) root exponents is not listed before the gap
+def test_construct_huge_length_is_rejected_first():
+    # the length bound is checked before any scheme precondition, and
+    # nothing of length n is built
     proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13",
                                  "--n", "300000000", "--r", "2")
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == (
-        "the splitting field of x^300000000 - 1 over GF(13) exceeds the supported order 1048576\n"
-    )
+    assert proc.stderr == "length n = 300000000 exceeds the supported length 4096\n"
     assert elapsed < 10.0
 
 
 def test_construct_length_with_a_huge_prime_factor_is_prompt():
-    # the powers of 13 are walked only up to the supported order, so n is
-    # never factored: 3(2^61 - 1)(2^89 - 1) would take rho about 1.5e9 steps
+    # a length is compared with the bound, never factored: 3(2^61 - 1)(2^89 - 1)
+    # would take rho about 1.5e9 steps
     for n in (3 * (2**61 - 1), 3 * (2**61 - 1) * (2**89 - 1)):
         proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13",
                                      "--n", str(n), "--r", "2")
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == (
-            f"the splitting field of x^{n} - 1 over GF(13) exceeds the supported order 1048576\n"
-        )
+        assert proc.stderr == f"length n = {n} exceeds the supported length 4096\n"
         assert elapsed < 10.0
 
 
 def test_verify_huge_length_is_rejected_by_construct(code_file, tmp_path):
-    # the loader rebuilds the code, so a length is checked by the scheme's
-    # preconditions and the splitting-field walk before any generator is
-    # divided into x^n - 1; 100000004 passes every thm-1.1-ii precondition
+    # the loader rebuilds the code, so a length is checked by the length
+    # bound and the scheme's preconditions before any generator is divided
+    # into x^n - 1; 100000004 passes every thm-1.1-ii precondition
     for n, reason in [
-        (100000001, "gcd(n, q - 1) = 1 is not divisible by r + 1 = 4"),
-        (100000004, "the splitting field of x^100000004 - 1 over GF(5) exceeds the supported order 1048576"),
+        (100000001, "length n = 100000001 exceeds the supported length 4096"),
+        (100000004, "length n = 100000004 exceeds the supported length 4096"),
+        (4093, "gcd(n, q - 1) = 1 is not divisible by r + 1 = 4"),
     ]:
         data = json.loads(code_file.read_text())
         data["n"] = n
@@ -144,6 +143,46 @@ def test_verify_huge_length_is_rejected_by_construct(code_file, tmp_path):
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"code file integrity failure: {reason}\n"
         assert elapsed < 5.0
+
+
+def test_long_code_constructs_encodes_repairs_and_verifies(tmp_path):
+    # x^1204 - 1 over GF(13) splits only beyond the supported order; the
+    # code is built in GF(13), and the report's BCH bound is null
+    path = tmp_path / "long.json"
+    proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "1204",
+                                 "--r", "3", "--out", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 3.0
+    assert proc.stdout.startswith("[n, k, d] = [1204, 902, 3] over GF(13)\n")
+    message = ["1"] + ["0"] * 900 + ["5"]
+    proc, elapsed = _bounded_cli("encode", str(path), "--message", ",".join(message))
+    assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 3.0
+    word = proc.stdout.strip().split(",")
+    assert len(word) == 1204 and word[302:] == message
+    proc, elapsed = _bounded_cli("repair", str(path), "--word", ",".join(word[:5] + ["_"] + word[6:]))
+    assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 3.0
+    assert proc.stdout.splitlines() == [word[5], "read: 306,607,908"]
+    proc, elapsed = _bounded_cli("verify", str(path), "--budget", "65536")
+    assert (proc.returncode, proc.stderr) == (2, "") and elapsed < 3.0
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "optimal-consistent"
+    assert report["bch_lower_bound"] is None
+    assert report["distance"] == {"enumerated": 65536, "exact": False, "lower": 1, "upper": 4}
+    assert report["locality"]["ok"] is True and report["locality"]["method"] == "coset-witness"
+
+
+def test_distance_4_code_longer_than_q_squared(capsys, tmp_path):
+    # n = 172 > 13^2: the unbounded distance-4 family over GF(13)
+    path = tmp_path / "ii.json"
+    rc, out, err = _run(capsys, "construct", "--scheme", "thm-1.1-ii", "--q", "13", "--n", "172",
+                        "--r", "3", "--out", str(path))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        "[n, k, d] = [172, 127, 4] over GF(13)", "locality r = 3", "g(x) = x^45 + 12*x^43 + 5*x^2 + 8",
+    ]
+    rc, out, err = _run(capsys, "verify", str(path), "--budget", "4096")
+    report = json.loads(out)
+    assert (rc, report["verdict"], report["locality"]["ok"]) == (2, "optimal-consistent", True)
+    assert report["distance"]["upper"] == 4 and report["bch_lower_bound"] is None
 
 
 def test_verify_certified(code_file, capsys):
@@ -189,8 +228,7 @@ def _hand_made_file(path, scheme, q, n, r, d, zeros, elements=(None, None)):
     alpha = beta^a, gamma = beta^c for (a, c) = elements, where not None;
     written without construct and its scheme preconditions."""
     field = base_field(q)
-    beta = splitting_root(field, n)
-    assert beta.field is field
+    beta = primitive_nth_root(field, n)
     g = Poly.from_roots(field, [(beta**e).index for e in zeros])
     alpha, gamma = (None if e is None else beta**e for e in elements)
     code = LrcCode(CyclicCode(field, n, g), r, d, scheme, beta, alpha, gamma)
@@ -240,8 +278,8 @@ def test_verify_rejects_noncanonical_element_encodings(code_file, capsys, tmp_pa
     # an element has one encoding, so that load then save reproduces the
     # file: a bare index over a prime field, m digits over GF(p^m)
     data = json.loads(code_file.read_text())
-    assert data["alpha"] == 3
-    data["alpha"] = [3]
+    assert data["alpha"] == 2
+    data["alpha"] = [2]
     code_file.write_text(json.dumps(data))
     rc, out, err = _run(capsys, "verify", str(code_file))
     assert (rc, out) == (64, "") and "bad element encoding for alpha" in err
@@ -266,7 +304,7 @@ def test_encode_and_repair_round_trip(code_file, capsys):
     rc, out, _ = _run(capsys, "encode", str(code_file), "--message", "1,0,0,0")
     assert rc == 0
     word = out.strip()
-    assert word == "1,2,0,1,1,0,0,0"
+    assert word == "1,1,0,2,1,0,0,0"
     symbols = word.split(",")
     for i in range(8):
         erased = ",".join("_" if j == i else s for j, s in enumerate(symbols))
@@ -282,10 +320,10 @@ def test_encode_and_repair_round_trip(code_file, capsys):
 
 @pytest.mark.parametrize("flip", [2, 1], ids=["inside-group", "outside-group"])
 def test_repair_rejects_corrupt_word(code_file, capsys, flip):
-    # codeword 1,2,0,1,1,0,0,0 with coordinate 0 erased; its repair group is
+    # codeword 1,1,0,2,1,0,0,0 with coordinate 0 erased; its repair group is
     # {2, 4, 6}, so flipping coordinate 2 corrupts the repaired symbol and
     # flipping coordinate 1 leaves it right but the word inconsistent
-    symbols = ["_", "2", "0", "1", "1", "0", "0", "0"]
+    symbols = ["_", "1", "0", "2", "1", "0", "0", "0"]
     symbols[flip] = str((int(symbols[flip]) + 1) % 5)
     rc, out, err = _run(capsys, "repair", str(code_file), "--word", ",".join(symbols))
     assert rc == 5
@@ -300,7 +338,7 @@ def test_repair_error_is_one_line(code_file, capsys, monkeypatch):
         raise repair.RepairError("no plan for this coordinate")
 
     monkeypatch.setattr(repair, "_grid_constant", no_plan)
-    rc, out, err = _run(capsys, "repair", str(code_file), "--word", "_,2,0,1,1,0,0,0")
+    rc, out, err = _run(capsys, "repair", str(code_file), "--word", "_,1,0,2,1,0,0,0")
     assert rc == 3
     assert out == ""
     assert err.strip().splitlines() == ["no repair plan: no plan for this coordinate"]
@@ -330,8 +368,8 @@ def test_oversized_field_is_rejected_before_factoring(code_file, capsys, monkeyp
     for n in (300000000, 3 * (2**61 - 1), 3 * (2**61 - 1) * (2**89 - 1)):
         rc, out, err = _run(capsys, "construct", "--scheme", "thm-1.1-i", "--q", "13",
                             "--n", str(n), "--r", "2")
-        assert (rc, out) == (1, "") and "exceeds the supported order" in err
-    for n, reason in [(100000001, "is not divisible by r + 1"), (100000004, "exceeds the supported order")]:
+        assert (rc, out) == (1, "") and "exceeds the supported length" in err
+    for n, reason in [(100000001, "exceeds the supported length"), (100000004, "exceeds the supported length")]:
         data = json.loads(code_file.read_text())
         data["n"] = n
         huge = code_file.with_name("huge.json")
@@ -469,4 +507,4 @@ def test_flag_errors_use_usage_exit_code(code_file, capsys):
 def test_roundtrip_through_load(code_file):
     code = load_code(code_file)
     assert code.scheme == "thm-1.1-ii"
-    assert code_to_dict(code)["g"] == [1, 2, 0, 1, 1]
+    assert code_to_dict(code)["g"] == [1, 1, 0, 2, 1]

@@ -27,13 +27,15 @@ def test_round_trip_identity(acceptance_codes, tmp_path):
         assert path.read_bytes() == again.read_bytes()
 
 
-def test_prime_field_elements_abbreviate_to_integers(code_8_4_4):
+def test_prime_field_elements_abbreviate_to_integers(code_8_4_4, acceptance_codes):
     data = code_to_dict(code_8_4_4)
-    assert data["g"] == [1, 2, 0, 1, 1]
-    assert data["alpha"] == 3
+    assert data["g"] == [1, 1, 0, 2, 1]
+    assert data["alpha"] == 2  # omega, of order r + 1 = 4
     assert data["modulus"] is None
-    assert data["beta"]["rep"] == [3, 1]
-    assert data["beta"]["field"]["modulus"] == [1, 1, 1]
+    assert data["beta"] is None  # thm codes are built without one
+    # beta of the ex-3.3 code over GF(11) lies in GF(121): a digit list
+    beta = code_to_dict(acceptance_codes["coset-q11-d10"])["beta"]
+    assert beta == {"field": {"p": 11, "m": 2, "modulus": [1, 0, 1]}, "rep": [8, 6]}
 
 
 def test_extension_field_elements_are_digit_lists(code_9_5_3):
@@ -46,7 +48,7 @@ def test_extension_field_elements_are_digit_lists(code_9_5_3):
 def test_tampered_generator_rejected(code_8_4_4):
     data = code_to_dict(code_8_4_4)
     data["g"][0] = 3
-    with pytest.raises(CodeFileInvariantError, match=r"^stored g = \[3, 2, 0, 1, 1\], "):
+    with pytest.raises(CodeFileInvariantError, match=r"^stored g = \[3, 1, 0, 2, 1\], "):
         code_from_dict(data)
 
 
@@ -78,20 +80,24 @@ def test_noncanonical_modulus_rejected(code_9_5_3):
         code_from_dict(data)
 
 
-def test_tampered_beta_rejected(code_8_4_4):
-    # the [8, 4, 4] GF(5) code stores beta = GF(25):8 and alpha = gamma =
-    # beta^2 = 3
+def test_tampered_beta_rejected(code_8_4_4, acceptance_codes):
+    # the [12, 3, 10] ex-3.3 code stores beta = GF(121):74, digits [8, 6]
+    for rep, message in [
+        ([1, 0], r"^stored beta = .*\[1, 0\]"),  # the identity is no primitive 12th root
+        ([3, 6], r"^stored beta = .*\[3, 6\]"),  # beta^5: primitive, not canonical
+    ]:
+        data = code_to_dict(acceptance_codes["coset-q11-d10"])
+        data["beta"]["rep"] = rep
+        with pytest.raises(CodeFileInvariantError, match=message):
+            code_from_dict(data)
+    # the [8, 4, 4] GF(5) code stores no beta and alpha = gamma = 2
     for key, value, message in [
-        ("beta", [1, 0], r"^stored beta = .*\[1, 0\]"),  # the identity is no primitive 8th root
-        ("beta", [4, 3], r"^stored beta = .*\[4, 3\]"),  # beta^3: primitive, not canonical
-        ("alpha", 2, "^stored alpha = 2, .* builds alpha = 3$"),
-        ("gamma", 4, "^stored gamma = 4, .* builds gamma = 3$"),
+        ("beta", code_to_dict(acceptance_codes["coset-q11-d10"])["beta"], "^stored beta = .* builds beta = null$"),
+        ("alpha", 3, "^stored alpha = 3, .* builds alpha = 2$"),
+        ("gamma", 4, "^stored gamma = 4, .* builds gamma = 2$"),
     ]:
         data = code_to_dict(code_8_4_4)
-        if key == "beta":
-            data["beta"]["rep"] = value
-        else:
-            data[key] = value
+        data[key] = value
         with pytest.raises(CodeFileInvariantError, match=message):
             code_from_dict(data)
 
@@ -110,10 +116,12 @@ def test_file_must_equal_the_constructed_code_key_by_key(code_8_4_4, code_9_5_3)
 
 
 def test_schema_version_guard(code_8_4_4):
-    data = code_to_dict(code_8_4_4)
-    data["schema_version"] = 99
-    with pytest.raises(CodeFileFormatError, match="schema_version"):
-        code_from_dict(data)
+    # version 1 files stored a beta for every scheme
+    for version in (1, 99):
+        data = code_to_dict(code_8_4_4)
+        data["schema_version"] = version
+        with pytest.raises(CodeFileFormatError, match="schema_version"):
+            code_from_dict(data)
 
 
 def test_missing_key_is_a_format_error(code_8_4_4):
@@ -153,10 +161,11 @@ def test_out_of_range_digit_rejected(code_9_5_3):
     ],
     ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v),
 )
-def test_non_integer_json_numbers_are_format_errors(code_8_4_4, path, value):
-    # each value int()s or compares equal to the stored integer, so only a
-    # type check on every scalar, element and digit rejects it
-    data = code_to_dict(code_8_4_4)
+def test_non_integer_json_numbers_are_format_errors(code_8_4_4, acceptance_codes, path, value):
+    # int() accepts each value, so only a type check on every scalar,
+    # element and digit rejects it; beta is tampered in an ex-3.3 code, the
+    # thm code storing none
+    data = code_to_dict(acceptance_codes["coset-q11-d10"] if path[0] == "beta" else code_8_4_4)
     target = data
     for key in path[:-1]:
         target = target[key]

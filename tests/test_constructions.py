@@ -7,6 +7,7 @@ from cyclic_lrc.constructions import (
     CandidateParams,
     ConstructionError,
     ParameterError,
+    _bezout_exponent,
     _project,
     construct,
     enumerate_valid_params,
@@ -19,7 +20,9 @@ from cyclic_lrc.field import (
     splitting_degree,
 )
 from cyclic_lrc.poly import Poly
-from cyclic_lrc.verify import singleton_bound
+from cyclic_lrc.verify import OPTIMAL_CERTIFIED, render_verdict, singleton_bound
+
+THM_SCHEMES = ("thm-1.1-i", "thm-1.1-ii", "thm-3.4")
 
 
 def _check_common_invariants(code):
@@ -28,8 +31,13 @@ def _check_common_invariants(code):
     assert base.n % (code.r + 1) == 0
     assert code.d_claimed == singleton_bound(base.n, base.k, code.r)
     assert base.bch_lower_bound() >= code.d_claimed - 1
-    # beta is a primitive n-th root: n is the least power that is 1
-    assert [t for t in range(1, base.n + 1) if (code.beta**t).index == 1] == [base.n]
+    if code.beta is None:
+        # the thm schemes use no beta; alpha is a primitive (r+1)-th root
+        assert code.scheme in THM_SCHEMES
+        assert [t for t in range(1, code.r + 2) if (code.alpha**t).index == 1] == [code.r + 1]
+    else:
+        # beta is a primitive n-th root: n is the least power that is 1
+        assert [t for t in range(1, base.n + 1) if (code.beta**t).index == 1] == [base.n]
 
 
 # -- distance-3 unbounded family ------------------------------------------
@@ -40,7 +48,7 @@ def test_d3_q4_n9(code_9_5_3):
     assert (code.n, code.k, code.d_claimed, code.r) == (9, 5, 3, 2)
     # alpha is a nontrivial cube root of unity in GF(4)
     assert (code.alpha ** 3).index == 1 and code.alpha.index != 1
-    assert code.base.g.coeffs == (3, 3, 0, 1, 1)
+    assert code.base.g.coeffs == (2, 2, 0, 1, 1)  # alpha = omega = y
     assert code.base.bch_lower_bound() >= 3
     _check_common_invariants(code)
 
@@ -73,8 +81,8 @@ def test_d3_is_deterministic():
 def test_d4_q5_n8(code_8_4_4):
     code = code_8_4_4
     assert (code.n, code.k, code.d_claimed, code.r) == (8, 4, 4, 3)
-    assert code.base.g.coeffs == (1, 2, 0, 1, 1)
-    assert code.alpha.index == 3 and code.gamma.index == 3
+    assert code.base.g.coeffs == (1, 1, 0, 2, 1)
+    assert code.alpha.index == 2 and code.gamma.index == 2
     # gamma satisfies gamma^(n/(r+1)) = alpha^2 != alpha
     assert code.gamma ** 2 == code.alpha * code.alpha
     _check_common_invariants(code)
@@ -178,7 +186,7 @@ def test_coset_generator_descends_to_base_field():
 
 
 def test_projection_rejects_an_element_outside_the_base_field(f5, f25):
-    # the runtime self-check behind every generator coefficient, alpha and gamma
+    # the runtime self-check behind every ex-3.3 generator coefficient
     beta = primitive_nth_root(f25, 8)
     _, preimage = _embedding(f5, f25)
     with pytest.raises(ConstructionError, match="^alpha is not fixed by the GF\\(5\\) Frobenius$"):
@@ -324,8 +332,9 @@ def test_enumeration_is_sorted_and_constructible():
 
 
 def test_every_listed_row_constructs_or_carries_a_diagnostic():
-    # the --qmax 32 --nmax 40 box lists rows whose splitting field is over
-    # 2^20, e.g. thm-1.1-i with q = 7, n = 27, r = 2 (GF(7^9))
+    # the thm rows of the --qmax 32 --nmax 40 box whose splitting field is
+    # over 2^20, e.g. thm-1.1-i with q = 7, n = 27, r = 2 (GF(7^9)), are
+    # built in GF(q); only the thm-3.4 alpha-membership gap is left
     diagnostics = {}
     for scheme in ALL_SCHEMES:
         for rec in enumerate_valid_params(scheme, 32, 40):
@@ -337,13 +346,38 @@ def test_every_listed_row_constructs_or_carries_a_diagnostic():
                 construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
             key = (scheme, rec.diagnostic)
             diagnostics[key] = diagnostics.get(key, 0) + 1
-    assert diagnostics[("thm-1.1-i", "splitting-field-too-large")] == 22
-    assert diagnostics[("thm-1.1-ii", "splitting-field-too-large")] == 3
-    assert set(diagnostics) == {
-        ("thm-1.1-i", "splitting-field-too-large"),
-        ("thm-1.1-ii", "splitting-field-too-large"),
-        ("thm-3.4", "alpha-membership-failed"),
-    }
+    assert diagnostics == {("thm-3.4", "alpha-membership-failed"): 13}
+
+
+def test_thm_rows_are_built_in_gf_q_and_certified():
+    # every thm row of the --qmax 32 --nmax 40 box, the 25 whose splitting
+    # field is over 2^20 included: g = (x - 1)[(x - gamma)](x^s - alpha)
+    # with alpha = omega^((q-1)/(r+1)) of order r + 1, and gamma = alpha^a
+    # (thm-1.1-ii) or omega (thm-3.4).  Rows of at most 2^20 messages are
+    # certified; a 2^12-message sample refutes none of the others
+    counts = {}
+    for scheme in THM_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible:
+                continue
+            code = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            field, alpha, gamma, s = code.field, code.alpha, code.gamma, rec.n // (rec.r + 1)
+            assert code.beta is None
+            assert alpha == primitive_nth_root(field, rec.r + 1)
+            assert [t for t in range(1, rec.r + 2) if (alpha**t).index == 1] == [rec.r + 1]
+            if scheme == "thm-1.1-ii":
+                assert gamma == alpha ** _bezout_exponent(s, rec.r)
+            else:
+                assert gamma == (field.generator() if scheme == "thm-3.4" else None)
+            roots = [1] if gamma is None else [1, gamma.index]
+            binomial = Poly(field, [field.neg(alpha.index)] + [0] * (s - 1) + [1])
+            assert code.base.g == Poly.from_roots(field, roots) * binomial, rec
+            in_budget = rec.q**rec.k <= 1 << 20
+            verdict = render_verdict(code, 1 << 20 if in_budget else 1 << 12)[0]
+            assert verdict == (OPTIMAL_CERTIFIED if in_budget else "optimal-consistent"), rec
+            key = (in_budget, code.base.bch_lower_bound() is None)
+            counts[key] = counts.get(key, 0) + 1
+    assert counts == {(True, False): 63, (False, False): 293, (False, True): 25}
 
 
 def test_enumerate_rejects_bad_bounds():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cyclic_lrc
+from cyclic_lrc.constructions import construct
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
 from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
@@ -170,8 +171,24 @@ def test_root_exponents_and_bch(code_8_4):
 
 def test_bch_on_distance3_code(code_9_5_3):
     base = code_9_5_3.base
-    assert sorted(base.root_exponents) == [0, 1, 4, 7]
+    assert sorted(base.root_exponents) == [0, 2, 5, 8]
     assert base.bch_lower_bound() == 3
+
+
+def test_bch_bound_takes_the_best_primitive_root():
+    # Z = {0, 3, 11} for the canonical beta holds no two consecutive
+    # exponents, but for beta^3, whose exponents are 11 * Z = {0, 1, 9}, it does
+    base = construct("thm-1.1-i", 9, n=16, r=7).base
+    assert sorted(base.root_exponents) == [0, 3, 11]
+    assert base.bch_lower_bound() == 3
+
+
+def test_bch_bound_past_the_splitting_limit_is_none():
+    # x^27 - 1 over GF(7) splits in GF(7^9); the scan's lower bound is 1
+    base = construct("thm-1.1-i", 7, n=27, r=2).base
+    assert base.root_exponents is None and base.bch_lower_bound() is None
+    scan = min_distance_exhaustive(base, budget=1000)
+    assert (scan.lower, scan.exact, scan.upper >= 3) == (1, False, True)
 
 
 def test_bch_run_of_length_d_minus_1(acceptance_codes):

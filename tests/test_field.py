@@ -269,8 +269,8 @@ def test_splitting_degree_from_the_totient_matches_the_power_walk(q):
     ],
 )
 def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n):
-    # n > 2^20, so no field that fits holds a primitive n-th root; the walk
-    # stops after at most 20 powers of q, whatever the factors of n
+    # n > 2^20, so no field that fits holds a primitive n-th root; construct
+    # needs none, and rejects n by the length bound, whatever its factors
     from cyclic_lrc.cli import main
 
     start = time.perf_counter()
@@ -278,9 +278,7 @@ def test_splitting_field_too_large_diagnostic_is_prompt(capsys, q, n):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
-    assert captured.err == (
-        f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order 1048576\n"
-    )
+    assert captured.err == f"length n = {n} exceeds the supported length 4096\n"
     assert elapsed < 0.2
 
 

@@ -104,8 +104,7 @@ def test_coset_locality_witnesses_over_criterion_box():
 
 def test_code_files_over_criterion_box():
     # every constructible row of the five schemes at --qmax 13 --nmax 24;
-    # the digest was taken before the thm-1.1 and thm-3.4 generators were
-    # built from their root-exponent sets
+    # re-captured when the thm schemes were built in GF(q) and stored no beta
     digest = hashlib.sha256()
     rows = 0
     for scheme in ALL_SCHEMES:
@@ -137,7 +136,8 @@ def enumeration_digest() -> str:
 
 
 # integer arguments of construct, each with None and out-of-range values;
-# n = 27 has a splitting field over GF(7) beyond the supported order
+# n = 27 has a splitting field over GF(7) beyond the supported order, which
+# thm-1.1-i does not need
 CONSTRUCT_LENGTHS = (None, -1, 0, 1, 2, 3, 4, 6, 8, 9, 10, 12, 16, 24, 27)
 CONSTRUCT_LOCALITIES = (None, -1, 0, 1, 2, 3, 4, 5)
 CONSTRUCT_DISTANCES = (None, -1, 0, 1, 2, 3, 4, 5, 6, 8, 12)
@@ -160,6 +160,27 @@ def construct_outcome_digest() -> str:
                             outcome = f"[{code.n}, {code.k}, {code.d_claimed}]"
                         digest.update(f"{scheme} {q} {n} {r} {d} {outcome}\n".encode())
     return digest.hexdigest()
+
+
+def test_bch_bounds_over_the_property_box():
+    # "scheme q n r d bch" of every row of --qmax 32 --nmax 40 whose splitting
+    # field fits, captured while every generator was formed from the
+    # canonical beta and the bound read its exponents alone; the 25 rows
+    # past the splitting limit report None
+    digest = hashlib.sha256()
+    rows = beyond = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible:
+                continue
+            bch = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d).base.bch_lower_bound()
+            if bch is None:
+                beyond += 1
+                continue
+            digest.update(f"{scheme} {rec.q} {rec.n} {rec.r} {rec.d} {bch}\n".encode())
+            rows += 1
+    assert (rows, beyond) == (1731, 25)
+    assert digest.hexdigest() == (GOLDEN / "bch-qmax32-nmax40.sha256").read_text().strip()
 
 
 def test_enumerated_rows():

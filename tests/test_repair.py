@@ -47,7 +47,7 @@ def test_repair_vector_q5(code_8_4_4):
     vec = repair_vector(code_8_4_4, 0)
     support = [j for j, e in enumerate(vec) if not e.is_zero]
     assert support == [0, 2, 4, 6]
-    assert [vec[j].index for j in support] == [1, 3, 4, 2]
+    assert [vec[j].index for j in support] == [1, 2, 4, 3]
     # independent check: orthogonal to every generator row
     for row in code_8_4_4.base.generator_matrix:
         assert _dot(vec, row, code_8_4_4.field).is_zero

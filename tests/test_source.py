@@ -179,18 +179,29 @@ def test_cli_import_loads_every_span_target_module():
     assert out.stdout.strip() == "[]"
 
 
-def test_only_field_calls_primitive_nth_root():
-    # the splitting field and its root beta are chosen in one place,
-    # field.splitting_root, so construction and the BCH bound share them
+def test_roots_of_unity_come_from_primitive_nth_root():
+    # every root of unity outside field.py is field.primitive_nth_root's
+    # canonical one: no other module powers the multiplicative generator
     callers = [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in sorted(SRC.rglob("*.py"))
         if path.name != "field.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and "primitive_nth_root" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and {"generator", "_multiplicative_generator"} & {getattr(node, "id", None), getattr(node, "attr", None)}
     ]
     assert callers == []
+
+
+def test_constructions_import_no_splitting_field():
+    # the codes are built in GF(q), or GF(q^2) for ex-3.3; only the BCH
+    # bound in cyclic.py looks for the splitting field of x^n - 1
+    tree = ast.parse((SRC / "cyclic_lrc" / "constructions.py").read_text())
+    names = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    assert "primitive_nth_root" in names
+    assert [name for name in names if name.startswith("splitting")] == []
 
 
 def test_src_does_not_import_dataclasses():
