@@ -125,15 +125,29 @@ class CyclicCode(Immutable):
     def root_exponents(self) -> frozenset[int] | None:
         """Exponents e with g(beta**e) = 0, beta the canonical primitive n-th
         root in the splitting field of x**n - 1, found once per code; None
-        when that field exceeds MAX_FIELD_ORDER."""
-        degree = splitting_degree(self.field.q, self.n)
+        when that field exceeds MAX_FIELD_ORDER.  g is evaluated over its
+        nonzero terms, reading beta**(i*e) from a table of the n powers of
+        beta."""
+        n = self.n
+        degree = splitting_degree(self.field.q, n)
         if degree is None:
             return None
         ext = make_field(self.field.p, self.field.m * degree)
-        b = primitive_nth_root(ext, self.n).index
+        add, mul = ext.add, ext.mul
+        b = primitive_nth_root(ext, n).index
+        powers = [1] * n
+        for j in range(1, n):
+            powers[j] = mul(powers[j - 1], b)
         fwd, _ = _embedding(self.field, ext)
-        g = Poly(ext, (fwd[c] for c in self.g.coeffs))
-        return frozenset(e for e in range(self.n) if not g(ext.pow(b, e)))
+        terms = [(i, fwd[c]) for i, c in enumerate(self.g.coeffs) if c]
+        zeros = []
+        for e in range(n):
+            acc = 0
+            for i, c in terms:
+                acc = add(acc, mul(c, powers[i * e % n]))
+            if not acc:
+                zeros.append(e)
+        return frozenset(zeros)
 
     def bch_lower_bound(self) -> int | None:
         """Certified distance lower bound from consecutive root exponents, or

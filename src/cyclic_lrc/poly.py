@@ -116,7 +116,9 @@ class Poly(Immutable):
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Quotient and remainder by long division, one inversion of the
-        divisor's leading coefficient."""
+        divisor's leading coefficient.  Each step subtracts only the
+        divisor's nonzero terms, so dividing by a sparse divisor such as
+        x**s - c costs a few products per quotient coefficient."""
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -125,11 +127,12 @@ class Poly(Immutable):
         rem, top = list(self.coeffs), len(b) - 1
         quot = [0] * max(0, len(rem) - top)
         inv_lead = field.inv(b[-1])
+        terms = [(i, c) for i, c in enumerate(b) if c]
         for shift in range(len(quot) - 1, -1, -1):
             factor = mul(rem[shift + top], inv_lead)
             if factor:
                 quot[shift] = factor
-                for i, c in enumerate(b):
+                for i, c in terms:
                     rem[shift + i] = sub(rem[shift + i], mul(factor, c))
         return Poly(field, quot), Poly(field, rem[:top])
 

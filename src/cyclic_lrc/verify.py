@@ -93,17 +93,18 @@ def render_verdict(code: LrcCode, budget: int = DEFAULT_BUDGET) -> tuple[str, Di
                         locality claim has a witness for every coordinate;
     optimal-consistent  nothing contradicts the claims but the distance scan
                         was budget-limited;
-    refuted             a certified measurement contradicts a claim;
-    indeterminate       the locality claim could not be settled in budget.
+    refuted             the claim is off the Singleton-type bound, or a
+                        distance measurement contradicts it;
+    indeterminate       g has no grid factor x^s - c for the claimed r, so
+                        locality is uncertified (never refuted).
     """
     base = code.base
     distance = min_distance_exhaustive(base, budget)
-    locality = verify_locality(code, code.r, budget)
+    locality = verify_locality(code)
     refuted = (
         code.d_claimed != singleton_bound(base.n, base.k, code.r)
         or distance.lower > code.d_claimed
         or distance.upper < code.d_claimed
-        or locality.ok is False
     )
     if refuted:
         verdict = REFUTED

@@ -36,7 +36,7 @@ def warm_kernels():
     # tiny instance before any timed criterion
     code = construct("ex-3.2", 7, n=6, r=2, d=2)
     min_distance_exhaustive(code.base)
-    verify_locality(code.base, 3)
+    verify_locality(code)
 
 
 def _pass(name: str, detail: str = "") -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,20 @@ def test_bch_bound_past_the_splitting_limit_is_none():
     assert base.root_exponents is None and base.bch_lower_bound() is None
     scan = min_distance_exhaustive(base, budget=1000)
     assert (scan.lower, scan.exact, scan.upper >= 3) == (1, False, True)
+
+
+def test_long_extension_field_codes_build_and_bound_promptly():
+    # the divisor check subtracts only g's nonzero terms and the root scan
+    # reads powers of beta from a table, so neither grows as n * deg g
+    start = time.perf_counter()
+    code = construct("thm-1.1-i", 4096, n=4095, r=2)
+    built = time.perf_counter() - start
+    assert (code.n, code.k) == (4095, 2729)
+    base = construct("thm-1.1-i", 1024, n=1023, r=2).base
+    start = time.perf_counter()
+    assert base.bch_lower_bound() == 3
+    bounded = time.perf_counter() - start
+    assert built < 2.0 and bounded < 1.0
 
 
 def test_bch_run_of_length_d_minus_1(acceptance_codes):

@@ -65,22 +65,6 @@ def test_sweep_verify_over_criterion_box(capsys):
     assert digest.hexdigest() == (GOLDEN / "sweep-verify-qmax13-nmax24.sha256").read_text().strip()
 
 
-def test_exhaustive_locality_witnesses():
-    # (r_test + 1) does not divide n, so every check scans the dual exhaustively
-    cases = []
-    for scheme, q, n, r, r_test in [
-        ("thm-1.1-i", 4, 9, 2, 3),
-        ("thm-1.1-ii", 5, 8, 3, 4),
-        ("thm-1.1-ii", 5, 8, 3, 2),
-    ]:
-        check = verify_locality(construct(scheme, q, n=n, r=r).base, r_test)
-        assert check.method == "exhaustive"
-        cases.append(
-            {"scheme": scheme, "q": q, "n": n, "r": r, "r_test": r_test, "check": check.to_dict()}
-        )
-    assert dumps_canonical(cases) == (GOLDEN / "locality-exhaustive.json").read_text()
-
-
 def test_coset_locality_witnesses_over_criterion_box():
     # every constructible row of the five schemes at --qmax 13 --nmax 24,
     # restricted solution spaces of dimension 1 to 11; the digest was taken

@@ -144,6 +144,11 @@ def test_cycle_divisor_product_is_exact(f5, f25):
         assert g * quotient == Poly.x_pow_minus_one(field, n)
 
 
+def _binomial(field, s, c):
+    """x**s - c."""
+    return Poly(field, (field.neg(c), *(0,) * (s - 1), 1))
+
+
 def test_divmod_round_trip(rng, f5):
     for field in (f5, make_field(13), make_field(2, 4), make_field(3, 3)):
         for _ in range(100):
@@ -154,6 +159,20 @@ def test_divmod_round_trip(rng, f5):
             q, r = divmod(f, g)
             assert q * g + r == f
             assert r.is_zero or r.degree < g.degree
+        # sparse divisors: x^s - c, and (x - 1)(x - gamma)(x^s - alpha) as
+        # in the thm generators
+        for _ in range(100):
+            f = _random_poly(rng, field, 30)
+            s = rng.randrange(1, 12)
+            gamma, alpha = rng.randrange(field.q), rng.randrange(1, field.q)
+            for g in (
+                _binomial(field, s, rng.randrange(field.q)),
+                Poly.from_roots(field, sorted({1, gamma})) * _binomial(field, s, alpha),
+            ):
+                q, r = divmod(f, g)
+                assert q * g + r == f
+                assert r.is_zero or r.degree < g.degree
+                assert divmod(f * g, g) == (f, Poly.zero(field))
 
 
 def test_mismatched_fields_rejected(f5, f13):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
 
-from cyclic_lrc.constructions import construct
+from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
 from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
@@ -94,27 +96,55 @@ def test_repair_vector_rejects_zero_dimensional_code():
         _grid_constant(zero_code, 3)
 
 
-def test_bare_code_without_grid_factor_uses_exhaustive_scan():
+def test_bare_code_without_grid_factor_is_uncertified():
     # x^2 + 1 is irreducible over GF(3), so g has no factor x - c and no
-    # coset plan exists; the exhaustive dual scan answers instead
+    # coset plan exists; the claim is left unsettled, not refuted
     f3 = make_field(3)
     code = CyclicCode(f3, 4, Poly(f3, [1, 0, 1]))
     with pytest.raises(RepairError):
         _grid_constant(code, 3)
     check = verify_locality(code, 3)
-    assert check.to_dict() == {
-        "ok": True,
-        "r_test": 3,
-        "method": "exhaustive",
-        "witnesses": [
-            {"coordinate": 0, "support": [0, 2], "entries": [2, 1]},
-            {"coordinate": 1, "support": [1, 3], "entries": [2, 1]},
-            {"coordinate": 2, "support": [0, 2], "entries": [2, 1]},
-            {"coordinate": 3, "support": [1, 3], "entries": [2, 1]},
-        ],
-    }
-    check = verify_locality(code, 3, budget=1)
-    assert check.ok is None and check.method == "budget-exceeded"
+    assert check.to_dict() == {"ok": None, "r_test": 3, "method": "no-grid-word"}
+    # at r_test = 1 the factor x^2 - 2 is g itself
+    assert verify_locality(code, 1).method == "coset-witness"
+
+
+def test_verify_locality_without_grid_word_is_unsettled(code_8_4_4):
+    # r_test + 1 not dividing n, no factor x^4 - c of the degree-4 g, and
+    # the full space (g = 1): none has a grid word, so none is settled
+    f5 = make_field(5)
+    full = CyclicCode(f5, 8, Poly.one(f5))
+    for code, r_test in ((code_8_4_4, 2), (code_8_4_4.base, 4), (code_8_4_4, 1), (full, 3)):
+        check = verify_locality(code, r_test)
+        assert (check.ok, check.r_test, check.method, check.witnesses) == (
+            None, r_test, "no-grid-word", None
+        )
+
+
+def _class_word_is_dual(base, r, c):
+    """The test the grid constant was found by before the division: the
+    class-0 word (c^t at s*t, t = 0..r) against every generator row."""
+    field, s = base.field, base.n // (r + 1)
+    word = {s * t: field.pow(c, t) for t in range(r + 1)}
+    return all(
+        not reduce(field.add, (field.mul(w, row[j]) for j, w in word.items()), 0)
+        for row in base.generator_matrix
+    )
+
+
+def test_division_finds_the_class_word_grid_constant():
+    # a codeword a has sum_t c^t a_(i+st) = 0 for every i exactly when
+    # a = 0 mod x^s - c, so both tests pick the same first c on every row
+    rows = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible:
+                continue
+            base = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d).base
+            expected = next(c for c in range(1, rec.q) if _class_word_is_dual(base, rec.r, c))
+            assert _grid_constant(base, rec.r) == expected, rec
+            rows += 1
+    assert rows == 1756
 
 
 def test_erased_word_validation(f5):
@@ -256,35 +286,6 @@ def test_verify_locality_with_coset_witnesses(code_8_4_4):
         assert i in support
         assert len(support) == 4
         assert all(e != 0 for e in entries)
-
-
-def test_verify_locality_below_true_locality(code_8_4_4):
-    # no weight <= 3 dual word exists (dual distance is 4)
-    check = verify_locality(code_8_4_4, 2)
-    assert check.ok is False and check.method == "exhaustive"
-    assert check.failing_coordinate == 0
-    assert verify_locality(code_8_4_4, 1).ok is False
-
-
-def test_verify_locality_exhaustive_positive():
-    # r_test + 1 does not divide n, so only the exhaustive path can answer;
-    # weight-3 dual words on the stride-2 grid still cover every coordinate
-    code = construct("ex-3.2", 7, n=6, r=2, d=2)
-    check = verify_locality(code.base, 3)
-    assert check.ok and check.method == "exhaustive"
-    for i, (support, entries) in enumerate(check.witnesses):
-        assert i in support and len(support) <= 4
-
-
-def test_verify_locality_full_space_is_false():
-    f5 = make_field(5)
-    full = CyclicCode(f5, 8, Poly.one(f5))
-    assert verify_locality(full, 3).ok is False
-
-
-def test_verify_locality_budget_exceeded(code_8_4_4):
-    check = verify_locality(code_8_4_4.base, 2, budget=1)
-    assert check.ok is None and check.method == "budget-exceeded"
 
 
 def test_verify_locality_rejects_bad_r(code_8_4_4):

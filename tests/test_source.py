@@ -204,6 +204,22 @@ def test_constructions_import_no_splitting_field():
     assert [name for name in names if name.startswith("splitting")] == []
 
 
+def test_locality_has_one_certificate_and_no_budget():
+    # the grid word is the only locality certificate: repair.py runs no
+    # scan kernel, and verify_locality takes no enumeration budget
+    tree = ast.parse((SRC / "cyclic_lrc" / "repair.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in imported if name.split(".")[-1] == "kernels"] == []
+    verify_locality = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_locality"
+    )
+    args = verify_locality.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["code", "r_test"]
+
+
 def test_src_does_not_import_dataclasses():
     # dataclasses, the modules it loads and its code generation were about a
     # third of `import cyclic_lrc.cli`; value types derive from

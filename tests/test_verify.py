@@ -84,6 +84,19 @@ def test_verify_refutes_corrupted_code(code_8_4_4):
     assert report.distance.value == 2
 
 
+def test_claim_without_grid_word_is_indeterminate():
+    # the [5, 1, 5] repetition code over GF(3) meets the Singleton-type bound
+    # at r = 4 and truly has that locality, but g = 1 + x + ... + x^4 has no
+    # root in GF(3), so no grid word certifies it; it is not refuted
+    f3 = make_field(3)
+    code = LrcCode(CyclicCode(f3, 5, Poly(f3, [1] * 5)), 4, 5, "ex-3.2", beta=None)
+    verdict, distance, locality = render_verdict(code)
+    assert (distance.exact, distance.value) == (True, 5)
+    assert locality.to_dict() == {"ok": None, "r_test": 4, "method": "no-grid-word"}
+    assert verdict == INDETERMINATE
+    assert verify_optimal(code).verdict == INDETERMINATE
+
+
 def test_verify_budget_limits_distance_but_not_coset_locality():
     f13 = make_field(13)
     beta = primitive_nth_root(f13, 12)
