@@ -4,7 +4,8 @@ Symbols on the command line are comma-separated canonical element indices
 (for prime fields these are plain residues); "_" marks the erased position
 in a repair word.  Exit codes follow the verification contract:
 0 optimal-certified, 2 optimal-consistent, 3 refuted / integrity failure,
-4 indeterminate, 1 construction precondition failure, 5 corrupt input (a
+4 indeterminate, 1 construction precondition failure or a code too large
+to encode, 5 corrupt input (a
 repair word whose filled-in form is not a codeword), 64 usage errors and
 unreadable files.  All output is byte-deterministic for fixed arguments.
 """
@@ -84,6 +85,14 @@ def _construct(scheme: str, q: int, n: int | None, r: int | None, d: int | None)
         raise CliError(f"internal construction failure: {exc}", 1) from None
 
 
+def _encode(method, word):
+    """encode_systematic or contains; a code too large to encode exits 1."""
+    try:
+        return method(word)
+    except ValueError as exc:
+        raise CliError(str(exc), 1) from None
+
+
 def _cmd_construct(args) -> int:
     code = _construct(args.scheme, args.q, args.n, args.r, args.d)
     print(f"[n, k, d] = [{code.n}, {code.k}, {code.d_claimed}] over GF({code.q})")
@@ -107,7 +116,7 @@ def _cmd_encode(args) -> int:
     message = _parse_symbols(code.field, args.message, allow_erasure=False)
     if len(message) != code.k:
         raise CliError(f"message needs k = {code.k} symbols, got {len(message)}", EX_USAGE)
-    word = code.base.encode_systematic(message)
+    word = _encode(code.base.encode_systematic, message)
     print(",".join(str(s.index) for s in word))
     return 0
 
@@ -127,7 +136,7 @@ def _cmd_repair(args) -> int:
         raise CliError(f"no repair plan: {exc}", 3) from None
     filled = list(symbols)
     filled[erased.erased_at] = symbol
-    if not code.base.contains(filled):
+    if not _encode(code.base.contains, filled):
         raise CliError("corrupt input: the repaired word is not a codeword", EX_CORRUPT)
     reads = [j for j, _ in code.repair_plan[erased.erased_at]]
     print(symbol.index)

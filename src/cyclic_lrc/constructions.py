@@ -197,16 +197,12 @@ class _Plan(NamedTuple):
 
 def _bezout_exponent(s: int, r: int) -> int:
     """Smallest a >= 1 with a*s + b*(r+1) = 2 solvable (a = 0 would need
-    (r+1) | 2); gcd(s, r+1) must divide 2."""
-    old_r, cur_r = s, r + 1
-    old_u, cur_u = 1, 0
-    while cur_r:
-        quotient = old_r // cur_r
-        old_r, cur_r = cur_r, old_r - quotient * cur_r
-        old_u, cur_u = cur_u, old_u - quotient * cur_u
-    g0, u = old_r, old_u
-    _require(2 % g0 == 0, f"gcd(n/(r+1), r + 1) = {g0} does not divide 2")
-    return (u * (2 // g0)) % ((r + 1) // g0)
+    (r+1) | 2); gcd(s, r+1) must divide 2.  Then a = (2/g) / (s/g) mod
+    (r+1)/g, g the gcd."""
+    g = math.gcd(s, r + 1)
+    _require(2 % g == 0, f"gcd(n/(r+1), r + 1) = {g} does not divide 2")
+    modulus = (r + 1) // g
+    return (2 // g) * pow(s // g, -1, modulus) % modulus
 
 
 def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
@@ -335,7 +331,8 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     if ext is not field:
         _, preimage = _embedding(field, ext)
         g = Poly(field, (_project(c, preimage, field, "generator coefficient") for c in g.coeffs))
-    alpha, gamma = (None if e is None else rho**e for e in (plan.alpha_exponent, plan.gamma_exponent))
+    exponents = (plan.alpha_exponent, plan.gamma_exponent)
+    alpha, gamma = (None if e is None else ext.from_index(ext.pow(rho.index, e)) for e in exponents)
     if alpha is not None:
         g = g * Poly(field, [field.neg(alpha.index), *[0] * (n // (r + 1) - 1), 1])
     code = CyclicCode(field, n, g)

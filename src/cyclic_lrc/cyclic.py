@@ -29,8 +29,8 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .field import FieldElement, FiniteField, Immutable, _embedding, _set, make_field
-from .field import primitive_nth_root, splitting_degree
+from .field import FieldElement, FiniteField, Immutable, _element, _embedding, _set, make_field
+from .field import MAX_LENGTH, primitive_nth_root, splitting_degree
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
@@ -76,9 +76,17 @@ class CyclicCode(Immutable):
         row is the previous one times x, reduced once by g.  Entry
         ((i, a), (j, b)) holds digit b of y**a * P[i][j], y**a being digit a,
         so a message's digit vector times this matrix, mod p, is the digit
-        vector of its parity symbols.
+        vector of its parity symbols.  Raises ValueError, before building
+        anything, when the matrix would hold more than MAX_LENGTH**2 // 4
+        entries, the most that a code over a prime field can need.
         """
         field, parity = self.field, self.n - self.k
+        entries, limit = self.k * parity * field.m**2, MAX_LENGTH**2 // 4
+        if entries > limit:
+            raise ValueError(
+                f"cannot encode: the parity matrix of this [{self.n}, {self.k}] code over {field} "
+                f"has {entries} entries, over the supported {limit}"
+            )
         add, mul, neg = field.add, field.mul, field.neg
         low = [neg(c) for c in self.g.coeffs[:parity]]  # x**(n-k) mod g
         rows = []
@@ -107,7 +115,7 @@ class CyclicCode(Immutable):
         p, m = field.p, field.m
         parity = [sum(map(operator.mul, digits, column)) % p for column in self.systematic_parity]
         return tuple(
-            FieldElement(field, tuple(parity[j : j + m])) for j in range(0, len(parity), m)
+            _element(field, tuple(parity[j : j + m])) for j in range(0, len(parity), m)
         ) + tuple(message)
 
     def contains(self, word: Sequence[FieldElement]) -> bool:

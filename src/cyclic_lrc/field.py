@@ -6,9 +6,12 @@ the defining modulus: the tuple ``(c_0, ..., c_{m-1})`` stands for
 modulo the field's irreducible polynomial.  Prime fields use ``m == 1`` and
 carry no modulus.  The package computes on canonical indices,
 ``index = sum(c_i * p**i)``, through each field's index arithmetic (``add``,
-``sub``, ``neg``, ``mul``, ``inv``, ``pow``).  :class:`FieldElement`, the
-digit vector with its field, is built only at the public edges, and its
-operators call that arithmetic.
+``sub``, ``neg``, ``mul``, ``inv``, ``pow``), the package's one element
+arithmetic.  :class:`FieldElement`, the digit vector with its field, is a
+checked value built only at the public edges: its constructor rejects a
+digit outside GF(p), and elements whose digits are valid by construction
+(``from_index``, the parity symbols of a systematic encode) skip that check
+through one private factory.
 
 Every choice here is canonical so that results are reproducible run to run:
 
@@ -42,12 +45,14 @@ import operator
 # Fields larger than this are rejected outright: the exhaustive oracles
 # downstream only make sense at desk scale.
 MAX_FIELD_ORDER = 1 << 20
-# Codes longer than this are rejected: the parity matrix grows as n^2.  The
-# division check costs (n - deg g) products per nonzero term of g, and the
-# root scan n per term, so neither does for the sparse thm generators.  At
-# n = 4096, a thm-1.1-i code over GF(13) builds in 3 ms and its parity
-# matrix in 1.0 s, within 90 MB; at n = 4095 over GF(4096) it builds in
-# 0.07 s and its BCH bound takes 0.8 s (2-CPU Xeon VM).
+# Codes longer than this are rejected.  The division check costs (n - deg g)
+# products per nonzero term of g, and the root scan n per term, so neither
+# grows as n^2 for the sparse thm generators; the parity matrix does, with
+# k(n - k)m^2 GF(p) entries, and encoding refuses a code that needs more
+# than MAX_LENGTH**2 // 4, the most a prime-field code can.  At n = 4096, a
+# thm-1.1-i code over GF(13) builds in 3 ms and its parity matrix of 3.15M
+# entries in 1.0 s, within 90 MB; at n = 4095 over GF(4096) it builds in
+# 0.07 s and its BCH bound takes 0.8 s, but it cannot encode (2-CPU Xeon VM).
 MAX_LENGTH = 1 << 12
 
 
@@ -179,26 +184,15 @@ class FiniteField(Immutable):
             value = value * self.p + d
         return value
 
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
-
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
+        # kept for perfbench/selftest.py, which flips a symbol by adding one
+        return self.from_index(1)
 
     def from_index(self, index: int) -> FieldElement:
         """Element whose digit vector has integer value ``index``."""
         if not 0 <= index < self.q:
             raise ValueError(f"element index {index} out of range for GF({self.q})")
-        return FieldElement(self, self.digits(index))
-
-    def elements(self):
-        """All field elements in ascending canonical order."""
-        for i in range(self.q):
-            yield self.from_index(i)
-
-    def generator(self) -> FieldElement:
-        """Canonical generator of the multiplicative group."""
-        return self.from_index(_multiplicative_generator(self))
+        return _element(self, self.digits(index))
 
     def inv(self, a: int) -> int:
         """Inverse of a nonzero index, a^(q-2), since a^(q-1) == 1."""
@@ -288,57 +282,39 @@ def _packed_ops(p: int, m: int, modulus: tuple[int, ...]) -> dict:
 
 class FieldElement(Immutable):
     """An element of a FiniteField, held as its canonical digit vector.
-    Its operators compute through the field's index arithmetic and reject
-    operands from another field with ValueError."""
+    Arithmetic is the field's, on :attr:`index`; the constructor raises
+    ValueError unless ``rep`` holds exactly m digits, each in 0..p-1."""
 
     __slots__ = ("field", "rep")
 
     def __init__(self, field: FiniteField, rep: tuple[int, ...]):
-        # stored directly: arithmetic builds an element per operation
-        _set(self, "field", field)
-        _set(self, "rep", rep)
+        rep = tuple(rep)
+        if len(rep) != field.m or not all(type(d) is int and 0 <= d < field.p for d in rep):
+            raise ValueError(f"{rep!r} is not {field.m} digits in 0..{field.p - 1}, an element of {field}")
+        super().__init__(field, rep)
 
     @property
     def index(self) -> int:
         """Integer value of the digit vector; the canonical scalar encoding."""
         return self.field.index(self.rep)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.rep)
-
-    def _same_field(self, other: FieldElement) -> None:
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def _binary(self, op, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        return self.field.from_index(op(self.index, other.index))
-
     def __add__(self, other: FieldElement) -> FieldElement:
-        return self._binary(self.field.add, other)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return self._binary(self.field.sub, other)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        return self._binary(self.field.mul, other)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        return self * other.inverse()
-
-    def __neg__(self) -> FieldElement:
-        return self.field.from_index(self.field.neg(self.index))
-
-    def inverse(self) -> FieldElement:
-        return self.field.from_index(self.field.inv(self.index))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return self.field.from_index(self.field.pow(self.index, e))
+        # kept for perfbench/selftest.py, which flips a symbol by adding one
+        if self.field is not other.field:
+            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
+        return self.field.from_index(self.field.add(self.index, other.index))
 
     def __repr__(self) -> str:
         return f"{self.field}:{self.index}"
+
+
+def _element(field: FiniteField, rep: tuple[int, ...]) -> FieldElement:
+    """A FieldElement from digits valid by construction, unchecked: the data
+    path builds one per symbol."""
+    element = object.__new__(FieldElement)
+    _set(element, "field", field)
+    _set(element, "rep", rep)
+    return element
 
 
 def make_field(p: int, m: int = 1) -> FiniteField:

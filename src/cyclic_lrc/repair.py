@@ -94,7 +94,7 @@ def repair_vector(code, i: int) -> tuple[FieldElement, ...]:
     full-length word."""
     if not 0 <= i < code.n:
         raise ValueError(f"coordinate {i} out of range for length {code.n}")
-    field, zero = code.field, code.field.zero()
+    field, zero = code.field, code.field.from_index(0)
     word = _class_word(code.base, code.r, code.grid_constant, i)
     return tuple(field.from_index(v) if v else zero for v in word)
 

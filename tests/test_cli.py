@@ -170,6 +170,23 @@ def test_long_code_constructs_encodes_repairs_and_verifies(tmp_path):
     assert report["locality"]["ok"] is True and report["locality"]["method"] == "coset-witness"
 
 
+def test_code_too_large_to_encode_exits_1(tmp_path):
+    # thm-1.1-i over GF(4096) at n = 4095 builds, but its parity matrix
+    # would hold 536,805,216 GF(2) entries; encode and repair's codeword
+    # check refuse it before building any of it
+    path = tmp_path / "wide.json"
+    proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "4096", "--n", "4095",
+                                 "--r", "2", "--out", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 5.0
+    reason = ("cannot encode: the parity matrix of this [4095, 2729] code over GF(4096) "
+              "has 536805216 entries, over the supported 4194304\n")
+    for command, symbols in [("encode", ["1"] * 2729), ("repair", ["_"] + ["0"] * 4094)]:
+        flag = "--message" if command == "encode" else "--word"
+        proc, elapsed = _bounded_cli(command, str(path), flag, ",".join(symbols))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", reason)
+        assert elapsed < 5.0
+
+
 def test_distance_4_code_longer_than_q_squared(capsys, tmp_path):
     # n = 172 > 13^2: the unbounded distance-4 family over GF(13)
     path = tmp_path / "ii.json"
@@ -229,8 +246,8 @@ def _hand_made_file(path, scheme, q, n, r, d, zeros, elements=(None, None)):
     written without construct and its scheme preconditions."""
     field = base_field(q)
     beta = primitive_nth_root(field, n)
-    g = Poly.from_roots(field, [(beta**e).index for e in zeros])
-    alpha, gamma = (None if e is None else beta**e for e in elements)
+    g = Poly.from_roots(field, [field.pow(beta.index, e) for e in zeros])
+    alpha, gamma = (None if e is None else field.from_index(field.pow(beta.index, e)) for e in elements)
     code = LrcCode(CyclicCode(field, n, g), r, d, scheme, beta, alpha, gamma)
     path.write_text(dumps_canonical(code_to_dict(code)))
     return path

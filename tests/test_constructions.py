@@ -34,10 +34,12 @@ def _check_common_invariants(code):
     if code.beta is None:
         # the thm schemes use no beta; alpha is a primitive (r+1)-th root
         assert code.scheme in THM_SCHEMES
-        assert [t for t in range(1, code.r + 2) if (code.alpha**t).index == 1] == [code.r + 1]
+        alpha, field = code.alpha.index, code.alpha.field
+        assert [t for t in range(1, code.r + 2) if field.pow(alpha, t) == 1] == [code.r + 1]
     else:
         # beta is a primitive n-th root: n is the least power that is 1
-        assert [t for t in range(1, base.n + 1) if (code.beta**t).index == 1] == [base.n]
+        beta, field = code.beta.index, code.beta.field
+        assert [t for t in range(1, base.n + 1) if field.pow(beta, t) == 1] == [base.n]
 
 
 # -- distance-3 unbounded family ------------------------------------------
@@ -47,7 +49,7 @@ def test_d3_q4_n9(code_9_5_3):
     code = code_9_5_3
     assert (code.n, code.k, code.d_claimed, code.r) == (9, 5, 3, 2)
     # alpha is a nontrivial cube root of unity in GF(4)
-    assert (code.alpha ** 3).index == 1 and code.alpha.index != 1
+    assert code.field.pow(code.alpha.index, 3) == 1 and code.alpha.index != 1
     assert code.base.g.coeffs == (2, 2, 0, 1, 1)  # alpha = omega = y
     assert code.base.bch_lower_bound() >= 3
     _check_common_invariants(code)
@@ -84,7 +86,8 @@ def test_d4_q5_n8(code_8_4_4):
     assert code.base.g.coeffs == (1, 1, 0, 2, 1)
     assert code.alpha.index == 2 and code.gamma.index == 2
     # gamma satisfies gamma^(n/(r+1)) = alpha^2 != alpha
-    assert code.gamma ** 2 == code.alpha * code.alpha
+    f, alpha = code.field, code.alpha.index
+    assert f.pow(code.gamma.index, 2) == f.mul(alpha, alpha)
     _check_common_invariants(code)
 
 
@@ -103,6 +106,37 @@ def test_d4_rejects_bad_stride_gcd():
     # gcd(n/(r+1), r+1) = 4 does not divide 2
     with pytest.raises(ParameterError, match="divide 2"):
         construct("thm-1.1-ii", 17, n=64, r=3)
+
+
+def _bezout_by_extended_euclid(s, r):
+    """The exponent by the extended Euclidean algorithm on (s, r + 1):
+    u * (2/g) mod (r+1)/g, u the Bezout coefficient of s; None when
+    g = gcd(s, r + 1) does not divide 2."""
+    old_r, cur_r = s, r + 1
+    old_u, cur_u = 1, 0
+    while cur_r:
+        quotient = old_r // cur_r
+        old_r, cur_r = cur_r, old_r - quotient * cur_r
+        old_u, cur_u = cur_u, old_u - quotient * cur_u
+    if 2 % old_r:
+        return None
+    return old_u * (2 // old_r) % ((r + 1) // old_r)
+
+
+def test_bezout_exponent_matches_the_extended_euclid():
+    admissible = 0
+    for r in range(3, 200):
+        for s in range(1, 400):
+            expected = _bezout_by_extended_euclid(s, r)
+            if expected is None:
+                with pytest.raises(ParameterError, match="does not divide 2"):
+                    _bezout_exponent(s, r)
+                continue
+            a = _bezout_exponent(s, r)
+            assert a == expected and a >= 1, (s, r)
+            assert (a * s - 2) % (r + 1) == 0, (s, r)
+            admissible += 1
+    assert admissible == 59821
 
 
 def test_d4_rejects_small_locality():
@@ -191,7 +225,8 @@ def test_projection_rejects_an_element_outside_the_base_field(f5, f25):
     _, preimage = _embedding(f5, f25)
     with pytest.raises(ConstructionError, match="^alpha is not fixed by the GF\\(5\\) Frobenius$"):
         _project(beta.index, preimage, f5, "alpha")
-    assert _project((beta**2).index, preimage, f5, "alpha") == (beta**2).index
+    square = f25.pow(beta.index, 2)
+    assert _project(square, preimage, f5, "alpha") == square
 
 
 def test_coset_rejects_odd_decomposition():
@@ -236,8 +271,8 @@ def test_double_length_alpha_membership_gap():
         beta = primitive_nth_root(make_field(p, m * splitting_degree(q, n)), n)
         for r in range(3, n):
             if n % (r + 1) == 0:
-                alpha = beta ** (n // (r + 1))
-                assert ((q - 1) % (r + 1) == 0) == (alpha**q == alpha), (q, r)
+                alpha = beta.field.pow(beta.index, n // (r + 1))
+                assert ((q - 1) % (r + 1) == 0) == (beta.field.pow(alpha, q) == alpha), (q, r)
                 checked += 1
     assert checked == 58
 
@@ -364,11 +399,12 @@ def test_thm_rows_are_built_in_gf_q_and_certified():
             field, alpha, gamma, s = code.field, code.alpha, code.gamma, rec.n // (rec.r + 1)
             assert code.beta is None
             assert alpha == primitive_nth_root(field, rec.r + 1)
-            assert [t for t in range(1, rec.r + 2) if (alpha**t).index == 1] == [rec.r + 1]
+            assert [t for t in range(1, rec.r + 2) if field.pow(alpha.index, t) == 1] == [rec.r + 1]
             if scheme == "thm-1.1-ii":
-                assert gamma == alpha ** _bezout_exponent(s, rec.r)
+                assert gamma.index == field.pow(alpha.index, _bezout_exponent(s, rec.r))
             else:
-                assert gamma == (field.generator() if scheme == "thm-3.4" else None)
+                omega = primitive_nth_root(field, field.q - 1)
+                assert gamma == (omega if scheme == "thm-3.4" else None)
             roots = [1] if gamma is None else [1, gamma.index]
             binomial = Poly(field, [field.neg(alpha.index)] + [0] * (s - 1) + [1])
             assert code.base.g == Poly.from_roots(field, roots) * binomial, rec

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import cyclic_lrc
+from cyclic_lrc import cyclic
 from cyclic_lrc.constructions import construct
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
-from cyclic_lrc.field import make_field
+from cyclic_lrc.field import FieldElement, make_field, primitive_nth_root
 from cyclic_lrc.poly import Poly
 
 
@@ -106,8 +107,8 @@ def test_checked_codes_are_not_retained():
 
 
 def test_systematic_encode_zero(code_8_4):
-    zero_word = code_8_4.encode_systematic([code_8_4.field.zero()] * 4)
-    assert all(s.is_zero for s in zero_word)
+    zero_word = code_8_4.encode_systematic([code_8_4.field.from_index(0)] * 4)
+    assert all(s.index == 0 for s in zero_word)
 
 
 def test_systematic_encode_places_message_last(code_8_4):
@@ -128,19 +129,47 @@ def test_systematic_encode_round_trip(code_8_4, rng):
         assert code_8_4.contains(word)
         assert list(word[4:]) == message
     with pytest.raises(ValueError):
-        code_8_4.encode_systematic([f5.zero()] * 3)
+        code_8_4.encode_systematic([f5.from_index(0)] * 3)
 
 
 def test_systematic_encode_rejects_wrong_field(code_8_4, f25):
     f5 = code_8_4.field
+    message = [f5.from_index(1), f25.from_index(1), f5.from_index(0), f5.from_index(0)]
     with pytest.raises(ValueError, match="not in GF\\(5\\)"):
-        code_8_4.encode_systematic([f5.one(), f25.one(), f5.zero(), f5.zero()])
+        code_8_4.encode_systematic(message)
+
+
+def test_encode_refuses_a_parity_matrix_over_the_bound(f5, f25, monkeypatch):
+    wide = construct("thm-1.1-i", 4096, n=4095, r=2).base
+    with pytest.raises(ValueError, match="^cannot encode: .* has 536805216 entries"):
+        wide.encode_systematic([wide.field.from_index(0)] * wide.k)
+    # the bound is k(n - k)m^2 <= MAX_LENGTH^2 / 4, which every code over a
+    # prime field meets; at MAX_LENGTH = 8 an [8, 4] code over GF(5) sits on
+    # it and an [8, 4] code over GF(25) is 4 times over
+    monkeypatch.setattr(cyclic, "MAX_LENGTH", 8)
+    on = CyclicCode(f5, 8, Poly(f5, [1, 2, 0, 1, 1]))
+    assert on.contains(on.encode_systematic([f5.from_index(1)] * 4))
+    beta = primitive_nth_root(f25, 8).index
+    over = CyclicCode(f25, 8, Poly.from_roots(f25, [f25.pow(beta, e) for e in range(4)]))
+    with pytest.raises(ValueError, match="has 64 entries, over the supported 16$"):
+        over.encode_systematic([f25.from_index(0)] * 4)
+
+
+def test_encode_and_from_index_skip_the_digit_check(code_8_4, monkeypatch):
+    # their digits are valid by construction, so they build elements through
+    # field.py's private factory and never call the checked constructor
+    def refuse(*args):
+        raise AssertionError("checked constructor called")
+
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    message = [code_8_4.field.from_index(i) for i in (1, 2, 3, 4)]
+    assert len(code_8_4.encode_systematic(message)) == 8
 
 
 def test_contains(code_8_4, rng):
     f5 = code_8_4.field
     assert code_8_4.contains([f5.from_index(c) for c in code_8_4.g.padded(8)])
-    unit = [f5.one()] + [f5.zero()] * 7
+    unit = [f5.from_index(1)] + [f5.from_index(0)] * 7
     assert not code_8_4.contains(unit)
     for _ in range(30):
         message = [f5.from_index(rng.randrange(5)) for _ in range(4)]
@@ -155,7 +184,7 @@ def test_contains(code_8_4, rng):
 def test_encode_and_contains_at_the_dimension_extremes(f5):
     zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))  # k = 0
     full = CyclicCode(f5, 4, Poly.one(f5))  # k = n
-    zero, one = f5.zero(), f5.one()
+    zero, one = f5.from_index(0), f5.from_index(1)
     assert zero_code.k == 0 and full.k == 4
     assert zero_code.encode_systematic([]) == (zero,) * 4
     assert zero_code.contains([zero] * 4)
@@ -224,7 +253,8 @@ def test_bch_empty_root_set(f5):
 
 
 def _brute_force_distance(code):
-    """Independent oracle: enumerate all nonzero messages with exact elements."""
+    """Independent oracle: enumerate all nonzero messages, one product and
+    sum per generator entry, on indices."""
     field, k, n = code.field, code.k, code.n
     best = n + 1
     for t in range(1, field.q**k):
@@ -233,14 +263,13 @@ def _brute_force_distance(code):
         for _ in range(k):
             tt, d = divmod(tt, field.q)
             digits.append(d)
-        word = [field.zero()] * n
+        word = [0] * n
         for j, d in enumerate(digits):
             if d:
-                e = field.from_index(d)
                 for c, g in enumerate(code.generator_matrix[j]):
                     if g:
-                        word[c] = word[c] + e * field.from_index(g)
-        best = min(best, sum(1 for w in word if not w.is_zero))
+                        word[c] = field.add(word[c], field.mul(d, g))
+        best = min(best, sum(1 for w in word if w))
     return best
 
 
@@ -275,7 +304,7 @@ def test_dual_of_parity_check_is_repetition(f5):
     code = CyclicCode(f5, 6, Poly(f5, [4, 1]))
     dual = code.dual()
     assert dual.k == 1
-    ones = [f5.one()] * 6
+    ones = [f5.from_index(1)] * 6
     assert dual.contains(ones)
 
 
@@ -285,10 +314,10 @@ def test_dual_orthogonality(code_8_4, code_9_5_3):
         assert code.k + dual.k == code.n
         for row in code.generator_matrix:
             for dual_row in dual.generator_matrix:
-                acc = code.field.zero()
+                acc = 0
                 for a, b in zip(row, dual_row):
-                    acc = acc + code.field.from_index(a) * code.field.from_index(b)
-                assert acc.is_zero
+                    acc = code.field.add(acc, code.field.mul(a, b))
+                assert acc == 0
 
 
 def test_dual_contains_grid_witness(code_8_4):
@@ -300,7 +329,7 @@ def test_dual_contains_grid_witness(code_8_4):
     padded = [f5.from_index(c) for c in u.padded(8)]
     reversed_word = tuple(padded[7 - j] for j in range(8))
     assert code_8_4.dual().contains(reversed_word)
-    assert sum(1 for w in reversed_word if not w.is_zero) == 4
+    assert sum(1 for w in reversed_word if w.index) == 4
 
 
 def test_dual_of_full_space_is_zero_code(f5):

@@ -9,23 +9,24 @@ from cyclic_lrc.poly import Poly
 
 
 def _message(field, t, k):
-    """Message with counter t in the kernels' order: symbol j has the index
-    (t // q**j) % q."""
-    return [field.from_index(t // field.q**j % field.q) for j in range(k)]
+    """Message indices with counter t in the kernels' order: symbol j has
+    the index (t // q**j) % q."""
+    return [t // field.q**j % field.q for j in range(k)]
 
 
 def _reference_supports(matrix, field, count):
     """Tiny exact reference: the support of the codeword of every message
-    1..count, recomputed with element objects in full counter order."""
+    1..count, recomputed with the field's index arithmetic in full counter
+    order."""
     k, n = len(matrix), len(matrix[0])
-    rows = [[field.from_index(v) for v in row] for row in matrix]
+    add, mul = field.add, field.mul
     supports = []
     for t in range(1, count + 1):
-        word = [field.zero()] * n
-        for m, row in zip(_message(field, t, k), rows):
-            if not m.is_zero:
-                word = [w + m * g for w, g in zip(word, row)]
-        supports.append([c for c, w in enumerate(word) if not w.is_zero])
+        word = [0] * n
+        for m, row in zip(_message(field, t, k), matrix):
+            if m:
+                word = [add(w, mul(m, g)) for w, g in zip(word, row)]
+        supports.append([c for c, w in enumerate(word) if w])
     return supports
 
 
@@ -122,7 +123,7 @@ def test_witness_scan_covers_every_coordinate():
     assert all(t > 0 for t in counters)
     # reconstruct each witness and verify the claim it certifies
     for coord, t in enumerate(counters):
-        message = [e.index for e in _message(code.field, t, dual.k)]
+        message = _message(code.field, t, dual.k)
         word = (Poly(code.field, message) * dual.g).padded(code.n)
         weight = sum(1 for w in word if w)
         assert 0 < weight <= 4
@@ -143,10 +144,9 @@ def test_op_tables_agree_with_element_arithmetic():
         field = make_field(p, m)
         mul = kernels.op_tables(field)
         assert len(mul) == m and all(len(row) == m for row in mul)
-        basis = [field.from_index(p**i) for i in range(m)]
-        for i, y in enumerate(basis):
-            for a, b in enumerate(basis):
-                assert mul[i][a] == (y * b).rep, (field, i, a)
+        for i in range(m):
+            for a in range(m):
+                assert mul[i][a] == field.digits(field.mul(p**i, p**a)), (field, i, a)
 
 
 def test_scan_argument_validation(f5):

@@ -100,7 +100,7 @@ def test_claim_without_grid_word_is_indeterminate():
 def test_verify_budget_limits_distance_but_not_coset_locality():
     f13 = make_field(13)
     beta = primitive_nth_root(f13, 12)
-    base = CyclicCode(f13, 12, Poly.from_roots(f13, [(beta**e).index for e in (0, 1, 2, 3, 6, 9)]))
+    base = CyclicCode(f13, 12, Poly.from_roots(f13, [f13.pow(beta.index, e) for e in (0, 1, 2, 3, 6, 9)]))
     code = LrcCode(base, 2, 5, "ex-3.2", beta=beta)
     report = verify_optimal(code, budget=200)
     assert report.locality.ok  # coset witnesses need no budget
