@@ -2,19 +2,23 @@
 
 Symbols on the command line are comma-separated canonical element indices
 (for prime fields these are plain residues); "_" marks the erased position
-in a repair word.  Exit codes follow the verification contract:
-0 optimal-certified, 2 optimal-consistent, 3 refuted / integrity failure,
-4 indeterminate, 1 construction precondition failure or a code too large
-to encode, 5 corrupt input (a
-repair word whose filled-in form is not a codeword), 64 usage errors and
-unreadable files.  All output is byte-deterministic for fixed arguments.
+in a repair word.  Exit codes: 0 optimal-certified (locality verified, d the
+Singleton-type bound, and a proven lower bound, exact scan or BCH, reaches
+d), 2 optimal-consistent (no proven lower bound reaches d), 3 refuted /
+integrity failure, 4 indeterminate, 1 construction precondition failure or
+a code too large to encode, 5 corrupt input (a repair word whose filled-in
+form is not a codeword), 64 usage errors, unreadable code files and
+unwritable ``--out`` paths, 141 (128 + SIGPIPE) when stdout is closed
+early.  All output is byte-deterministic for fixed arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import os
 import sys
 
 from .codefile import (
@@ -38,6 +42,7 @@ from .verify import VERDICT_EXIT_CODES, render_verdict, verify_optimal
 
 EX_CORRUPT = 5
 EX_USAGE = 64
+EX_PIPE = 141  # 128 + SIGPIPE
 
 
 class CliError(Exception):
@@ -99,7 +104,10 @@ def _cmd_construct(args) -> int:
     print(f"locality r = {code.r}")
     print(f"g(x) = {code.base.g}")
     if args.out:
-        save_code(code, args.out)
+        try:
+            save_code(code, args.out)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}", EX_USAGE) from None
         print(f"wrote {args.out}")
     return 0
 
@@ -158,8 +166,6 @@ def _cmd_sweep(args) -> int:
             verdict = rec.diagnostic or "not-constructible"
         elif not args.verify:
             verdict = ""
-        elif rec.q**rec.k > args.budget:
-            verdict = "indeterminate"
         else:
             try:
                 code = _construct(rec.scheme, rec.q, rec.n, rec.r, rec.d)
@@ -225,10 +231,20 @@ def main(argv=None) -> int:
     if getattr(args, "nmax", 0) is None:
         args.nmax = max(2, 2 * (args.qmax - 1))
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+        try:
+            return args.func(args)
+        except CliError as exc:
+            print(str(exc), file=sys.stderr)
+            return exc.code
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (and stderr too, under 2>&1): point stdout
+        # at devnull, so the flush at exit is silent, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(BrokenPipeError):
+            print("stdout closed before the output was complete", file=sys.stderr)
+        return EX_PIPE
 
 
 if __name__ == "__main__":

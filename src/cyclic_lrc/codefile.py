@@ -178,11 +178,9 @@ def save_code(code: LrcCode, path: str | Path) -> None:
 
 def load_code(path: str | Path) -> LrcCode:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise CodeFileFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CodeFileFormatError(f"{path} is not valid JSON: {exc}") from exc
     return code_from_dict(data)

@@ -191,11 +191,14 @@ def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:
 
 
 class DistanceScan(NamedTuple):
-    """Outcome of a (possibly budget-limited) minimum-weight scan.
+    """Outcome of a minimum-weight scan, or of its budget check.
 
     ``exact`` is True only when the whole nonzero message space was
     enumerated; then lower == upper is the true minimum distance.  Otherwise
-    lower is a certified bound (BCH) and upper the best witness weight seen.
+    nothing was enumerated: lower is the proven BCH bound (1 where it is out
+    of reach) and upper the Singleton bound n - k + 1.  A verdict certifies
+    a claim that is the Singleton-type bound, with locality verified, when
+    lower reaches it.
     """
 
     lower: int
@@ -208,36 +211,25 @@ class DistanceScan(NamedTuple):
         return self.upper if self.exact else None
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "enumerated": self.enumerated,
-        }
+        return self._asdict()
 
 
-def min_distance_exhaustive(
-    code: CyclicCode, budget: int = DEFAULT_BUDGET, sample_cap: int | None = None
-) -> DistanceScan:
-    """Exact minimum distance when q**k fits the budget, else a bracket.
+def min_distance_exhaustive(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> DistanceScan:
+    """Exact minimum distance when q**k - 1 fits the budget, else the proven
+    bracket.
 
     Exact mode covers every nonzero codeword (the kernel visits one message
-    per scalar class, since scalar multiples share a weight).  The fallback
-    pairs the BCH lower bound (1 where it is out of reach) with the minimum
-    weight over the first ``min(budget, sample_cap)`` messages of the
-    deterministic enumeration order and is flagged non-exact.  The zero code reports the conventional
-    n + 1.
+    per scalar class, since scalar multiples share a weight).  Over the
+    budget no codeword is enumerated: the bracket is the BCH lower bound (1
+    where it is out of reach) and the Singleton bound n - k + 1, flagged
+    non-exact.  The zero code reports the conventional n + 1.
     """
     if budget < 1:
         raise ValueError(f"enumeration budget must be >= 1, got {budget}")
     if code.k == 0:
         return DistanceScan(code.n + 1, code.n + 1, True, 0)
-    total = code.field.q**code.k
-    matrix = code.generator_matrix
-    if total <= budget:
-        w = kernels.min_nonzero_weight(matrix, code.field, total - 1)
-        return DistanceScan(w, w, True, total - 1)
-    lower = code.bch_lower_bound() or 1
-    count = min(total - 1, budget if sample_cap is None else min(budget, sample_cap))
-    upper = kernels.min_nonzero_weight(matrix, code.field, count)
-    return DistanceScan(lower, upper, False, count)
+    total = code.field.q**code.k - 1
+    if total > budget:
+        return DistanceScan(code.bch_lower_bound() or 1, code.n - code.k + 1, False, 0)
+    w = kernels.min_nonzero_weight(code.generator_matrix, code.field, total)
+    return DistanceScan(w, w, True, total)

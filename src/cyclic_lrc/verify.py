@@ -1,12 +1,14 @@
 """Singleton-type bound and end-to-end optimality certification.
 
 A locally repairable code with locality r obeys
-``d <= n - k - ceil(k/r) + 2``; a code is certified optimal here when the
-exhaustively measured distance equals both the claimed distance and that
-bound, and the locality claim carries a verified witness.  Verdicts are
-four-valued so that budget-limited oracle runs stay distinguishable from
-full certification.  :func:`render_verdict` reads only that evidence, for
-both ``sweep --verify`` and ``verify``; the dual distance and BCH bound that
+``d <= n - k - ceil(k/r) + 2`` (Gopalan et al.).  So once the locality
+claim carries a verified witness and the claimed distance is that bound, a
+proven lower bound that reaches the claim fixes d exactly: a code is
+certified optimal here when the exact scan or, over the scan budget, the
+BCH bound reaches the claimed distance.  Verdicts are four-valued, so a
+claim that no proven bound reaches stays distinguishable from a certified
+one.  :func:`render_verdict` reads only that evidence, for both
+``sweep --verify`` and ``verify``; the dual distance and BCH bound that
 :func:`verify_optimal` adds are report-only (with locality r verified, the
 dual distance is at most r + 1, so it cannot contradict the claims).
 """
@@ -34,10 +36,6 @@ VERDICT_EXIT_CODES = {
     REFUTED: 3,
     INDETERMINATE: 4,
 }
-
-# Dual-distance brackets are informational (certification never needs them),
-# so budget-overrun dual scans sample at most this many words.
-_DUAL_SAMPLE_CAP = 1 << 16
 
 
 def singleton_bound(n: int, k: int, r: int) -> int:
@@ -89,38 +87,34 @@ def render_verdict(code: LrcCode, budget: int = DEFAULT_BUDGET) -> tuple[str, Di
     """The verdict on a code's claims, with the distance scan and locality
     check it reads.
 
-    optimal-certified   exact distance == claimed == Singleton bound and the
-                        locality claim has a witness for every coordinate;
-    optimal-consistent  nothing contradicts the claims but the distance scan
-                        was budget-limited;
-    refuted             the claim is off the Singleton-type bound, or a
-                        distance measurement contradicts it;
+    optimal-certified   claimed == Singleton-type bound, the locality claim
+                        has its grid witness, and the proven lower bound
+                        (the exact scan, or BCH over the budget) reaches
+                        the claim;
+    optimal-consistent  nothing contradicts the claims but no proven lower
+                        bound reaches the claim;
+    refuted             the claim is off the Singleton-type bound, or
+                        outside the distance bracket;
     indeterminate       g has no grid factor x^s - c for the claimed r, so
                         locality is uncertified (never refuted).
     """
-    base = code.base
+    base, d = code.base, code.d_claimed
     distance = min_distance_exhaustive(base, budget)
     locality = verify_locality(code)
-    refuted = (
-        code.d_claimed != singleton_bound(base.n, base.k, code.r)
-        or distance.lower > code.d_claimed
-        or distance.upper < code.d_claimed
-    )
-    if refuted:
+    if d != singleton_bound(base.n, base.k, code.r) or not distance.lower <= d <= distance.upper:
         verdict = REFUTED
-    elif distance.exact and distance.value == code.d_claimed and locality.ok:
-        verdict = OPTIMAL_CERTIFIED
-    elif locality.ok and distance.lower <= code.d_claimed <= distance.upper:
-        verdict = OPTIMAL_CONSISTENT
-    else:
+    elif not locality.ok:
         verdict = INDETERMINATE
+    else:
+        verdict = OPTIMAL_CERTIFIED if distance.lower == d else OPTIMAL_CONSISTENT
     return verdict, distance, locality
 
 
 def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """The verdict of :func:`render_verdict` in a full report, which adds
     the dual distance and the BCH lower bound (None past the splitting-field
-    limit); neither decides the verdict."""
+    limit); neither decides the verdict (over the budget, the distance
+    bracket already starts at that bound)."""
     verdict, distance, locality = render_verdict(code, budget)
     base = code.base
     return VerificationReport(
@@ -131,7 +125,7 @@ def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationR
         r=code.r,
         d_claimed=code.d_claimed,
         distance=distance,
-        dual_distance=min_distance_exhaustive(base.dual(), budget, sample_cap=_DUAL_SAMPLE_CAP),
+        dual_distance=min_distance_exhaustive(base.dual(), budget),
         bch_lower_bound=base.bch_lower_bound(),
         locality=locality,
         singleton_rhs=singleton_bound(base.n, base.k, code.r),

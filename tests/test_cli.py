@@ -166,8 +166,61 @@ def test_long_code_constructs_encodes_repairs_and_verifies(tmp_path):
     report = json.loads(proc.stdout)
     assert report["verdict"] == "optimal-consistent"
     assert report["bch_lower_bound"] is None
-    assert report["distance"] == {"enumerated": 65536, "exact": False, "lower": 1, "upper": 4}
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 1, "upper": 303}
     assert report["locality"]["ok"] is True and report["locality"]["method"] == "coset-witness"
+
+
+def test_verify_of_length_4092_needs_no_scan(tmp_path):
+    # q**k = 13**3068 is far over the default budget; the verdict reads the
+    # proven bracket and no codeword is enumerated
+    path = tmp_path / "n4092.json"
+    proc, _ = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "4092",
+                           "--r", "3", "--out", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc, elapsed = _bounded_cli("verify", str(path))
+    assert (proc.returncode, proc.stderr) == (2, "") and elapsed < 3.0
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "optimal-consistent"
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 1, "upper": 1025}
+
+
+def test_failures_print_one_line_and_no_traceback(tmp_path):
+    # each path exits with its documented code and one stderr line
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"scheme": "\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    construct = ["construct", "--scheme", "thm-1.1-ii", "--q", "5", "--n", "8", "--r", "3", "--out"]
+    runs = [
+        (_bounded_cli("verify", str(not_utf8))[0], 64, "unreadable code file: cannot read"),
+        (_bounded_cli("verify", str(deep))[0], 64, "unreadable code file:"),
+        (_bounded_cli(*construct, str(tmp_path / "no" / "dir" / "x.json"))[0], 64, "cannot write"),
+        (_bounded_cli(*construct, str(tmp_path))[0], 64, "cannot write"),
+    ]
+    # a reader that closes stdout before the 263 KB report is written
+    long_file = tmp_path / "long.json"
+    proc, _ = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "1204", "--r", "3",
+                           "--out", str(long_file))
+    assert proc.returncode == 0
+    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
+
+    def closed_stdout(stderr):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclic_lrc.cli", "verify", str(long_file)],
+            stdout=subprocess.PIPE, stderr=stderr, text=True,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read() if proc.stderr else ""
+        return subprocess.CompletedProcess(proc.args, proc.wait(timeout=60), "", err)
+
+    runs.append((closed_stdout(subprocess.PIPE), 141, "stdout closed before the output was complete"))
+    # with stderr on the same closed pipe (2>&1) the exit code is the same
+    assert closed_stdout(subprocess.STDOUT).returncode == 141
+    for done, code, start in runs:
+        assert done.returncode == code, done.args
+        assert "Traceback" not in done.stderr, done.args
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith(start), done.stderr
 
 
 def test_code_too_large_to_encode_exits_1(tmp_path):
@@ -199,7 +252,9 @@ def test_distance_4_code_longer_than_q_squared(capsys, tmp_path):
     rc, out, err = _run(capsys, "verify", str(path), "--budget", "4096")
     report = json.loads(out)
     assert (rc, report["verdict"], report["locality"]["ok"]) == (2, "optimal-consistent", True)
-    assert report["distance"]["upper"] == 4 and report["bch_lower_bound"] is None
+    # no proven lower bound: the splitting field of x^172 - 1 is out of reach
+    assert report["bch_lower_bound"] is None
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 1, "upper": 46}
 
 
 def test_verify_certified(code_file, capsys):
@@ -210,10 +265,21 @@ def test_verify_certified(code_file, capsys):
     assert report["distance"] == {"enumerated": 624, "exact": True, "lower": 4, "upper": 4}
 
 
-def test_verify_budget_one_is_uncertified(code_file, capsys):
+def test_verify_budget_one_is_uncertified(code_file, capsys, tmp_path):
+    # over the budget only a proven bound certifies: the BCH bound of the
+    # [12, 7, 4] thm-1.1-ii code over GF(5) is 3, that of [8, 4, 4] is 4
+    path = tmp_path / "bch3.json"
+    rc, _, err = _run(capsys, "construct", "--scheme", "thm-1.1-ii", "--q", "5", "--n", "12",
+                      "--r", "3", "--out", str(path))
+    assert (rc, err) == (0, "")
+    rc, out, _ = _run(capsys, "verify", str(path), "--budget", "1")
+    report = json.loads(out)
+    assert (rc, report["verdict"]) == (2, "optimal-consistent")
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 3, "upper": 6}
     rc, out, _ = _run(capsys, "verify", str(code_file), "--budget", "1")
-    assert rc in (2, 4)
-    assert json.loads(out)["verdict"] in ("optimal-consistent", "indeterminate")
+    report = json.loads(out)
+    assert (rc, report["verdict"]) == (0, "optimal-certified")
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 4, "upper": 5}
 
 
 def test_verify_tampered_file(code_file, capsys, tmp_path):
@@ -500,6 +566,32 @@ def test_sweep_verify_certifies_fields_above_order_1024(capsys):
     assert len(rows) == 200
     assert {row["verdict"] for row in rows} == {"optimal-certified"}
     assert [row["q"] for row in rows if int(row["q"]) > 1024] == ["1033"] * 2 + ["1039"] * 2
+
+
+def test_verify_agrees_with_sweep_over_the_budget(capsys, tmp_path):
+    # one verdict per code: each over-budget row of the criterion box gets
+    # from verify the verdict and exit code that sweep prints for it
+    budget = str(1 << 20)
+    exit_codes = {"optimal-certified": 0, "optimal-consistent": 2}
+    seen = set()
+    for scheme in ("ex-3.2", "ex-3.3", "thm-1.1-i", "thm-1.1-ii", "thm-3.4"):
+        rc, out, _ = _run(capsys, "sweep", "--verify", "--scheme", scheme, "--qmax", "13",
+                          "--nmax", "24", "--budget", budget)
+        assert rc == 0
+        rows = [row for row in _parse_csv(out) if row["verdict"] in exit_codes
+                and int(row["q"]) ** int(row["k"]) > 1 << 20]
+        assert rows, scheme
+        for row in rows:
+            path = tmp_path / "c.json"
+            argv = ["construct", "--scheme", scheme, "--q", row["q"], "--n", row["n"], "--r", row["r"]]
+            if scheme.startswith("ex-"):
+                argv += ["--d", row["d"]]
+            assert _run(capsys, *argv, "--out", str(path))[0] == 0
+            rc, out, _ = _run(capsys, "verify", str(path), "--budget", budget)
+            verdict = json.loads(out)["verdict"]
+            assert (verdict, rc) == (row["verdict"], exit_codes[row["verdict"]]), row
+            seen.add(verdict)
+    assert seen == set(exit_codes)
 
 
 def test_sweep_empty_result(capsys):

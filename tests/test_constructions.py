@@ -389,7 +389,8 @@ def test_thm_rows_are_built_in_gf_q_and_certified():
     # field is over 2^20 included: g = (x - 1)[(x - gamma)](x^s - alpha)
     # with alpha = omega^((q-1)/(r+1)) of order r + 1, and gamma = alpha^a
     # (thm-1.1-ii) or omega (thm-3.4).  Rows of at most 2^20 messages are
-    # certified; a 2^12-message sample refutes none of the others
+    # certified by the exact scan; over the budget, the rows whose BCH bound
+    # reaches d are certified without a scan and the others are consistent
     counts = {}
     for scheme in THM_SCHEMES:
         for rec in enumerate_valid_params(scheme, 32, 40):
@@ -409,11 +410,21 @@ def test_thm_rows_are_built_in_gf_q_and_certified():
             binomial = Poly(field, [field.neg(alpha.index)] + [0] * (s - 1) + [1])
             assert code.base.g == Poly.from_roots(field, roots) * binomial, rec
             in_budget = rec.q**rec.k <= 1 << 20
-            verdict = render_verdict(code, 1 << 20 if in_budget else 1 << 12)[0]
-            assert verdict == (OPTIMAL_CERTIFIED if in_budget else "optimal-consistent"), rec
-            key = (in_budget, code.base.bch_lower_bound() is None)
+            verdict, distance, _ = render_verdict(code, 1 << 20 if in_budget else 1 << 12)
+            bch = code.base.bch_lower_bound()
+            reached = in_budget or (bch is not None and bch >= rec.d)
+            assert verdict == (OPTIMAL_CERTIFIED if reached else "optimal-consistent"), rec
+            assert distance.exact == in_budget, rec
+            key = (in_budget, verdict, bch)
             counts[key] = counts.get(key, 0) + 1
-    assert counts == {(True, False): 63, (False, False): 293, (False, True): 25}
+    assert counts == {
+        (True, OPTIMAL_CERTIFIED, 3): 39,
+        (True, OPTIMAL_CERTIFIED, 4): 24,
+        (False, OPTIMAL_CERTIFIED, 3): 176,
+        (False, OPTIMAL_CERTIFIED, 4): 56,
+        (False, "optimal-consistent", 3): 61,
+        (False, "optimal-consistent", None): 25,
+    }
 
 
 def test_enumerate_rejects_bad_bounds():

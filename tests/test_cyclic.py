@@ -285,13 +285,22 @@ def test_exhaustive_distance_examples(code_9_5_3, f5):
     assert min_distance_exhaustive(full).value == 1
 
 
-def test_distance_budget_fallback(code_8_4):
-    scan = min_distance_exhaustive(code_8_4, budget=100)
-    assert not scan.exact
+def test_distance_budget_fallback(code_8_4, monkeypatch):
+    # over the budget nothing is enumerated and no generator matrix is
+    # built: the bracket is the BCH bound and the Singleton bound n - k + 1
+    def no_scan(*args):
+        raise AssertionError("the scan kernel ran over the budget")
+
+    monkeypatch.setattr(cyclic.kernels, "min_nonzero_weight", no_scan)
+    code = CyclicCode(code_8_4.field, code_8_4.n, code_8_4.g)
+    scan = min_distance_exhaustive(code, budget=100)
+    assert scan == (4, 5, False, 0)
     assert scan.value is None
-    assert scan.lower == 4  # the BCH certificate
-    assert scan.upper >= 4
-    assert scan.enumerated == 100
+    assert "generator_matrix" not in code.__dict__
+    # q**k - 1 = 624 messages: the budget counts them, so 624 is in it
+    assert min_distance_exhaustive(code, budget=623).enumerated == 0
+    monkeypatch.undo()
+    assert min_distance_exhaustive(code, budget=624) == (4, 4, True, 624)
 
 
 def test_distance_of_zero_code(f5):

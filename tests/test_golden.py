@@ -54,8 +54,8 @@ def test_sweep_verify(capsys, argv, golden):
 
 def test_sweep_verify_over_criterion_box(capsys):
     # the five tables of the benchmark's sweep-box workload, one digest over
-    # their concatenation in ALL_SCHEMES order; captured before code files
-    # were rebuilt by construct
+    # their concatenation in ALL_SCHEMES order; re-captured when the rows
+    # over the budget were built and given render_verdict's verdict
     digest = hashlib.sha256()
     for scheme in ALL_SCHEMES:
         rc, out = _run(capsys, "sweep", "--verify", "--scheme", scheme, "--qmax", "13",

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import time
 from functools import cached_property
 
 import pytest
 
-from cyclic_lrc.constructions import LrcCode, construct
+from cyclic_lrc.constructions import ALL_SCHEMES, LrcCode, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.field import make_field, primitive_nth_root
 from cyclic_lrc.poly import Poly
@@ -68,9 +69,17 @@ def test_verify_certifies_distance4_instance(code_8_4_4):
 
 
 def test_verify_budget_degrades_to_consistent(code_8_4_4):
-    report = verify_optimal(code_8_4_4, budget=100)
+    # over the budget the verdict reads the proven BCH bound: the
+    # thm-1.1-ii code [12, 7, 4] over GF(5) has BCH bound 3 < d, so it is
+    # only consistent, while [8, 4, 4] has BCH bound 4 = d and is certified
+    code = construct("thm-1.1-ii", 5, n=12, r=3)
+    report = verify_optimal(code, budget=100)
     assert report.verdict == OPTIMAL_CONSISTENT
-    assert not report.distance.exact
+    assert report.distance == (3, 6, False, 0)
+    assert verify_optimal(code).verdict == OPTIMAL_CERTIFIED
+    report = verify_optimal(code_8_4_4, budget=100)
+    assert report.verdict == OPTIMAL_CERTIFIED
+    assert report.distance == (4, 5, False, 0)
 
 
 def test_verify_refutes_corrupted_code(code_8_4_4):
@@ -104,8 +113,11 @@ def test_verify_budget_limits_distance_but_not_coset_locality():
     code = LrcCode(base, 2, 5, "ex-3.2", beta=beta)
     report = verify_optimal(code, budget=200)
     assert report.locality.ok  # coset witnesses need no budget
-    assert report.verdict == OPTIMAL_CONSISTENT
-    assert verify_optimal(code, budget=13**6).verdict == OPTIMAL_CERTIFIED
+    # the zeros 0..3 give BCH bound 5 = d, so no scan is needed to certify
+    assert report.distance == (5, 7, False, 0)
+    assert report.verdict == OPTIMAL_CERTIFIED
+    report = verify_optimal(code, budget=13**6 - 1)
+    assert (report.distance, report.verdict) == ((5, 5, True, 13**6 - 1), OPTIMAL_CERTIFIED)
 
 
 def test_root_exponents_are_found_once_per_code(monkeypatch):
@@ -159,3 +171,24 @@ def test_verdict_core_agrees_with_the_report_over_criterion_box(criterion_box_co
         assert (distance, locality) == (report.distance, report.locality), rec
         if report.dual_distance.exact and locality.ok is True:
             assert report.dual_distance.value <= code.r + 1, rec
+
+
+def test_over_budget_rows_of_the_property_box_read_the_bch_bound():
+    # the 1184 rows of --qmax 32 --nmax 40 with more than 2^24 nonzero
+    # messages: none is scanned, the 1098 whose BCH bound reaches d are
+    # certified, and the 61 with BCH bound 3 < d = 4 and the 25 without one
+    # are consistent
+    budget = 1 << 24
+    counts = {}
+    start = time.perf_counter()
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible or rec.q**rec.k - 1 <= budget:
+                continue
+            code = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            verdict, distance, locality = render_verdict(code, budget)
+            assert (distance.exact, distance.enumerated, locality.ok) == (False, 0, True), rec
+            assert distance.upper == rec.n - rec.k + 1, rec
+            counts[verdict] = counts.get(verdict, 0) + 1
+    assert time.perf_counter() - start < 5.0
+    assert counts == {OPTIMAL_CERTIFIED: 1098, OPTIMAL_CONSISTENT: 86}
