@@ -11,7 +11,7 @@ from .constructions import (
     construct,
     enumerate_valid_params,
 )
-from .field import FieldElement, FiniteField, make_field, primitive_nth_root, splitting_degree
+from .field import FieldElement, FiniteField, make_field, primitive_nth_root
 from .poly import Poly
 from .repair import (
     ErasedWord,
@@ -52,7 +52,6 @@ __all__ = [
     "repair_vector",
     "save_code",
     "singleton_bound",
-    "splitting_degree",
     "verify_locality",
     "verify_optimal",
 ]

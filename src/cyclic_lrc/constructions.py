@@ -18,8 +18,9 @@ schemes, named by the identifiers used on the CLI and in code files, are:
 * ``thm-3.4``     n = 2(q - 1), distance 4, (r+1) | q - 1;
                   g = (x - 1)(x - omega)(x^s - alpha), alpha = omega^(s/2).
 
-No splitting field of x^n - 1 is formed: MAX_LENGTH bounds n for every
-scheme, and only ex-3.3 also needs GF(q^2) within MAX_FIELD_ORDER.
+Each code states its zeros for a primitive n-th root beta, Z or {0} + {e = 1
+mod (r+1)}, plus s*a (thm-1.1-ii) or 2 (thm-3.4), beta^s being alpha, and
+confirms them on first read in GF(q) or GF(q^2); MAX_LENGTH bounds n.
 
 Each scheme's preconditions live only in ``_plan``, an integer-only function
 of (scheme, q, n, r, d), which raises ParameterError with a reusable
@@ -34,7 +35,8 @@ scheme is a pure deterministic function of its parameters.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, partial, reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import repair
@@ -319,7 +321,7 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     q - 1 (ex-3.3), and then projected to GF(q), a step that fails outside
     the embedded copy of GF(q); times x^s - alpha where the plan has an
     alpha.  Without one, rho is stored as beta.  CyclicCode checks
-    g | x^n - 1, and the dimension is checked against the plan.
+    g | x^n - 1 and is handed the plan's zeros, and k is checked.
     """
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
@@ -335,10 +337,36 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     alpha, gamma = (None if e is None else ext.from_index(ext.pow(rho.index, e)) for e in exponents)
     if alpha is not None:
         g = g * Poly(field, [field.neg(alpha.index), *[0] * (n // (r + 1) - 1), 1])
-    code = CyclicCode(field, n, g)
+    code = CyclicCode(field, n, g, partial(_confirmed_zeros, plan, rho))
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
     return LrcCode(code, r, d, scheme, rho if alpha is None else None, alpha, gamma)
+
+
+def _confirmed_zeros(plan: _Plan, rho, code: CyclicCode) -> frozenset[int] | None:
+    """The exponents of g's zeros that ``plan`` states, if g has exactly
+    those zeros, else None.  They refer to a primitive n-th root beta with
+    beta^f = rho, f = n/plan.order, which exists once rho has that order:
+    x - rho^e is the zero beta^(f*e), and x^t - rho^a (a = alpha_exponent,
+    t = f*a) has the zeros beta^e, e = 1 mod n/t.  g(rho^e) = 0 in rho's
+    field and one division confirm them; deg g = their count makes them all."""
+    field, n, g, order = code.field, code.n, code.g, plan.order
+    ext, f, a = rho.field, n // order, plan.alpha_exponent
+    zeros = {f * e for e in plan.zeros}
+    powers = list(accumulate([rho.index] * order, ext.mul, initial=1))  # rho^0, ..., rho^order
+    if a is not None:
+        zeros.update(range(1, n, n // (f * a)))
+        binomial = Poly(field, [field.neg(powers[a % order]), *[0] * (f * a - 1), 1])
+    fwd = _embedding(field, ext)[0]
+    terms = [(i, fwd[c]) for i, c in enumerate(g.coeffs) if c]
+    confirmed = (
+        g.degree == len(zeros)
+        and powers[-1] == 1 and 1 not in powers[1:-1]
+        and not any(reduce(ext.add, (ext.mul(c, powers[i * e % order]) for i, c in terms))
+                    for e in plan.zeros)
+        and (a is None or divmod(g, binomial)[1].is_zero)
+    )
+    return frozenset(zeros) if confirmed else None
 
 
 # ---------------------------------------------------------------------------

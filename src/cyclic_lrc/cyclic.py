@@ -5,13 +5,14 @@ A cyclic code of length n over GF(q) is the set of coefficient vectors of
 multiples of a monic generator g(x) dividing x**n - 1.  The one
 constructor, ``CyclicCode(field, n, g)``, checks that and derives the
 dimension n - deg g, the parity polynomial h = (x**n - 1)/g and the dual's
-generator, the monic-normalized reciprocal of h; codes compare, hash and
-pickle as (field, n, g), and cache what else they derive on themselves.
+generator, the monic-normalized reciprocal of h; codes compare and hash as
+(field, n, g), and cache what else they derive on themselves.
 Codes are immutable values on element indices, with FieldElement only in
 the words of :meth:`CyclicCode.encode_systematic` and
 :meth:`CyclicCode.contains`; the oracle delegates its inner loop to
-:mod:`cyclic_lrc.kernels`.  The BCH bound is the one reader of the
-splitting field of x**n - 1, and is None where that field is too large.
+:mod:`cyclic_lrc.kernels`.  The BCH bound reads the zeros of g that
+``construct`` states and g confirms, or that a dual takes from its code; a
+code without them has no BCH bound.
 
 Systematic encoding puts the message in the last k coordinates and reads the
 n - k parity symbols off a parity matrix built once per code, in the same
@@ -26,11 +27,10 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import kernels
-from .field import FieldElement, FiniteField, Immutable, _element, _embedding, _set, make_field
-from .field import MAX_LENGTH, primitive_nth_root, splitting_degree
+from .field import MAX_LENGTH, FieldElement, FiniteField, Immutable, _element, _set
 from .poly import Poly
 
 DEFAULT_BUDGET = 1 << 24
@@ -40,11 +40,13 @@ class CyclicCode(Immutable):
     """The cyclic code of length n generated by g, with its dimension
     ``k``, parity polynomial ``h`` and dual generator ``dual_g``.  Rejects
     n < 1, gcd(n, q) != 1 and a g that is not a monic divisor of x**n - 1
-    over the field with ValueError."""
+    over the field with ValueError.  ``zeros``, the builder's statement of
+    g's zeros, maps the code to them once confirmed against g, or to None."""
 
     __slots__ = ("field", "n", "g", "__dict__")
 
-    def __init__(self, field: FiniteField, n: int, g: Poly):
+    def __init__(self, field: FiniteField, n: int, g: Poly,
+                 zeros: Callable[[CyclicCode], frozenset[int] | None] | None = None):
         if n < 1:
             raise ValueError(f"length must be >= 1, got {n}")
         if math.gcd(n, field.q) != 1:
@@ -60,6 +62,10 @@ class CyclicCode(Immutable):
         _set(self, "k", n - g.degree)
         _set(self, "h", quotient)
         _set(self, "dual_g", quotient.reciprocal().monic())
+        _set(self, "_zeros", zeros)
+
+    def __reduce__(self):
+        return CyclicCode, (self.field, self.n, self.g, self._zeros)
 
     @cached_property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -126,46 +132,34 @@ class CyclicCode(Immutable):
         return tuple(word) == self.encode_systematic(word[self.n - self.k :])
 
     def dual(self) -> CyclicCode:
-        """The dual code, generated by the monic reciprocal of h."""
-        return CyclicCode(self.field, self.n, self.dual_g)
+        """The dual code, generated by the monic reciprocal of h, which has
+        the zeros that g lacks, negated: the dual takes those as its own."""
+        return CyclicCode(self.field, self.n, self.dual_g, self._zeros_of_dual)
+
+    def _zeros_of_dual(self, _dual: CyclicCode) -> frozenset[int] | None:
+        zeros = self.root_exponents
+        return None if zeros is None else frozenset(-e % self.n for e in range(self.n) if e not in zeros)
 
     @cached_property
     def root_exponents(self) -> frozenset[int] | None:
-        """Exponents e with g(beta**e) = 0, beta the canonical primitive n-th
-        root in the splitting field of x**n - 1, found once per code; None
-        when that field exceeds MAX_FIELD_ORDER.  g is evaluated over its
-        nonzero terms, reading beta**(i*e) from a table of the n powers of
-        beta."""
-        n = self.n
-        degree = splitting_degree(self.field.q, n)
-        if degree is None:
-            return None
-        ext = make_field(self.field.p, self.field.m * degree)
-        add, mul = ext.add, ext.mul
-        b = primitive_nth_root(ext, n).index
-        powers = [1] * n
-        for j in range(1, n):
-            powers[j] = mul(powers[j - 1], b)
-        fwd, _ = _embedding(self.field, ext)
-        terms = [(i, fwd[c]) for i, c in enumerate(self.g.coeffs) if c]
-        zeros = []
-        for e in range(n):
-            acc = 0
-            for i, c in terms:
-                acc = add(acc, mul(c, powers[i * e % n]))
-            if not acc:
-                zeros.append(e)
-        return frozenset(zeros)
+        """Exponents e with g(beta**e) = 0, beta a primitive n-th root of
+        unity, as stated for the code and confirmed against g on first read;
+        None for a code without them, or whose g fails the confirmation."""
+        return None if self._zeros is None else self._zeros(self)
 
     def bch_lower_bound(self) -> int | None:
         """Certified distance lower bound from consecutive root exponents, or
-        None when the splitting field of x**n - 1 is out of reach.
+        None where :attr:`root_exponents` is; computed once per code.
 
         Every primitive n-th root is beta**u for a unit u mod n, so the
         bound, 1 + the longest run of cyclically consecutive exponents in
         u * :attr:`root_exponents` over all units u, is the same whichever
-        root is canonical (n + 1 for the zero code).
+        root the exponents refer to (n + 1 for the zero code).
         """
+        return self._bch
+
+    @cached_property
+    def _bch(self) -> int | None:
         zeros, n = self.root_exponents, self.n
         if zeros is None:
             return None
@@ -195,10 +189,10 @@ class DistanceScan(NamedTuple):
 
     ``exact`` is True only when the whole nonzero message space was
     enumerated; then lower == upper is the true minimum distance.  Otherwise
-    nothing was enumerated: lower is the proven BCH bound (1 where it is out
-    of reach) and upper the Singleton bound n - k + 1.  A verdict certifies
-    a claim that is the Singleton-type bound, with locality verified, when
-    lower reaches it.
+    nothing was enumerated: lower is the proven BCH bound (1 for a code
+    without stated zeros) and upper the Singleton bound n - k + 1.  A
+    verdict certifies a claim that is the Singleton-type bound, with
+    locality verified, when lower reaches it.
     """
 
     lower: int
@@ -221,8 +215,8 @@ def min_distance_exhaustive(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> D
     Exact mode covers every nonzero codeword (the kernel visits one message
     per scalar class, since scalar multiples share a weight).  Over the
     budget no codeword is enumerated: the bracket is the BCH lower bound (1
-    where it is out of reach) and the Singleton bound n - k + 1, flagged
-    non-exact.  The zero code reports the conventional n + 1.
+    for a code without stated zeros) and the Singleton bound n - k + 1,
+    flagged non-exact.  The zero code reports the conventional n + 1.
     """
     if budget < 1:
         raise ValueError(f"enumeration budget must be >= 1, got {budget}")

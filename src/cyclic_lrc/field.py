@@ -23,11 +23,9 @@ Every choice here is canonical so that results are reproducible run to run:
   whose order is q - 1.
 
 Code lengths are bounded apart from fields, by MAX_LENGTH: a code over
-GF(q) is built from roots of unity in GF(q) or GF(q^2), never in the
-splitting field of x^n - 1.  Only the BCH bound looks for that field, with
-:func:`splitting_degree`, among the fields that fit, by walking the powers
-of q mod n.  Every number :func:`prime_factors` sees is at most
-MAX_FIELD_ORDER, so it is plain trial division.
+GF(q) is built, and its zeros confirmed, with roots of unity in GF(q) or
+GF(q^2), so no larger field is formed.  Every number :func:`prime_factors`
+sees is at most MAX_FIELD_ORDER, so it is plain trial division.
 
 Each GF(p^m) has exactly one FiniteField instance, so fields compare and
 hash by identity.  Fields and elements are immutable values (see
@@ -39,20 +37,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 
 # Fields larger than this are rejected outright: the exhaustive oracles
 # downstream only make sense at desk scale.
 MAX_FIELD_ORDER = 1 << 20
 # Codes longer than this are rejected.  The division check costs (n - deg g)
-# products per nonzero term of g, and the root scan n per term, so neither
-# grows as n^2 for the sparse thm generators; the parity matrix does, with
-# k(n - k)m^2 GF(p) entries, and encoding refuses a code that needs more
-# than MAX_LENGTH**2 // 4, the most a prime-field code can.  At n = 4096, a
-# thm-1.1-i code over GF(13) builds in 3 ms and its parity matrix of 3.15M
-# entries in 1.0 s, within 90 MB; at n = 4095 over GF(4096) it builds in
-# 0.07 s and its BCH bound takes 0.8 s, but it cannot encode (2-CPU Xeon VM).
+# products per nonzero term of g, far below n^2 for the sparse thm
+# generators; the parity matrix has k(n - k)m^2 GF(p) entries, and encoding
+# refuses more than MAX_LENGTH**2 // 4, the most a prime-field code needs.
+# At n = 4096 thm-1.1-i over GF(13) builds in 3 ms and its parity matrix of
+# 3.15M entries in 0.6 s, within 90 MB; over GF(4096) at n = 4095 it builds
+# in 0.03 s, bounds BCH in 0.35 s and cannot encode (2-CPU EPYC VM).
 MAX_LENGTH = 1 << 12
 
 
@@ -354,26 +350,6 @@ def _multiplicative_generator(field: FiniteField) -> int:
         if all(field.pow(a, order // f) != 1 for f in factors):
             return a
     raise AssertionError(f"no generator found in {field}")
-
-
-def splitting_degree(q: int, n: int) -> int | None:
-    """Least m >= 1 with q^m == 1 (mod n), the degree of the extension of
-    GF(q) generated by a primitive n-th root of unity, if q^m is at most
-    MAX_FIELD_ORDER; None when the splitting field of x^n - 1 is larger.
-
-    The walk over q, q^2, ... stops past MAX_FIELD_ORDER, so it takes at
-    most 20 steps and never factors n, however large n is.
-    """
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1: no primitive {n}-th root exists")
-    power, m = q, 1
-    while power <= MAX_FIELD_ORDER:
-        if power % n == 1 % n:
-            return m
-        power, m = power * q, m + 1
-    return None
 
 
 def primitive_nth_root(field: FiniteField, n: int) -> FieldElement:

@@ -76,9 +76,9 @@ def _grid_constant(base: CyclicCode, r: int) -> int:
     raise RepairError(f"g has no factor x^{s} - c")
 
 
-def _powers(field: FiniteField, c: int, r: int) -> list[int]:
+def _powers(field: FiniteField, c: int, r: int) -> tuple[int, ...]:
     """(1, c, ..., c^r)."""
-    return [field.pow(c, t) for t in range(r + 1)]
+    return tuple(field.pow(c, t) for t in range(r + 1))
 
 
 def _class_word(base: CyclicCode, r: int, c: int, i: int) -> tuple[int, ...]:
@@ -143,23 +143,27 @@ def repair_erasure(code, word: ErasedWord) -> FieldElement:
 class LocalityCheck(NamedTuple):
     """Outcome of a locality-r_test check.
 
-    ok is True, method "coset-witness", with per-coordinate witnesses when
-    g has a factor x^s - c, s = n/(r_test+1); otherwise ok is None, method
-    "no-grid-word", and the claim is unsettled.  Witnesses are
-    (support, entry-index) pairs of dual codewords.
+    ok is True, method "coset-witness", when g has a factor x^s - c, s =
+    n/(r_test+1): then ``stride`` is s and ``entries`` the indices
+    (1, c, ..., c^r_test) that the dual word on every residue class mod s
+    carries, spelled out per coordinate by ``to_dict``.  Otherwise ok is
+    None, method "no-grid-word", and the claim is unsettled.
     """
 
     ok: bool | None
     r_test: int
     method: str
-    witnesses: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
+    stride: int | None = None
+    entries: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
         out: dict = {"ok": self.ok, "r_test": self.r_test, "method": self.method}
-        if self.witnesses is not None:
+        if self.entries is not None:
+            n = self.stride * (self.r_test + 1)
             out["witnesses"] = [
-                {"coordinate": i, "support": list(sup), "entries": list(ent)}
-                for i, (sup, ent) in enumerate(self.witnesses)
+                {"coordinate": i, "support": list(coordinate_coset(n, self.r_test, i)),
+                 "entries": list(self.entries)}
+                for i in range(n)
             ]
         return out
 
@@ -189,7 +193,5 @@ def verify_locality(code, r_test: int | None = None) -> LocalityCheck:
         except RepairError:
             pass
         else:
-            entries = tuple(_powers(base.field, c, r))
-            witnesses = tuple((coordinate_coset(base.n, r, i), entries) for i in range(base.n))
-            return LocalityCheck(True, r, "coset-witness", witnesses)
+            return LocalityCheck(True, r, "coset-witness", base.n // (r + 1), _powers(base.field, c, r))
     return LocalityCheck(None, r, "no-grid-word")

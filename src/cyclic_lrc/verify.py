@@ -112,8 +112,8 @@ def render_verdict(code: LrcCode, budget: int = DEFAULT_BUDGET) -> tuple[str, Di
 
 def verify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """The verdict of :func:`render_verdict` in a full report, which adds
-    the dual distance and the BCH lower bound (None past the splitting-field
-    limit); neither decides the verdict (over the budget, the distance
+    the dual distance and the BCH lower bound (None for a code without
+    stated zeros); neither decides the verdict (over the budget, the distance
     bracket already starts at that bound)."""
     verdict, distance, locality = render_verdict(code, budget)
     base = code.base

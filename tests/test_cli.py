@@ -147,7 +147,7 @@ def test_verify_huge_length_is_rejected_by_construct(code_file, tmp_path):
 
 def test_long_code_constructs_encodes_repairs_and_verifies(tmp_path):
     # x^1204 - 1 over GF(13) splits only beyond the supported order; the
-    # code is built in GF(13), and the report's BCH bound is null
+    # code is built in GF(13), and its stated zeros give the BCH bound 3 = d
     path = tmp_path / "long.json"
     proc, elapsed = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "1204",
                                  "--r", "3", "--out", str(path))
@@ -162,26 +162,27 @@ def test_long_code_constructs_encodes_repairs_and_verifies(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 3.0
     assert proc.stdout.splitlines() == [word[5], "read: 306,607,908"]
     proc, elapsed = _bounded_cli("verify", str(path), "--budget", "65536")
-    assert (proc.returncode, proc.stderr) == (2, "") and elapsed < 3.0
+    assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 3.0
     report = json.loads(proc.stdout)
-    assert report["verdict"] == "optimal-consistent"
-    assert report["bch_lower_bound"] is None
-    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 1, "upper": 303}
+    assert report["verdict"] == "optimal-certified"
+    assert report["bch_lower_bound"] == 3
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 3, "upper": 303}
     assert report["locality"]["ok"] is True and report["locality"]["method"] == "coset-witness"
 
 
 def test_verify_of_length_4092_needs_no_scan(tmp_path):
     # q**k = 13**3068 is far over the default budget; the verdict reads the
-    # proven bracket and no codeword is enumerated
+    # proven bracket, whose BCH bound 3 reaches d, and no codeword is
+    # enumerated
     path = tmp_path / "n4092.json"
     proc, _ = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "4092",
                            "--r", "3", "--out", str(path))
     assert (proc.returncode, proc.stderr) == (0, "")
     proc, elapsed = _bounded_cli("verify", str(path))
-    assert (proc.returncode, proc.stderr) == (2, "") and elapsed < 3.0
+    assert (proc.returncode, proc.stderr) == (0, "") and elapsed < 3.0
     report = json.loads(proc.stdout)
-    assert report["verdict"] == "optimal-consistent"
-    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 1, "upper": 1025}
+    assert report["verdict"] == "optimal-certified"
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 3, "upper": 1025}
 
 
 def test_failures_print_one_line_and_no_traceback(tmp_path):
@@ -252,9 +253,9 @@ def test_distance_4_code_longer_than_q_squared(capsys, tmp_path):
     rc, out, err = _run(capsys, "verify", str(path), "--budget", "4096")
     report = json.loads(out)
     assert (rc, report["verdict"], report["locality"]["ok"]) == (2, "optimal-consistent", True)
-    # no proven lower bound: the splitting field of x^172 - 1 is out of reach
-    assert report["bch_lower_bound"] is None
-    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 1, "upper": 46}
+    # the stated zeros give the BCH bound 3, short of d = 4
+    assert report["bch_lower_bound"] == 3
+    assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 3, "upper": 46}
 
 
 def test_verify_certified(code_file, capsys):

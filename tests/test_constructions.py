@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import pytest
 
 from cyclic_lrc.constructions import (
     ALL_SCHEMES,
     CandidateParams,
     ConstructionError,
+    LrcCode,
     ParameterError,
     _bezout_exponent,
+    _confirmed_zeros,
+    _plan,
     _project,
     construct,
     enumerate_valid_params,
@@ -17,10 +23,11 @@ from cyclic_lrc.field import (
     _embedding,
     make_field,
     primitive_nth_root,
-    splitting_degree,
 )
+from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.poly import Poly
 from cyclic_lrc.verify import OPTIMAL_CERTIFIED, render_verdict, singleton_bound
+from splitting_reference import reference_code, splitting_degree
 
 THM_SCHEMES = ("thm-1.1-i", "thm-1.1-ii", "thm-3.4")
 
@@ -390,7 +397,8 @@ def test_thm_rows_are_built_in_gf_q_and_certified():
     # with alpha = omega^((q-1)/(r+1)) of order r + 1, and gamma = alpha^a
     # (thm-1.1-ii) or omega (thm-3.4).  Rows of at most 2^20 messages are
     # certified by the exact scan; over the budget, the rows whose BCH bound
-    # reaches d are certified without a scan and the others are consistent
+    # reaches d are certified without a scan and the others are consistent.
+    # The BCH bound reads the stated zeros, so every row has one
     counts = {}
     for scheme in THM_SCHEMES:
         for rec in enumerate_valid_params(scheme, 32, 40):
@@ -420,11 +428,77 @@ def test_thm_rows_are_built_in_gf_q_and_certified():
     assert counts == {
         (True, OPTIMAL_CERTIFIED, 3): 39,
         (True, OPTIMAL_CERTIFIED, 4): 24,
-        (False, OPTIMAL_CERTIFIED, 3): 176,
+        (False, OPTIMAL_CERTIFIED, 3): 198,
         (False, OPTIMAL_CERTIFIED, 4): 56,
-        (False, "optimal-consistent", 3): 61,
-        (False, "optimal-consistent", None): 25,
+        (False, "optimal-consistent", 3): 64,
     }
+
+
+def test_stated_zeros_agree_with_the_splitting_field_reference():
+    # on every row of --qmax 32 --nmax 40 whose splitting field is in reach,
+    # the stated zeros are those found there, up to the unit relating the
+    # two primitive roots, and the code and its dual have the BCH bounds of
+    # the zeros found there
+    rows = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible or splitting_degree(rec.q, rec.n) is None:
+                continue
+            base = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d).base
+            found, n = reference_code(base).root_exponents, rec.n
+            assert any(
+                frozenset(u * e % n for e in found) == base.root_exponents
+                for u in range(1, n) if math.gcd(u, n) == 1
+            ), rec
+            assert base.bch_lower_bound() == reference_code(base).bch_lower_bound(), rec
+            dual = base.dual()
+            assert dual.bch_lower_bound() == reference_code(dual).bch_lower_bound(), rec
+            rows += 1
+    assert rows == 1731
+
+
+def test_a_generator_without_a_stated_factor_gets_no_zeros():
+    # each g lacks one factor that its statement names, and keeps the degree
+    # where it can: over the budget its verdict has no bound to certify by
+    f13 = make_field(13)
+    beta = primitive_nth_root(f13, 12).index
+    thm = construct("thm-1.1-i", 13, n=12, r=3)
+    alpha = thm.alpha.index  # beta^3: x^3 - alpha has the zeros beta^1, beta^5, beta^9
+    ex = construct("ex-3.2", 13, n=12, r=2, d=5)
+    assert sorted(ex.base.root_exponents) == [0, 1, 2, 3, 6, 9]
+
+    def binomial(c):
+        return Poly(f13, [f13.neg(c), 0, 0, 1])
+
+    # alpha = -1 has order 2, not r + 1 = 4: trusted, the statement would
+    # certify d = 3 for (x - 1)(x^3 + 1), but x^6 - 1 is a codeword of weight 2
+    minus_one = f13.from_index(f13.neg(1))
+    wrong_order = CyclicCode(f13, 12, Poly(f13, [12, 1]) * binomial(minus_one.index),
+                             partial(_confirmed_zeros, _plan("thm-1.1-i", 13, 12, 3, 3), minus_one))
+    one, zero = f13.from_index(1), f13.from_index(0)
+    assert wrong_order.contains([minus_one] + [zero] * 5 + [one] + [zero] * 5)
+    cases = [
+        # x - beta^2 in place of x - 1
+        (CyclicCode(f13, 12, Poly(f13, [f13.neg(f13.pow(beta, 2)), 1]) * binomial(alpha), thm.base._zeros),
+         3, "thm-1.1-i", None, thm.alpha),
+        # no x - 1 at all
+        (CyclicCode(f13, 12, binomial(alpha), thm.base._zeros), 3, "thm-1.1-i", None, thm.alpha),
+        (wrong_order, 3, "thm-1.1-i", None, minus_one),
+        # beta^4 in place of beta^2, and beta^1 left out; both keep the grid
+        # factor x^4 - 1, with the zeros beta^0, beta^3, beta^6, beta^9
+        (CyclicCode(f13, 12, Poly.from_roots(f13, [f13.pow(beta, e) for e in (0, 1, 4, 3, 6, 9)]),
+                    ex.base._zeros), 2, "ex-3.2", ex.beta, None),
+        (CyclicCode(f13, 12, Poly.from_roots(f13, [f13.pow(beta, e) for e in (0, 2, 3, 6, 9)]),
+                    ex.base._zeros), 2, "ex-3.2", ex.beta, None),
+    ]
+    for base, r, scheme, beta_stored, alpha_stored in cases:
+        code = LrcCode(base, r, singleton_bound(12, base.k, r), scheme, beta_stored, alpha_stored)
+        assert code.base.root_exponents is None and code.base.bch_lower_bound() is None, code
+        verdict, distance, locality = render_verdict(code, budget=1)
+        assert (distance.lower, distance.exact, locality.ok) == (1, False, True), code
+        assert verdict == "optimal-consistent", code
+    for code in (thm, ex):
+        assert render_verdict(code, budget=1)[0] == OPTIMAL_CERTIFIED
 
 
 def test_enumerate_rejects_bad_bounds():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ import pytest
 
 import cyclic_lrc
 from cyclic_lrc import cyclic
-from cyclic_lrc.constructions import construct
+from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
+from cyclic_lrc.verify import render_verdict, verify_optimal
 from cyclic_lrc.field import FieldElement, make_field, primitive_nth_root
 from cyclic_lrc.poly import Poly
+from splitting_reference import reference_code
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ def test_one_checked_constructor(f5, f13, code_8_4):
 
 def test_code_is_the_value_of_field_length_and_generator(code_8_4):
     f5 = code_8_4.field
-    assert code_8_4.__reduce__() == (CyclicCode, (f5, 8, code_8_4.g))
+    assert code_8_4.__reduce__() == (CyclicCode, (f5, 8, code_8_4.g, None))
     assert hash(code_8_4) == hash(CyclicCode(f5, 8, code_8_4.g))
     assert code_8_4.dual() == CyclicCode(f5, 8, code_8_4.dual_g)
 
@@ -194,45 +197,95 @@ def test_encode_and_contains_at_the_dimension_extremes(f5):
     assert full.contains(word)
 
 
+def _equal_up_to_a_unit(a, b, n):
+    return any(frozenset(u * e % n for e in a) == b for u in range(1, n) if math.gcd(u, n) == 1)
+
+
 def test_root_exponents_and_bch(code_8_4):
-    assert sorted(code_8_4.root_exponents) == [0, 1, 2, 5]
-    assert code_8_4.bch_lower_bound() == 4
+    # a hand-built g states no zeros, so it has no BCH bound; found in the
+    # splitting field GF(25), its zeros give 4
+    assert code_8_4.root_exponents is None and code_8_4.bch_lower_bound() is None
+    reference = reference_code(code_8_4)
+    assert sorted(reference.root_exponents) == [0, 1, 2, 5]
+    assert reference.bch_lower_bound() == 4
 
 
 def test_bch_on_distance3_code(code_9_5_3):
+    # thm-1.1-i states {0} + {e = 1 mod 3} for a beta with beta^3 = alpha;
+    # the canonical beta of GF(64) is another primitive 9th root
     base = code_9_5_3.base
-    assert sorted(base.root_exponents) == [0, 2, 5, 8]
-    assert base.bch_lower_bound() == 3
+    assert sorted(base.root_exponents) == [0, 1, 4, 7]
+    assert sorted(reference_code(base).root_exponents) == [0, 2, 5, 8]
+    assert _equal_up_to_a_unit(reference_code(base).root_exponents, base.root_exponents, 9)
+    assert base.bch_lower_bound() == reference_code(base).bch_lower_bound() == 3
 
 
 def test_bch_bound_takes_the_best_primitive_root():
     # Z = {0, 3, 11} for the canonical beta holds no two consecutive
-    # exponents, but for beta^3, whose exponents are 11 * Z = {0, 1, 9}, it does
+    # exponents, but for beta^3, whose exponents are 11 * Z = {0, 1, 9}, it
+    # does; the construction states the latter
     base = construct("thm-1.1-i", 9, n=16, r=7).base
-    assert sorted(base.root_exponents) == [0, 3, 11]
+    reference = reference_code(base)
+    assert sorted(reference.root_exponents) == [0, 3, 11]
+    assert reference.bch_lower_bound() == 3
+    assert sorted(base.root_exponents) == [0, 1, 9]
     assert base.bch_lower_bound() == 3
 
 
-def test_bch_bound_past_the_splitting_limit_is_none():
-    # x^27 - 1 over GF(7) splits in GF(7^9); the scan's lower bound is 1
+def test_bch_bound_needs_no_splitting_field():
+    # x^27 - 1 over GF(7) splits in GF(7^9), past the supported order, where
+    # the reference finds nothing; the stated zeros bound the scan by 3
     base = construct("thm-1.1-i", 7, n=27, r=2).base
-    assert base.root_exponents is None and base.bch_lower_bound() is None
+    assert reference_code(base).root_exponents is None
+    assert sorted(base.root_exponents) == [0, *range(1, 27, 3)]
     scan = min_distance_exhaustive(base, budget=1000)
-    assert (scan.lower, scan.exact, scan.upper >= 3) == (1, False, True)
+    assert (scan.lower, scan.exact, scan.upper >= 3) == (3, False, True)
 
 
 def test_long_extension_field_codes_build_and_bound_promptly():
-    # the divisor check subtracts only g's nonzero terms and the root scan
-    # reads powers of beta from a table, so neither grows as n * deg g
+    # the divisor check subtracts only g's nonzero terms, and the BCH bound
+    # reads the stated zeros, confirmed in GF(q) with one division, so
+    # neither grows as n * deg g or forms a field beyond GF(q)
     start = time.perf_counter()
     code = construct("thm-1.1-i", 4096, n=4095, r=2)
     built = time.perf_counter() - start
     assert (code.n, code.k) == (4095, 2729)
+    start = time.perf_counter()
+    assert render_verdict(code)[0] == "optimal-certified"
+    certified = time.perf_counter() - start
     base = construct("thm-1.1-i", 1024, n=1023, r=2).base
     start = time.perf_counter()
     assert base.bch_lower_bound() == 3
     bounded = time.perf_counter() - start
-    assert built < 2.0 and bounded < 1.0
+    assert built < 2.0 and certified < 1.0 and bounded < 1.0
+
+
+def test_no_field_beyond_gf_q_squared_is_formed(monkeypatch):
+    # building, sweeping and verifying the criterion box, where the splitting
+    # fields of x^n - 1 reach GF(7^3), and verifying the long thm codes over
+    # GF(13) ask make_field for GF(q) or GF(q^2) alone
+    requested = []
+
+    def recording(p, m):
+        requested.append(p**m)
+        return real(p, m)
+
+    real = cyclic_lrc.field._canonical_field
+    monkeypatch.setattr(cyclic_lrc.field, "_canonical_field", recording)
+    rows = [
+        (rec.scheme, rec.q, rec.n, rec.r, rec.d)
+        for scheme in ALL_SCHEMES
+        for rec in enumerate_valid_params(scheme, 13, 24)
+        if rec.constructible
+    ]
+    long_codes = [("thm-1.1-i", 13, n, 3, 3) for n in (1204, 4092)] + [("thm-1.1-ii", 13, 172, 3, 4)]
+    for scheme, q, n, r, d in rows + long_codes:
+        requested.clear()
+        code = construct(scheme, q, n=n, r=r, d=d)
+        render_verdict(code, 1 << 20)
+        verify_optimal(code, budget=1)  # both BCH bounds, and no scan
+        assert requested and max(requested) <= q * q, (scheme, q, n, r, d)
+    assert len(rows) == 260
 
 
 def test_bch_run_of_length_d_minus_1(acceptance_codes):
@@ -242,13 +295,13 @@ def test_bch_run_of_length_d_minus_1(acceptance_codes):
 
 
 def test_bch_degenerate_full_root_set(f5):
-    zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))
+    zero_code = reference_code(CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4)))
     assert zero_code.k == 0
     assert zero_code.bch_lower_bound() == 5  # n + 1 convention
 
 
 def test_bch_empty_root_set(f5):
-    full = CyclicCode(f5, 4, Poly.one(f5))
+    full = reference_code(CyclicCode(f5, 4, Poly.one(f5)))
     assert full.bch_lower_bound() == 1
 
 
@@ -292,7 +345,7 @@ def test_distance_budget_fallback(code_8_4, monkeypatch):
         raise AssertionError("the scan kernel ran over the budget")
 
     monkeypatch.setattr(cyclic.kernels, "min_nonzero_weight", no_scan)
-    code = CyclicCode(code_8_4.field, code_8_4.n, code_8_4.g)
+    code = reference_code(code_8_4)
     scan = min_distance_exhaustive(code, budget=100)
     assert scan == (4, 5, False, 0)
     assert scan.value is None

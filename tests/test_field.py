@@ -19,9 +19,9 @@ from cyclic_lrc.field import (
     make_field,
     prime_factors,
     primitive_nth_root,
-    splitting_degree,
 )
 from cyclic_lrc.poly import Poly
+from splitting_reference import splitting_degree
 
 
 def _embed(a, ext):
@@ -205,6 +205,11 @@ def test_element_round_trip_and_digits(f25):
     assert f25.index([3, 1]) == 8 and f25.digits(8) == (3, 1)
     with pytest.raises(ValueError):
         f25.from_index(25)
+
+
+# splitting_degree belongs to the splitting-field reference of the tests,
+# and decides the rows on which that reference is compared with the
+# zeros the constructions state
 
 
 @pytest.mark.parametrize(

@@ -118,9 +118,7 @@ def test_verify_locality_without_grid_word_is_unsettled(code_8_4_4):
     full = CyclicCode(f5, 8, Poly.one(f5))
     for code, r_test in ((code_8_4_4, 2), (code_8_4_4.base, 4), (code_8_4_4, 1), (full, 3)):
         check = verify_locality(code, r_test)
-        assert (check.ok, check.r_test, check.method, check.witnesses) == (
-            None, r_test, "no-grid-word", None
-        )
+        assert check == (None, r_test, "no-grid-word", None, None)
 
 
 def _class_word_is_dual(base, r, c):
@@ -280,13 +278,16 @@ def test_dual_distance_brute_force_agreement(code_8_4_4):
 
 
 def test_verify_locality_with_coset_witnesses(code_8_4_4):
+    # the entries are held once, and spelled out per coordinate in to_dict
     check = verify_locality(code_8_4_4, 3)
     assert check.ok and check.method == "coset-witness"
-    assert len(check.witnesses) == 8
-    for i, (support, entries) in enumerate(check.witnesses):
-        assert i in support
-        assert len(support) == 4
-        assert all(e != 0 for e in entries)
+    assert check.stride == 2 and len(check.entries) == 4
+    witnesses = check.to_dict()["witnesses"]
+    assert len(witnesses) == 8
+    for i, witness in enumerate(witnesses):
+        assert witness["coordinate"] == i and i in witness["support"]
+        assert len(witness["support"]) == 4
+        assert witness["entries"] == list(check.entries) and all(e != 0 for e in check.entries)
 
 
 def test_verify_locality_rejects_bad_r(code_8_4_4):

@@ -44,7 +44,7 @@ FACTORIES = {
     LrcCode: (lambda: LrcCode(_code().base, 3, 4, "thm-1.1-ii", _code().beta, _code().alpha,
                               _code().gamma), "r"),
     DistanceScan: (lambda: DistanceScan(4, 4, True, 624), "lower"),
-    LocalityCheck: (lambda: LocalityCheck(True, 3, "coset-witness", (((0, 2), (1, 4)),)), "ok"),
+    LocalityCheck: (lambda: LocalityCheck(True, 3, "coset-witness", 2, (1, 2, 4, 3)), "ok"),
     VerificationReport: (lambda: verify_optimal(_code()), "verdict"),
     CandidateParams: (lambda: CandidateParams("thm-1.1-i", 4, 9, 2, 3, 5), "k"),
     ErasedWord: (lambda: ErasedWord.from_symbols([_element(), None, _element()]), "erased_at"),
@@ -113,6 +113,21 @@ def test_cached_properties_survive_copies():
     with pytest.raises(AttributeError):
         code.base.systematic_parity = ()
     assert code.base.systematic_parity is parity
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_stated_zeros_survive_copies_and_take_no_part_in_equality(clone):
+    code = _code()
+    zeros = code.base.root_exponents
+    assert zeros is not None and clone(code).base.root_exponents == zeros
+    dual = code.base.dual()
+    assert dual.root_exponents is not None and clone(dual).root_exponents == dual.root_exponents
+    bare = CyclicCode(code.field, code.n, code.base.g)
+    assert bare == code.base and bare.root_exponents is None
 
 
 def test_values_of_different_types_or_contents_differ():

@@ -6,6 +6,7 @@ from functools import cached_property
 
 import pytest
 
+from cyclic_lrc import cyclic
 from cyclic_lrc.constructions import ALL_SCHEMES, LrcCode, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.field import make_field, primitive_nth_root
@@ -110,20 +111,32 @@ def test_verify_budget_limits_distance_but_not_coset_locality():
     f13 = make_field(13)
     beta = primitive_nth_root(f13, 12)
     base = CyclicCode(f13, 12, Poly.from_roots(f13, [f13.pow(beta.index, e) for e in (0, 1, 2, 3, 6, 9)]))
-    code = LrcCode(base, 2, 5, "ex-3.2", beta=beta)
+    code = construct("ex-3.2", 13, n=12, r=2, d=5)
+    assert code.base == base
     report = verify_optimal(code, budget=200)
     assert report.locality.ok  # coset witnesses need no budget
-    # the zeros 0..3 give BCH bound 5 = d, so no scan is needed to certify
+    # the stated zeros 0..3 give BCH bound 5 = d, so no scan is needed to certify
     assert report.distance == (5, 7, False, 0)
     assert report.verdict == OPTIMAL_CERTIFIED
+    # the same g built by hand states no zeros, so nothing certifies it
+    report = verify_optimal(LrcCode(base, 2, 5, "ex-3.2", beta=beta), budget=200)
+    assert (report.distance, report.verdict) == ((1, 7, False, 0), OPTIMAL_CONSISTENT)
     report = verify_optimal(code, budget=13**6 - 1)
     assert (report.distance, report.verdict) == ((5, 5, True, 13**6 - 1), OPTIMAL_CERTIFIED)
 
 
 def test_root_exponents_are_found_once_per_code(monkeypatch):
     # over budget, the distance scan and the report both read the code's BCH
-    # bound, and the dual scan reads the dual's
-    found = []
+    # bound, and the dual scan reads the dual's; the dual's zeros come from
+    # the code's, and each bound scans the phi(12) = 4 units once
+    found, runs = [], []
+
+    def counting_run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    real_run = cyclic._longest_cyclic_run
+    monkeypatch.setattr(cyclic, "_longest_cyclic_run", counting_run)
 
     def counting(code):
         found.append(code)
@@ -138,6 +151,7 @@ def test_root_exponents_are_found_once_per_code(monkeypatch):
     assert not report.distance.exact and not report.dual_distance.exact
     assert report.bch_lower_bound == report.distance.lower == 5
     assert found == [code.base, code.base.dual()]
+    assert len(runs) == 2 * 4
 
 
 def test_exit_code_mapping():
@@ -173,11 +187,21 @@ def test_verdict_core_agrees_with_the_report_over_criterion_box(criterion_box_co
             assert report.dual_distance.value <= code.r + 1, rec
 
 
+def test_long_thm_code_certifies_promptly():
+    # x^4092 - 1 over GF(13) splits far past the supported order; the stated
+    # zeros give BCH 3 = d, and the verdict needs no scan
+    code = construct("thm-1.1-i", 13, n=4092, r=3)
+    start = time.perf_counter()
+    verdict, distance, _ = render_verdict(code)
+    assert time.perf_counter() - start < 1.0
+    assert (verdict, distance) == (OPTIMAL_CERTIFIED, (3, 1025, False, 0))
+
+
 def test_over_budget_rows_of_the_property_box_read_the_bch_bound():
     # the 1184 rows of --qmax 32 --nmax 40 with more than 2^24 nonzero
-    # messages: none is scanned, the 1098 whose BCH bound reaches d are
-    # certified, and the 61 with BCH bound 3 < d = 4 and the 25 without one
-    # are consistent
+    # messages: none is scanned, the 1120 whose BCH bound reaches d are
+    # certified, and the 64 thm-1.1-ii rows with BCH bound 3 < d = 4 are
+    # consistent
     budget = 1 << 24
     counts = {}
     start = time.perf_counter()
@@ -189,6 +213,13 @@ def test_over_budget_rows_of_the_property_box_read_the_bch_bound():
             verdict, distance, locality = render_verdict(code, budget)
             assert (distance.exact, distance.enumerated, locality.ok) == (False, 0, True), rec
             assert distance.upper == rec.n - rec.k + 1, rec
-            counts[verdict] = counts.get(verdict, 0) + 1
+            counts[scheme, verdict] = counts.get((scheme, verdict), 0) + 1
     assert time.perf_counter() - start < 5.0
-    assert counts == {OPTIMAL_CERTIFIED: 1098, OPTIMAL_CONSISTENT: 86}
+    assert counts == {
+        ("thm-1.1-i", OPTIMAL_CERTIFIED): 194,
+        ("thm-1.1-ii", OPTIMAL_CERTIFIED): 38,
+        ("thm-1.1-ii", OPTIMAL_CONSISTENT): 64,
+        ("ex-3.2", OPTIMAL_CERTIFIED): 593,
+        ("ex-3.3", OPTIMAL_CERTIFIED): 282,
+        ("thm-3.4", OPTIMAL_CERTIFIED): 13,
+    }
