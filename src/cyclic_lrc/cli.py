@@ -10,6 +10,11 @@ a code too large to encode, 5 corrupt input (a repair word whose filled-in
 form is not a codeword), 64 usage errors, unreadable code files and
 unwritable ``--out`` paths, 141 (128 + SIGPIPE) when stdout is closed
 early.  All output is byte-deterministic for fixed arguments.
+
+The installed ``cyclic-lrc`` script and ``python -m cyclic_lrc.cli`` enter
+through :func:`run`, which ends the process with ``os._exit`` once stdout
+and stderr are flushed: the interpreter is not torn down and no atexit
+handler runs.  :func:`main` returns its exit code and exits nothing.
 """
 
 from __future__ import annotations
@@ -247,5 +252,19 @@ def main(argv=None) -> int:
         return EX_PIPE
 
 
+def run() -> None:
+    """:func:`main`, a flush of stdout and stderr, then ``os._exit`` with
+    main's status; a reader that closed stdout before the flush makes it
+    141."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        status = EX_PIPE
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -165,11 +165,17 @@ class CyclicCode(Immutable):
             return None
         if len(zeros) == n:
             return n + 1
-        return 1 + max(
-            _longest_cyclic_run(frozenset(u * e % n for e in zeros), n)
-            for u in range(1, n + 1)
-            if math.gcd(u, n) == 1
-        )
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        if 2 * len(zeros) <= n:
+            return 1 + max(_longest_cyclic_run(frozenset(u * e % n for e in zeros), n) for u in units)
+        # a run of zeros is a gap between cyclically consecutive non-zeros,
+        # so 1 + the longest run is the longest gap in the smaller complement
+        others = [e for e in range(n) if e not in zeros]
+        return max(_longest_cyclic_gap(sorted(u * e % n for e in others), n) for u in units)
+
+
+def _longest_cyclic_gap(ordered: list[int], n: int) -> int:
+    return max(map(operator.sub, [*ordered[1:], ordered[0] + n], ordered))
 
 
 def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:
@@ -187,12 +193,14 @@ def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:
 class DistanceScan(NamedTuple):
     """Outcome of a minimum-weight scan, or of its budget check.
 
-    ``exact`` is True only when the whole nonzero message space was
-    enumerated; then lower == upper is the true minimum distance.  Otherwise
-    nothing was enumerated: lower is the proven BCH bound (1 for a code
-    without stated zeros) and upper the Singleton bound n - k + 1.  A
-    verdict certifies a claim that is the Singleton-type bound, with
-    locality verified, when lower reaches it.
+    ``exact`` is True only when the minimum over all q**k - 1 nonzero
+    codewords is proven, by the scan of a cyclic-shift prefix of them
+    (:func:`min_distance_exhaustive`); then lower == upper is the true
+    minimum distance and ``enumerated`` counts the q**k - 1 codewords the
+    result covers.  Otherwise nothing was enumerated: lower is the proven
+    BCH bound (1 for a code without stated zeros) and upper the Singleton
+    bound n - k + 1.  A verdict certifies a claim that is the Singleton-type
+    bound, with locality verified, when lower reaches it.
     """
 
     lower: int
@@ -212,18 +220,31 @@ def min_distance_exhaustive(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> D
     """Exact minimum distance when q**k - 1 fits the budget, else the proven
     bracket.
 
-    Exact mode covers every nonzero codeword (the kernel visits one message
-    per scalar class, since scalar multiples share a weight).  Over the
-    budget no codeword is enumerated: the bracket is the BCH lower bound (1
-    for a code without stated zeros) and the Singleton bound n - k + 1,
-    flagged non-exact.  The zero code reports the conventional n + 1.
+    Exact mode proves the minimum over every nonzero codeword from a prefix
+    of the messages.  g is a codeword, so d <= w = wt(g), and a word of
+    weight at most w spreads n - w or more zeros over at most w cyclic
+    gaps: it has a cyclic run of L = ceil((n - w) / w) zeros.  Its cyclic
+    shift that ends in that run, a codeword of the same weight, is m * g
+    with deg m < k - L.  So the kernel scans the q**(k-L) - 1 messages of
+    degree below k - L (one per scalar class, since scalar multiples share
+    a weight), while ``enumerated`` and the budget count the q**k - 1
+    codewords the result covers; rebasing the budget on the prefix would
+    move verdicts.  Over the budget no codeword is enumerated: the bracket
+    is the BCH lower bound (1 for a code without stated zeros) and the
+    Singleton bound n - k + 1, flagged non-exact.  The zero code reports
+    the conventional n + 1.
     """
     if budget < 1:
         raise ValueError(f"enumeration budget must be >= 1, got {budget}")
     if code.k == 0:
         return DistanceScan(code.n + 1, code.n + 1, True, 0)
-    total = code.field.q**code.k - 1
+    q, n, k = code.field.q, code.n, code.k
+    total = q**k - 1
     if total > budget:
-        return DistanceScan(code.bch_lower_bound() or 1, code.n - code.k + 1, False, 0)
-    w = kernels.min_nonzero_weight(code.generator_matrix, code.field, total)
-    return DistanceScan(w, w, True, total)
+        return DistanceScan(code.bch_lower_bound() or 1, n - k + 1, False, 0)
+    # a code with k > 0 has no all-zero coordinate, so the k rows x**i * g
+    # cover all n: k * weight >= n, and L = ceil((n - weight) / weight) < k
+    weight = sum(1 for c in code.g.coeffs if c)
+    zero_run = (n - 1) // weight
+    d = kernels.min_nonzero_weight(code.generator_matrix, code.field, q ** (k - zero_run) - 1)
+    return DistanceScan(d, d, True, total)

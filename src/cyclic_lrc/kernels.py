@@ -17,6 +17,9 @@ big-integer operations per block of codewords, in pure Python:
   i.e. a counter in ``[q**s, 2 * q**s)`` for some s.  Scanning only those
   counters visits (q**k - 1)/(q - 1) messages and still yields the exact
   minimum over any prefix 1..count and the first counter of every support.
+  The distance oracle scans such a prefix: the messages below q**(k-L),
+  whose codewords m * g include a cyclic shift of every word of minimum
+  weight (:func:`cyclic_lrc.cyclic.min_distance_exhaustive`).
 * **Bit masks.**  Within ``[q**s, 2 * q**s)`` a counter splits as
   ``base + lo`` with disjoint digits, so its codeword is the sum of theirs.
   The low table, built once per scan, holds for each digit column x and
@@ -147,7 +150,10 @@ def min_nonzero_weight(matrix: Matrix, field: FiniteField, count: int) -> int:
     """Minimum Hamming weight over the codewords of messages 1..count.
 
     ``matrix`` holds the generator rows as element indices.  With
-    ``count == q**k - 1`` it is the exact minimum distance of the row space.
+    ``count == q**k - 1`` it is the exact minimum distance of the row space;
+    for the rows x**i * g of a cyclic code, so it is with the shorter count
+    q**(k-L) - 1 that :func:`cyclic_lrc.cyclic.min_distance_exhaustive`
+    passes.
     """
     if count < 1:
         raise ValueError("at least one message must be scanned")

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cyclic_lrc
+from cyclic_lrc import cli
 from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import code_to_dict, dumps_canonical, load_code
 from cyclic_lrc.constructions import LrcCode, base_field
@@ -222,6 +223,71 @@ def test_failures_print_one_line_and_no_traceback(tmp_path):
         assert done.returncode == code, done.args
         assert "Traceback" not in done.stderr, done.args
         assert done.stderr.count("\n") == 1 and done.stderr.startswith(start), done.stderr
+
+
+def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, capsys, tmp_path):
+    # python -m ends in cli.run, which flushes and leaves through os._exit:
+    # on pipes, each failure's code and stderr line are what main gives in
+    # process
+    tampered = json.loads(code_file.read_text())
+    tampered["g"][0] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(tampered))
+    failures = {
+        1: ["construct", "--scheme", "thm-1.1-i", "--q", "4", "--n", "10", "--r", "2"],
+        3: ["verify", str(bad)],
+        5: ["repair", str(code_file), "--word", "_,1,1,2,1,0,0,0"],
+        64: ["verify", str(tmp_path / "missing.json")],
+    }
+    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
+    # block-buffered stdout, so output that run did not flush would be lost
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(package_root)
+    for status, argv in failures.items():
+        rc, out, err = _run(capsys, *argv)
+        assert rc == status and err.count("\n") == 1, (argv, err)
+        proc = subprocess.run([sys.executable, "-m", "cyclic_lrc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
+    # argparse leaves the help text in the stdout buffer; run flushes it
+    rc, out, err = _run(capsys, "--help")
+    proc = subprocess.run([sys.executable, "-m", "cyclic_lrc.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err) == (0, out, "")
+    assert out.startswith("usage: cyclic-lrc")
+    # 127 KB of CSV, more than a pipe holds, to a reader that has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclic_lrc.cli", "sweep", "--scheme", "ex-3.2", "--qmax", "128", "--nmax", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, "stdout closed before the output was complete\n")
+
+
+def test_run_passes_the_status_to_os_exit(monkeypatch, capsys):
+    statuses = []
+    monkeypatch.setattr(cli.os, "_exit", statuses.append)
+    monkeypatch.setattr(sys, "argv", ["cyclic-lrc", "sweep", "--scheme", "thm-3.4", "--qmax", "5"])
+    cli.run()
+    assert capsys.readouterr().out.startswith("scheme,q,n,k,r,d,verdict\n")
+
+    class ClosedStdout(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+    # a reader that closes stdout before the last flush, as after --help
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    monkeypatch.setattr(sys, "argv", ["cyclic-lrc", "--help"])
+    cli.run()
+    assert statuses == [0, 141]
+
+
+def test_installed_script_enters_through_run():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    lines = pyproject.read_text().splitlines()
+    scripts = lines[lines.index("[project.scripts]") + 1 :]
+    assert scripts[0] == 'cyclic-lrc = "cyclic_lrc.cli:run"'
 
 
 def test_code_too_large_to_encode_exits_1(tmp_path):

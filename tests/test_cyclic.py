@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cyclic_lrc
-from cyclic_lrc import cyclic
+from cyclic_lrc import cyclic, kernels
 from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
 from cyclic_lrc.verify import render_verdict, verify_optimal
@@ -288,6 +289,44 @@ def test_no_field_beyond_gf_q_squared_is_formed(monkeypatch):
     assert len(rows) == 260
 
 
+def _reference_bch(zeros, n):
+    """1 + the longest cyclic run of u * zeros over the units u, walked
+    exponent by exponent."""
+    best = 0
+    for u in range(1, n + 1):
+        if math.gcd(u, n) == 1:
+            image = {u * e % n for e in zeros}
+            for start in range(n):
+                length = 0
+                while length < n and (start + length) % n in image:
+                    length += 1
+                best = max(best, length)
+    return best + 1 if best < n else n + 1
+
+
+def test_bch_of_a_large_zero_set_reads_the_gaps_of_its_complement(criterion_box_codes):
+    # a dual's zeros are the complement of its code's, so one of the two
+    # sets holds at least n/2 exponents; the runs of one above n/2 are read
+    # from the gaps of the other
+    large = 0
+    for rec, code in criterion_box_codes:
+        for c in (code.base, code.base.dual()):
+            zeros = c.root_exponents
+            large += 2 * len(zeros) > c.n
+            assert c.bch_lower_bound() == _reference_bch(zeros, c.n), rec
+    assert large == 230
+
+
+def test_dual_bch_of_a_long_code_is_prompt():
+    # the dual of thm-1.1-i over GF(13) at n = 4092 has 3068 zeros; the
+    # bound walks the 1024 others under each of the 1200 units
+    dual = construct("thm-1.1-i", 13, n=4092, r=3).base.dual()
+    assert len(dual.root_exponents) == 3068
+    start = time.perf_counter()
+    assert dual.bch_lower_bound() == 4
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bch_run_of_length_d_minus_1(acceptance_codes):
     base = acceptance_codes["subgroup-q13-d5"].base
     assert sorted(base.root_exponents) == [0, 1, 2, 3, 6, 9]
@@ -360,6 +399,79 @@ def test_distance_of_zero_code(f5):
     zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))
     scan = min_distance_exhaustive(zero_code)
     assert scan.exact and scan.value == 5
+
+
+def _divisor_codes(field, n):
+    """Every cyclic code of length n over the field with 0 < k < n, each
+    from a monic divisor of x^n - 1 found by trial division."""
+    xn = Poly.x_pow_minus_one(field, n)
+    for degree in range(1, n):
+        for low in itertools.product(range(field.q), repeat=degree):
+            g = Poly(field, [*low, 1])
+            if divmod(xn, g)[1].is_zero:
+                yield CyclicCode(field, n, g)
+
+
+def _zero_run(code):
+    weight = sum(1 for c in code.g.coeffs if c)
+    return math.ceil((code.n - weight) / weight)
+
+
+def _full_scan(code):
+    return kernels.min_nonzero_weight(code.generator_matrix, code.field, code.field.q**code.k - 1)
+
+
+def test_prefix_scan_is_exact_on_every_small_cyclic_code():
+    # a word of weight d <= wt(g) has a cyclic zero run of at least
+    # ceil((n - wt(g)) / wt(g)) symbols, and its shift that ends in the run
+    # is m * g with deg m < k - L: the prefix holds a minimum-weight word
+    codes = [
+        code
+        for (p, m), lengths in [((2, 1), (3, 5, 7, 9, 11, 13)), ((3, 1), (4, 5, 7, 8)), ((2, 2), (3, 5, 7))]
+        for n in lengths
+        for code in _divisor_codes(make_field(p, m), n)
+    ]
+    assert len(codes) == 78
+    assert all(_zero_run(code) < code.k for code in codes)
+    assert sum(_zero_run(code) == code.k - 1 for code in codes if code.k > 1) == 16
+    for code in codes:
+        scan = min_distance_exhaustive(code)
+        assert scan == (scan.value, scan.value, True, code.field.q**code.k - 1)
+        assert scan.value == _full_scan(code), (code.field, code.n, code.g)
+
+
+def test_prefix_scan_is_exact_over_the_qmax32_box():
+    checked = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible:
+                continue
+            base = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d).base
+            for code in (base, base.dual()):
+                if 0 < code.k and code.field.q**code.k - 1 <= 1 << 20:
+                    assert min_distance_exhaustive(code, 1 << 20).value == _full_scan(code), rec
+                    checked += 1
+    assert checked == 1120
+
+
+def test_prefix_scan_count(f5, monkeypatch):
+    # (x^8 - 1)/(x^2 - 1) has weight 4, so L = ceil(4 / 4) = k - 1 and
+    # the kernel gets the q - 1 messages below x; enumerated still counts
+    # the q^k - 1 codewords the result covers
+    counts = []
+
+    def recording(matrix, field, count):
+        counts.append(count)
+        return real(matrix, field, count)
+
+    real = kernels.min_nonzero_weight
+    monkeypatch.setattr(cyclic.kernels, "min_nonzero_weight", recording)
+    code = CyclicCode(f5, 8, Poly(f5, [1, 0, 1, 0, 1, 0, 1]))
+    assert (code.k, _zero_run(code)) == (2, 1)
+    assert min_distance_exhaustive(code) == (4, 4, True, 24)
+    # the [8, 4, 4] code: wt(g) = 4, L = 1, 124 nonzero messages below x^3
+    assert min_distance_exhaustive(CyclicCode(f5, 8, Poly(f5, [1, 2, 0, 1, 1]))) == (4, 4, True, 624)
+    assert counts == [4, 124]
 
 
 def test_dual_of_parity_check_is_repetition(f5):
