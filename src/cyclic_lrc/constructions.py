@@ -1,26 +1,30 @@
 """Generator-polynomial constructions of optimal cyclic locally repairable
 codes, plus admissible-parameter enumeration.
 
-With s = n/(r+1) and omega the canonical generator of GF(q), the five
-schemes, named by the identifiers used on the CLI and in code files, are:
+Every scheme builds g = (x^s - rho^grid) * prod over e in zeros of
+(x - rho^e), s = n/(r+1), rho a canonical primitive root of unity: the grid
+factor vanishes on a whole coset of the index-(r+1) subgroup of the n-th
+roots of unity, which gives locality r.  With omega the canonical generator
+of GF(q), the five schemes, named by the identifiers used on the CLI and in
+code files, are:
 
-* ``thm-1.1-i``   distance 3, (r+1) | gcd(n, q-1), r >= 2;
-                  g = (x - 1)(x^s - alpha), alpha = omega^((q-1)/(r+1)).
-* ``thm-1.1-ii``  distance 4, r >= 3, additionally gcd(s, r+1) | 2;
-                  g gains x - gamma, gamma = alpha^a, a*s + b*(r+1) = 2.
-* ``ex-3.2``      n | q - 1, any feasible distance d; g = prod over e in Z
-                  of (x - beta^e), beta the primitive n-th root in GF(q),
-                  Z = {0, ..., d-2} + a stride-(r+1) tail.
+* ``thm-1.1-i``   distance 3, (r+1) | gcd(n, q-1), r >= 2; rho = alpha =
+                  omega^((q-1)/(r+1)), zeros {0}, grid 1.
+* ``thm-1.1-ii``  distance 4, r >= 3, additionally gcd(s, r+1) | 2; zeros
+                  {0, a}, gamma = alpha^a, a*s + b*(r+1) = 2.
+* ``ex-3.2``      n | q - 1, any feasible distance d; rho = beta in GF(q);
+                  zeros {0, ..., d-2} less the coset e = d-2 mod (r+1),
+                  grid s*((d-2) mod (r+1)).
 * ``ex-3.3``      n | q + 1, d = a(r+1) + b with a even and b even, b >= 2;
-                  beta in GF(q^2), Z = {-(d-2)/2, ..., (d-2)/2} +
-                  {(r+1)j : a/2 < j < s - a/2}, closed under negation, so g
-                  descends to GF(q).
-* ``thm-3.4``     n = 2(q - 1), distance 4, (r+1) | q - 1;
-                  g = (x - 1)(x - omega)(x^s - alpha), alpha = omega^(s/2).
+                  rho = beta in GF(q^2); zeros {-(d-2)/2, ..., (d-2)/2} less
+                  the multiples of r+1, grid 0; both closed under negation.
+* ``thm-3.4``     n = 2(q - 1), distance 4, (r+1) | q - 1; rho = gamma =
+                  omega, zeros {0, 1}, grid s/2, so alpha = omega^(s/2).
 
-Each code states its zeros for a primitive n-th root beta, Z or {0} + {e = 1
-mod (r+1)}, plus s*a (thm-1.1-ii) or 2 (thm-3.4), beta^s being alpha, and
-confirms them on first read in GF(q) or GF(q^2); MAX_LENGTH bounds n.
+Each code states its zeros Z for a primitive n-th root beta, beta^f = rho:
+f*e over zeros plus the grid factor's coset (for ex, the head run plus the
+coset), and confirms them on first read in GF(q) or GF(q^2); MAX_LENGTH
+bounds n.
 
 Each scheme's preconditions live only in ``_plan``, an integer-only function
 of (scheme, q, n, r, d), which raises ParameterError with a reusable
@@ -182,17 +186,17 @@ def _require(condition: bool, message: str) -> None:
 
 
 class _Plan(NamedTuple):
-    """What one admissible parameter set determines: g is the product of
-    x - rho^e over ``zeros``, rho the canonical primitive root of unity of
-    order ``order``, times x^(n/(r+1)) - rho^alpha_exponent where that is
-    not None; gamma = rho^gamma_exponent is stored where not None.  ``gap``
-    is (sweep diagnostic, construct message) for a set that passes every
+    """What one admissible parameter set determines: g = (x^s - rho^grid)
+    times the product of x - rho^e over ``zeros``, s = n/(r+1), rho the
+    canonical primitive root of unity of order ``order``; gamma =
+    rho^gamma_exponent is stored where not None.  ``gap`` is (sweep
+    diagnostic, construct message) for a set that passes every
     precondition but cannot be built."""
 
     k: int
     order: int
     zeros: list[int]
-    alpha_exponent: int | None
+    grid: int
     gamma_exponent: int | None
     gap: tuple[str, str] | None
 
@@ -207,23 +211,19 @@ def _bezout_exponent(s: int, r: int) -> int:
     return (2 // g) * pow(s // g, -1, modulus) % modulus
 
 
-def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
-    """Root exponents and expected dimension for scheme ex-3.2."""
+def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int]:
+    """Zeros off the grid, grid exponent and dimension for scheme ex-3.2:
+    the run 0..d-2 less its coset e = d-2 mod (r+1), which the grid factor
+    holds whole."""
     a, b = divmod(d, r + 1)
     _require(
         b != 1,
         f"distance d = {d} with d mod (r+1) = 1 is unreachable: the root run "
         f"wraps around and forces minimum distance d + 1; request d = {d + 1}",
     )
-    s = n // (r + 1)
-    head = list(range(d - 1))
-    if b >= 2:
-        tail = [((r + 1) * j + b - 2) % n for j in range(a + 1, s)]
-        k_expected = r * n // (r + 1) - a * r - b + 2
-    else:  # b == 0
-        tail = [((r + 1) * j + b - 2) % n for j in range(a + 1, s + 1)]
-        k_expected = r * n // (r + 1) - a * r - b + 1
-    return head + tail, k_expected
+    t = (d - 2) % (r + 1)
+    zeros = [e for e in range(d - 1) if e % (r + 1) != t]
+    return zeros, n // (r + 1) * t, r * n // (r + 1) - a * r - b + (2 if b else 1)
 
 
 def _coset_b_values(r: int) -> tuple[int, ...]:
@@ -231,8 +231,10 @@ def _coset_b_values(r: int) -> tuple[int, ...]:
     return tuple(range(2, 2 * (r // 2) + 1, 2))
 
 
-def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
-    """Root exponents and expected dimension for scheme ex-3.3."""
+def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int]:
+    """Zeros off the grid, grid exponent and dimension for scheme ex-3.3:
+    the symmetric run less the multiples of r + 1, which the grid factor
+    x^s - 1 holds whole."""
     a, b = divmod(d, r + 1)
     _require(
         a % 2 == 0 and b in _coset_b_values(r),
@@ -240,11 +242,8 @@ def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
         f"remainder in {list(_coset_b_values(r))}",
     )
     half = (d - 2) // 2
-    head = [i % n for i in range(-half, half + 1)]
-    lo = (a + 2) // 2
-    hi = n // (r + 1) - lo
-    tail = [((r + 1) * j) % n for j in range(lo, hi + 1)]
-    return head + tail, r * n // (r + 1) - a * r - b + 2
+    zeros = [e % n for e in range(-half, half + 1) if e % (r + 1)]
+    return zeros, 0, r * n // (r + 1) - a * r - b + 2
 
 
 def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
@@ -256,7 +255,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
     """
     prime_power(q)  # or ParameterError
     _require(n <= MAX_LENGTH, f"length n = {n} exceeds the supported length {MAX_LENGTH}")
-    gap = alpha_exponent = gamma_exponent = None
+    gap = gamma_exponent = None
     if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
         subgroup = scheme == SCHEME_ANY_D_SUBGROUP
         _require(n >= 1, f"length must be >= 1, got {n}")
@@ -268,7 +267,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             return None
         d_min = 1 if subgroup else 2
         _require(d_min <= d <= n, f"distance d = {d} out of range {d_min}..{n}")
-        zeros, k = (_subgroup_exponents if subgroup else _coset_exponents)(n, r, d)
+        zeros, grid, k = (_subgroup_exponents if subgroup else _coset_exponents)(n, r, d)
         order = n  # rho = beta, a primitive n-th root
         if not subgroup and q * q > MAX_FIELD_ORDER:  # beta of ex-3.3 lies in GF(q^2)
             message = f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order {MAX_FIELD_ORDER}"
@@ -286,7 +285,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
         _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
         s = n // (r + 1)
         # rho = omega, gamma = omega and alpha = omega^(s/2)
-        order, zeros, k, alpha_exponent, gamma_exponent = q - 1, [0, 1], n - s - 2, s // 2, 1
+        order, zeros, k, grid, gamma_exponent = q - 1, [0, 1], n - s - 2, s // 2, 1
         # (r+1) | 2(q-1) does not by itself place alpha = beta^s, beta of
         # order 2(q-1), in GF(q): that needs s even, that is (r+1) | q - 1
         if (q - 1) % (r + 1):
@@ -305,66 +304,61 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
         )
         # rho = alpha, a primitive (r+1)-th root
-        order, zeros, k, alpha_exponent = r + 1, [0], n - 1 - n // (r + 1), 1
+        order, zeros, k, grid = r + 1, [0], n - 1 - n // (r + 1), 1
         if scheme == SCHEME_D4_UNBOUNDED:
             gamma_exponent = _bezout_exponent(n // (r + 1), r)
             zeros, k = [0, gamma_exponent], k - 1
     if d is None:
         return None
-    _require(len(set(zeros)) == len(zeros), f"root exponents collide for d = {d}: {sorted(zeros)}")
-    return _Plan(k, order, zeros, alpha_exponent, gamma_exponent, gap)
+    return _Plan(k, order, zeros, grid, gamma_exponent, gap)
 
 
 def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     """The one generator path: the product of x - rho^e over the plan's
-    zeros, rho in GF(q), or in GF(q^2) where its order does not divide
-    q - 1 (ex-3.3), and then projected to GF(q), a step that fails outside
-    the embedded copy of GF(q); times x^s - alpha where the plan has an
-    alpha.  Without one, rho is stored as beta.  CyclicCode checks
-    g | x^n - 1 and is handed the plan's zeros, and k is checked.
-    """
+    zeros, rho in GF(q), or in GF(q^2) where its order does not divide q - 1
+    (ex-3.3), projected to GF(q), which fails outside its embedded copy;
+    times x^s - c, c = rho^grid projected alike.  ex stores beta = rho, thm
+    alpha = c and gamma.  CyclicCode checks g | x^n - 1 and is handed the
+    plan's zeros, and k is checked."""
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
         raise ParameterError(plan.gap[1])
-    field = base_field(q)
+    field, s = base_field(q), n // (r + 1)
     ext = field if (q - 1) % plan.order == 0 else make_field(field.p, 2 * field.m)
     rho = primitive_nth_root(ext, plan.order)
-    g = Poly.from_roots(ext, [ext.pow(rho.index, e) for e in plan.zeros])
-    if ext is not field:
-        _, preimage = _embedding(field, ext)
-        g = Poly(field, (_project(c, preimage, field, "generator coefficient") for c in g.coeffs))
-    exponents = (plan.alpha_exponent, plan.gamma_exponent)
-    alpha, gamma = (None if e is None else ext.from_index(ext.pow(rho.index, e)) for e in exponents)
-    if alpha is not None:
-        g = g * Poly(field, [field.neg(alpha.index), *[0] * (n // (r + 1) - 1), 1])
-    code = CyclicCode(field, n, g, partial(_confirmed_zeros, plan, rho))
+    _, preimage = _embedding(field, ext)
+    lifted = Poly.from_roots(ext, [ext.pow(rho.index, e) for e in plan.zeros])
+    c = _project(ext.pow(rho.index, plan.grid), preimage, field, "grid constant")
+    g = Poly(field, [field.neg(c), *[0] * (s - 1), 1]) * Poly(  # __mul__ skips the left zeros
+        field, (_project(a, preimage, field, "generator coefficient") for a in lifted.coeffs))
+    code = CyclicCode(field, n, g, partial(_confirmed_zeros, plan, rho, s))
     if code.k != plan.k:
         raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
-    return LrcCode(code, r, d, scheme, rho if alpha is None else None, alpha, gamma)
+    if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
+        return LrcCode(code, r, d, scheme, rho)
+    gamma = None if plan.gamma_exponent is None else field.from_index(field.pow(rho.index, plan.gamma_exponent))
+    return LrcCode(code, r, d, scheme, None, field.from_index(c), gamma)
 
 
-def _confirmed_zeros(plan: _Plan, rho, code: CyclicCode) -> frozenset[int] | None:
+def _confirmed_zeros(plan: _Plan, rho, s: int, code: CyclicCode) -> frozenset[int] | None:
     """The exponents of g's zeros that ``plan`` states, if g has exactly
     those zeros, else None.  They refer to a primitive n-th root beta with
     beta^f = rho, f = n/plan.order, which exists once rho has that order:
-    x - rho^e is the zero beta^(f*e), and x^t - rho^a (a = alpha_exponent,
-    t = f*a) has the zeros beta^e, e = 1 mod n/t.  g(rho^e) = 0 in rho's
-    field and one division confirm them; deg g = their count makes them all."""
-    field, n, g, order = code.field, code.n, code.g, plan.order
-    ext, f, a = rho.field, n // order, plan.alpha_exponent
-    zeros = {f * e for e in plan.zeros}
+    x - rho^e is the zero beta^(f*e), and the grid factor x^s - rho^grid
+    has the zeros beta^e, e = f*grid/s mod n/s.  In rho's field, g(rho^e) =
+    0 and g's residues modulo the grid factor confirm them; deg g = their
+    count makes them all."""
+    n, g, order, ext = code.n, code.g, plan.order, rho.field
+    f, fwd = n // order, _embedding(code.field, ext)[0]
+    zeros = {f * e for e in plan.zeros}.union(range(f * plan.grid // s, n, n // s))
     powers = list(accumulate([rho.index] * order, ext.mul, initial=1))  # rho^0, ..., rho^order
-    if a is not None:
-        zeros.update(range(1, n, n // (f * a)))
-        binomial = Poly(field, [field.neg(powers[a % order]), *[0] * (f * a - 1), 1])
-    fwd = _embedding(field, ext)[0]
-    terms = [(i, fwd[c]) for i, c in enumerate(g.coeffs) if c]
+    terms = [(i, fwd[a]) for i, a in enumerate(g.coeffs) if a]
     confirmed = (
         g.degree == len(zeros)
         and powers[-1] == 1 and 1 not in powers[1:-1]
-        and not any(reduce(ext.add, (ext.mul(c, powers[i * e % order]) for i, c in terms))
+        and not any(reduce(ext.add, (ext.mul(a, powers[i * e % order]) for i, a in terms))
                     for e in plan.zeros)
-        and (a is None or divmod(g, binomial)[1].is_zero)
+        and repair._has_grid_factor(ext, [fwd[a] for a in g.coeffs], s, powers[plan.grid % order])
     )
     return frozenset(zeros) if confirmed else None
 

@@ -46,19 +46,19 @@ class Poly(Immutable):
 
     @classmethod
     def from_roots(cls, field: FiniteField, roots: Sequence[int]) -> Poly:
-        """Monic product of (x - r) over the given roots.
+        """Monic product of (x - r) over the given roots, 1 for none.
 
         Duplicated roots are rejected: every construction served here needs
-        simple roots of x**n - 1.
+        simple roots of x**n - 1.  Each root is one pass over one list.
         """
-        if not roots:
-            raise ValueError("at least one root is required")
         if len(set(roots)) != len(roots):
             raise ValueError("duplicated roots are not allowed")
-        acc = cls.one(field)
+        add, mul = field.add, field.mul
+        coeffs = [1]
         for r in roots:
-            acc = acc * cls(field, (field.neg(r), 1))
-        return acc
+            minus_r = field.neg(r)
+            coeffs = [add(a, mul(minus_r, b)) for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        return cls(field, coeffs)
 
     # -- basic structure ----------------------------------------------------
 

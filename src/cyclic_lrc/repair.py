@@ -6,7 +6,7 @@ Such a word has a closed form.  When g has a factor x^s - c, every codeword
 reduces to zero modulo x^s - c, so for each class the word with entry c^t at
 i mod s + s*t (t = 0..r) is a dual codeword, and c^(r+1) = 1.  The grid
 constant c, the first by index for which x^s - c divides g, is found by
-polynomial division once per code and cached on it
+folding g's coefficients modulo x^s - c, once per code, and cached on it
 (``LrcCode.grid_constant``); a locality check at another r finds it afresh.
 The repair vector of i is that word on i's class.  That factor is the only
 locality certificate: a code without it has no repair plan, and its
@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .cyclic import CyclicCode
-from .field import FieldElement, FiniteField
-from .poly import Poly
+from .field import FieldElement, FiniteField, _poly_eval
 
 
 class RepairError(RuntimeError):
@@ -64,6 +63,12 @@ def coordinate_coset(n: int, r: int, i: int) -> tuple[int, ...]:
 # Repair vectors.
 
 
+def _has_grid_factor(field: FiniteField, coeffs: Sequence[int], s: int, c: int) -> bool:
+    """Whether x^s - c divides sum coeffs[i] x^i: modulo x^s - c, x^(j+s*t)
+    is c^t x^j, so remainder coefficient j is coeffs[j::s] at c."""
+    return not any(_poly_eval(field, coeffs[j::s], c) for j in range(s))
+
+
 def _grid_constant(base: CyclicCode, r: int) -> int:
     """The first c, by index, for which x^s - c divides g, s = n/(r+1); then
     c^(r+1) = 1, since g divides x^n - 1."""
@@ -71,7 +76,7 @@ def _grid_constant(base: CyclicCode, r: int) -> int:
         raise RepairError("repair plans need a code of dimension >= 1")
     field, s = base.field, repair_stride(base.n, r)
     for c in range(1, field.q):
-        if divmod(base.g, Poly(field, (field.neg(c), *(0,) * (s - 1), 1)))[1].is_zero:
+        if _has_grid_factor(field, base.g.coeffs, s, c):
             return c
     raise RepairError(f"g has no factor x^{s} - c")
 

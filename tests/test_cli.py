@@ -22,6 +22,15 @@ from cyclic_lrc.field import primitive_nth_root
 from cyclic_lrc.poly import Poly
 
 
+def _cli_env() -> dict[str, str]:
+    """The environment of every CLI subprocess: this package on the path,
+    and PYTHONUNBUFFERED dropped, so stdout on a pipe is block-buffered and
+    output the CLI does not flush is lost, as it is for a user."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cyclic_lrc.__file__).resolve().parent.parent)
+    return env
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -73,12 +82,10 @@ def test_construct_precondition_diagnostics(capsys):
 def test_construct_oversized_splitting_field_is_a_precondition_failure():
     # ex-3.3 takes beta from GF(q^2), and GF(2048^2) is beyond the supported
     # order; the thm schemes need no such field
-    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(package_root))
     proc = subprocess.run(
         [sys.executable, "-m", "cyclic_lrc.cli", "construct", "--scheme", "ex-3.3",
          "--q", "2048", "--n", "3", "--r", "2", "--d", "2"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_cli_env(),
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -91,8 +98,6 @@ def _bounded_cli(*argv, address_space_mb=1500):
     """One CLI process under an address-space limit, so that a regression
     that materializes a huge polynomial fails fast instead of exhausting
     memory.  Returns the finished process and its wall time."""
-    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(package_root))
     limit = address_space_mb << 20
 
     def cap():
@@ -101,7 +106,7 @@ def _bounded_cli(*argv, address_space_mb=1500):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "cyclic_lrc.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+        capture_output=True, text=True, env=_cli_env(), preexec_fn=cap, timeout=60,
     )
     return proc, time.perf_counter() - start
 
@@ -204,13 +209,12 @@ def test_failures_print_one_line_and_no_traceback(tmp_path):
     proc, _ = _bounded_cli("construct", "--scheme", "thm-1.1-i", "--q", "13", "--n", "1204", "--r", "3",
                            "--out", str(long_file))
     assert proc.returncode == 0
-    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
 
     def closed_stdout(stderr):
         proc = subprocess.Popen(
             [sys.executable, "-m", "cyclic_lrc.cli", "verify", str(long_file)],
             stdout=subprocess.PIPE, stderr=stderr, text=True,
-            env=dict(os.environ, PYTHONPATH=str(package_root)),
+            env=_cli_env(),
         )
         proc.stdout.close()
         err = proc.stderr.read() if proc.stderr else ""
@@ -239,10 +243,8 @@ def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, caps
         5: ["repair", str(code_file), "--word", "_,1,1,2,1,0,0,0"],
         64: ["verify", str(tmp_path / "missing.json")],
     }
-    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
     # block-buffered stdout, so output that run did not flush would be lost
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(package_root)
+    env = _cli_env()
     for status, argv in failures.items():
         rc, out, err = _run(capsys, *argv)
         assert rc == status and err.count("\n") == 1, (argv, err)
@@ -611,12 +613,10 @@ def test_sweep_verify_keeps_its_table_when_one_row_fails_a_self_check(capsys, mo
 def test_sweep_walk_stops_at_the_supported_field_order(capsys):
     # no q above MAX_FIELD_ORDER passes _plan, so a huge --qmax must not
     # walk every integer below it; thm-3.4 with n <= 8 stops at q = 5
-    package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(package_root))
     proc = subprocess.run(
         [sys.executable, "-m", "cyclic_lrc.cli", "sweep", "--scheme", "thm-3.4",
          "--qmax", "100000000", "--nmax", "8"],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=_cli_env(), timeout=10,
     )
     assert proc.returncode == 0, proc.stderr
     rc, out, _ = _run(capsys, "sweep", "--scheme", "thm-3.4", "--qmax", "5", "--nmax", "8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from functools import partial
 
 import pytest
@@ -474,7 +475,7 @@ def test_a_generator_without_a_stated_factor_gets_no_zeros():
     # certify d = 3 for (x - 1)(x^3 + 1), but x^6 - 1 is a codeword of weight 2
     minus_one = f13.from_index(f13.neg(1))
     wrong_order = CyclicCode(f13, 12, Poly(f13, [12, 1]) * binomial(minus_one.index),
-                             partial(_confirmed_zeros, _plan("thm-1.1-i", 13, 12, 3, 3), minus_one))
+                             partial(_confirmed_zeros, _plan("thm-1.1-i", 13, 12, 3, 3), minus_one, 3))
     one, zero = f13.from_index(1), f13.from_index(0)
     assert wrong_order.contains([minus_one] + [zero] * 5 + [one] + [zero] * 5)
     cases = [
@@ -499,6 +500,57 @@ def test_a_generator_without_a_stated_factor_gets_no_zeros():
         assert verdict == "optimal-consistent", code
     for code in (thm, ex):
         assert render_verdict(code, budget=1)[0] == OPTIMAL_CERTIFIED
+    # beta^9 of the grid coset {0, 3, 6, 9} left out and beta^4 put in its
+    # place: the degree and the zeros off the grid stay, but x^4 - 1 no
+    # longer divides g, so the statement is not confirmed
+    off_grid = CyclicCode(f13, 12, Poly.from_roots(f13, [f13.pow(beta, e) for e in (0, 1, 2, 3, 4, 6)]),
+                          ex.base._zeros)
+    assert off_grid.k == ex.k
+    assert off_grid.root_exponents is None and off_grid.bch_lower_bound() is None
+
+
+def _head_and_tail(scheme, n, r, d):
+    """The zero set Z of an ex scheme as it was written before the grid
+    factor: the head run plus a stride-(r+1) tail, both listed root by root."""
+    a, b = divmod(d, r + 1)
+    s = n // (r + 1)
+    if scheme == "ex-3.2":
+        head = list(range(d - 1))
+        last = s if b >= 2 else s + 1
+        return head + [((r + 1) * j + b - 2) % n for j in range(a + 1, last)]
+    half = (d - 2) // 2
+    lo = (a + 2) // 2
+    return [i % n for i in range(-half, half + 1)] + [(r + 1) * j % n for j in range(lo, s - lo + 1)]
+
+
+def test_ex_plans_hold_the_old_head_and_tail():
+    # for every ex row of --qmax 32 --nmax 40 (listed, so gap rows too), the
+    # zeros off the grid and the grid factor's coset are disjoint and make
+    # up the old Z, which had no repeated exponent
+    rows = 0
+    for scheme in ("ex-3.2", "ex-3.3"):
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            plan = _plan(scheme, rec.q, rec.n, rec.r, rec.d)
+            s = rec.n // (rec.r + 1)
+            coset = set(range(plan.grid // s, rec.n, rec.r + 1))
+            old = _head_and_tail(scheme, rec.n, rec.r, rec.d)
+            assert len(set(old)) == len(old), rec
+            assert plan.order == rec.n and plan.grid % s == 0, rec
+            assert coset.isdisjoint(plan.zeros) and len(set(plan.zeros)) == len(plan.zeros), rec
+            assert coset.union(plan.zeros) == set(old), rec
+            assert plan.k == rec.n - len(old), rec
+            rows += 1
+    assert rows == 1375
+
+
+def test_long_subgroup_code_is_prompt():
+    # ex-3.2 over GF(4096) at the longest supported length: g = x^1365 - 1
+    # is the grid factor alone, with no linear factor to multiply in
+    start = time.perf_counter()
+    code = construct("ex-3.2", 4096, n=4095, r=2, d=2)
+    assert code.base.g == Poly(code.field, [code.field.neg(1)] + [0] * 1364 + [1])
+    assert render_verdict(code)[0] == OPTIMAL_CERTIFIED
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_rejects_bad_bounds():

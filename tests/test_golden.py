@@ -107,6 +107,24 @@ def test_code_files_over_criterion_box():
     assert digest.hexdigest() == (GOLDEN / "codes-qmax13-nmax24.sha256").read_text().strip()
 
 
+def test_code_files_over_the_property_box():
+    # the code file of every constructible row of --qmax 32 --nmax 40, one
+    # line each; captured while ex generators were built root by root from
+    # the head run plus a stride-(r+1) tail, before every scheme shared the
+    # grid-factor formula
+    digest = hashlib.sha256()
+    rows = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible:
+                continue
+            code = construct(scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
+            digest.update(dumps_canonical(code_to_dict(code)).encode() + b"\n")
+            rows += 1
+    assert rows == 1756
+    assert digest.hexdigest() == (GOLDEN / "generators-qmax32-nmax40.sha256").read_text().strip()
+
+
 # (qmax, nmax) pairs: the smallest box, boxes with only prime or only
 # extension rows, the criterion box, and the property-test box
 ENUMERATION_BOUNDS = ((2, 2), (4, 4), (8, 14), (9, 16), (13, 24), (31, 12), (32, 40))

@@ -78,6 +78,19 @@ def test_from_roots_conjugate_closed_set_over_gf121():
     assert all(f121.pow(c, 11) == c for c in g.coeffs)
 
 
+def test_from_roots_of_no_roots_is_one(f5):
+    assert Poly.from_roots(f5, []) == Poly.one(f5)
+
+
+def test_from_roots_equals_the_product_of_its_linear_factors(rng, f13):
+    for _ in range(20):
+        roots = rng.sample(range(13), rng.randrange(1, 13))
+        product = Poly.one(f13)
+        for r in roots:
+            product = product * Poly(f13, [f13.neg(r), 1])
+        assert Poly.from_roots(f13, roots) == product
+
+
 def test_from_roots_rejects_duplicates(f5):
     with pytest.raises(ValueError):
         Poly.from_roots(f5, [1, 1])

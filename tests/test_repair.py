@@ -12,6 +12,7 @@ from cyclic_lrc.repair import (
     ErasedWord,
     RepairError,
     _grid_constant,
+    _has_grid_factor,
     coordinate_coset,
     repair_erasure,
     repair_vector,
@@ -145,6 +146,20 @@ def test_division_finds_the_class_word_grid_constant():
             assert _grid_constant(base, rec.r) == expected, rec
             rows += 1
     assert rows == 1756
+
+
+def test_residue_fold_agrees_with_division(rng):
+    # x^s - c divides g exactly when divmod leaves remainder zero, for every
+    # c of the field: on random multiples of a random x^s - c, and on
+    # random polynomials, over a prime field and an extension
+    for field in (make_field(13), make_field(2, 4)):
+        for _ in range(60):
+            s, c = rng.randrange(1, 6), rng.randrange(1, field.q)
+            cofactor = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 9))])
+            for g in (cofactor * Poly(field, [field.neg(c)] + [0] * (s - 1) + [1]), cofactor):
+                for test in range(1, field.q):
+                    divisor = Poly(field, [field.neg(test)] + [0] * (s - 1) + [1])
+                    assert _has_grid_factor(field, g.coeffs, s, test) == divmod(g, divisor)[1].is_zero
 
 
 def test_erased_word_validation(f5):
