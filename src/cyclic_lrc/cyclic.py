@@ -151,10 +151,11 @@ class CyclicCode(Immutable):
         """Certified distance lower bound from consecutive root exponents, or
         None where :attr:`root_exponents` is; computed once per code.
 
-        Every primitive n-th root is beta**u for a unit u mod n, so the
-        bound, 1 + the longest run of cyclically consecutive exponents in
-        u * :attr:`root_exponents` over all units u, is the same whichever
-        root the exponents refer to (n + 1 for the zero code).
+        Every primitive n-th root is beta**u for a unit u mod n, and a run of
+        cyclically consecutive exponents in u * :attr:`root_exponents` is a
+        progression of the exponents with step v = 1/u.  So the bound, 1 +
+        the longest progression with a unit step, is the same whichever root
+        the exponents refer to (n + 1 for the zero code).
         """
         return self._bch
 
@@ -165,29 +166,21 @@ class CyclicCode(Immutable):
             return None
         if len(zeros) == n:
             return n + 1
-        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-        if 2 * len(zeros) <= n:
-            return 1 + max(_longest_cyclic_run(frozenset(u * e % n for e in zeros), n) for u in units)
-        # a run of zeros is a gap between cyclically consecutive non-zeros,
-        # so 1 + the longest run is the longest gap in the smaller complement
-        others = [e for e in range(n) if e not in zeros]
-        return max(_longest_cyclic_gap(sorted(u * e % n for e in others), n) for u in units)
-
-
-def _longest_cyclic_gap(ordered: list[int], n: int) -> int:
-    return max(map(operator.sub, [*ordered[1:], ordered[0] + n], ordered))
-
-
-def _longest_cyclic_run(exponents: frozenset[int], n: int) -> int:
-    best = 0
-    for e in exponents:
-        if (e - 1) % n in exponents:
-            continue
-        length = 1
-        while (e + length) % n in exponents:
-            length += 1
-        best = max(best, length)
-    return best
+        # v and -v walk the same progressions.  A walk starts at a zero whose
+        # predecessor is not one, and only if its term e + best*v, which a
+        # longer progression than the best holds, is a zero; it ends, since
+        # Z is not every exponent
+        best = 0
+        for v in range(1, n // 2 + 1):
+            if math.gcd(v, n) != 1:
+                continue
+            for e in zeros:
+                if (e - v) % n not in zeros and (e + best * v) % n in zeros:
+                    length = 1
+                    while (e + length * v) % n in zeros:
+                        length += 1
+                    best = max(best, length)
+        return 1 + best
 
 
 class DistanceScan(NamedTuple):

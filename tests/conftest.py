@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+
+# before the package is imported: a bytecode cache in src/ would spare every
+# later CLI process on this checkout its compile, so start-up timings taken
+# there would measure another start-up than a fresh checkout's
+sys.dont_write_bytecode = True
 
 from cyclic_lrc import (
     ALL_SCHEMES,

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -24,10 +25,12 @@ from cyclic_lrc.poly import Poly
 
 def _cli_env() -> dict[str, str]:
     """The environment of every CLI subprocess: this package on the path,
-    and PYTHONUNBUFFERED dropped, so stdout on a pipe is block-buffered and
-    output the CLI does not flush is lost, as it is for a user."""
+    no bytecode cache written into it, and PYTHONUNBUFFERED dropped, so
+    stdout on a pipe is block-buffered and output the CLI does not flush is
+    lost, as it is for a user."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cyclic_lrc.__file__).resolve().parent.parent)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
 
 
@@ -265,6 +268,24 @@ def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, caps
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, "stdout closed before the output was complete\n")
+
+
+def test_tests_write_no_bytecode_cache_into_the_package(tmp_path, monkeypatch):
+    # whatever the caller's environment says, conftest.py imports the
+    # package without caching it, and so does a CLI process under _cli_env()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    shutil.copytree(Path(cyclic_lrc.__file__).parent, tmp_path / "cyclic_lrc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    conftest = Path(__file__).with_name("conftest.py")
+    runs = [
+        (["-c", f"import runpy; runpy.run_path({str(conftest)!r})"], dict(os.environ)),
+        (["-m", "cyclic_lrc.cli", "--help"], _cli_env()),
+    ]
+    for argv, env in runs:
+        env["PYTHONPATH"] = str(tmp_path)
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert list(tmp_path.rglob("__pycache__")) == [], argv
 
 
 def test_run_passes_the_status_to_os_exit(monkeypatch, capsys):

@@ -102,7 +102,7 @@ def test_checked_codes_are_not_retained():
     # cache keyed by codes, so a process that checks many codes keeps none;
     # a fresh process, because earlier tests hold codes of their own
     package_root = Path(cyclic_lrc.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(package_root))
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", _RETENTION_PROBE],
         capture_output=True, text=True, env=env, check=True, timeout=120,
@@ -306,8 +306,8 @@ def _reference_bch(zeros, n):
 
 def test_bch_of_a_large_zero_set_reads_the_gaps_of_its_complement(criterion_box_codes):
     # a dual's zeros are the complement of its code's, so one of the two
-    # sets holds at least n/2 exponents; the runs of one above n/2 are read
-    # from the gaps of the other
+    # sets holds at least n/2 exponents; the bound walks the progressions of
+    # a set above n/2 as it walks those of a small one
     large = 0
     for rec, code in criterion_box_codes:
         for c in (code.base, code.base.dual()):
@@ -317,9 +317,22 @@ def test_bch_of_a_large_zero_set_reads_the_gaps_of_its_complement(criterion_box_
     assert large == 230
 
 
+def test_bch_equals_the_reference_over_the_qmax32_box():
+    sets = 0
+    for scheme in ALL_SCHEMES:
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            if not rec.constructible:
+                continue
+            base = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d).base
+            for c in (base, base.dual()):
+                assert c.bch_lower_bound() == _reference_bch(c.root_exponents, c.n), rec
+                sets += 1
+    assert sets == 3512
+
+
 def test_dual_bch_of_a_long_code_is_prompt():
     # the dual of thm-1.1-i over GF(13) at n = 4092 has 3068 zeros; the
-    # bound walks the 1024 others under each of the 1200 units
+    # bound checks each of them for a walk under 600 of the 1200 units
     dual = construct("thm-1.1-i", 13, n=4092, r=3).base.dual()
     assert len(dual.root_exponents) == 3068
     start = time.perf_counter()

@@ -6,7 +6,6 @@ from functools import cached_property
 
 import pytest
 
-from cyclic_lrc import cyclic
 from cyclic_lrc.constructions import ALL_SCHEMES, LrcCode, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.field import make_field, primitive_nth_root
@@ -128,30 +127,28 @@ def test_verify_budget_limits_distance_but_not_coset_locality():
 def test_root_exponents_are_found_once_per_code(monkeypatch):
     # over budget, the distance scan and the report both read the code's BCH
     # bound, and the dual scan reads the dual's; the dual's zeros come from
-    # the code's, and each bound scans the phi(12) = 4 units once
-    found, runs = [], []
+    # the code's, and each bound walks its zeros once
+    found, walks = [], []
 
-    def counting_run(*args):
-        runs.append(args)
-        return real_run(*args)
+    def counting(log, name):
+        real = getattr(CyclicCode, name).func
 
-    real_run = cyclic._longest_cyclic_run
-    monkeypatch.setattr(cyclic, "_longest_cyclic_run", counting_run)
+        def count(code):
+            log.append(code)
+            return real(code)
 
-    def counting(code):
-        found.append(code)
-        return real(code)
+        cached = cached_property(count)
+        cached.__set_name__(CyclicCode, name)
+        monkeypatch.setattr(CyclicCode, name, cached)
 
-    real = CyclicCode.root_exponents.func
-    cached = cached_property(counting)
-    cached.__set_name__(CyclicCode, "root_exponents")
-    monkeypatch.setattr(CyclicCode, "root_exponents", cached)
+    counting(found, "root_exponents")
+    counting(walks, "_bch")
     code = construct("ex-3.2", 13, n=12, r=2, d=5)
     report = verify_optimal(code, budget=200)
     assert not report.distance.exact and not report.dual_distance.exact
     assert report.bch_lower_bound == report.distance.lower == 5
     assert found == [code.base, code.base.dual()]
-    assert len(runs) == 2 * 4
+    assert walks == [code.base, code.base.dual()]
 
 
 def test_exit_code_mapping():
