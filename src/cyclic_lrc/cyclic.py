@@ -201,10 +201,6 @@ class DistanceScan(NamedTuple):
     exact: bool
     enumerated: int
 
-    @property
-    def value(self) -> int | None:
-        return self.upper if self.exact else None
-
     def to_dict(self) -> dict:
         return self._asdict()
 

@@ -4,9 +4,9 @@ Coefficients are canonical element indices (see :mod:`cyclic_lrc.field`),
 stored lowest degree first.  The one constructor, ``Poly(field, coeffs)``,
 takes any iterable and drops trailing zeros, so the zero polynomial has an
 empty coefficient tuple, equal polynomials have equal tuples, and
-coordinate i of a codeword is coefficient i.  Arithmetic runs on the
-field's index operations, and a point of evaluation is an index too.
-``divmod``, long division, is the package's one polynomial division: the
+coordinate i of a codeword is coefficient i.  The ring operations are
+the product and ``divmod``, long division; both run on the field's index
+operations.  Long division is the package's one polynomial division: the
 field's inverse and its irreducibility test are powers, not gcds.
 Polynomials are immutable values; ring operations on polynomials over
 different fields raise ValueError.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import FiniteField, Immutable, _poly_eval
+from .field import FiniteField, Immutable
 
 
 class Poly(Immutable):
@@ -27,14 +27,6 @@ class Poly(Immutable):
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         super().__init__(field, tuple(coeffs))
-
-    @classmethod
-    def zero(cls, field: FiniteField) -> Poly:
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: FiniteField) -> Poly:
-        return cls(field, (1,))
 
     @classmethod
     def x_pow_minus_one(cls, field: FiniteField, n: int) -> Poly:
@@ -78,30 +70,11 @@ class Poly(Immutable):
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    def padded(self, n: int) -> tuple[int, ...]:
-        """Coefficients padded with zeros up to length n."""
-        if len(self.coeffs) > n:
-            raise ValueError(f"degree {self.degree} polynomial does not fit in length {n}")
-        return self.coeffs + (0,) * (n - len(self.coeffs))
-
     # -- ring operations ----------------------------------------------------
 
     def _same_field(self, other: Poly) -> None:
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: Poly) -> Poly:
-        self._same_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(self.field, (*map(self.field.add, a, b), *a[len(b) :]))
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def __neg__(self) -> Poly:
-        return Poly(self.field, map(self.field.neg, self.coeffs))
 
     def __mul__(self, other: Poly) -> Poly:
         self._same_field(other)
@@ -136,11 +109,7 @@ class Poly(Immutable):
                     rem[shift + i] = sub(rem[shift + i], mul(factor, c))
         return Poly(field, quot), Poly(field, rem[:top])
 
-    # -- evaluation and shape -----------------------------------------------
-
-    def __call__(self, point: int) -> int:
-        """Horner evaluation at a point of the coefficient field."""
-        return _poly_eval(self.field, self.coeffs, point)
+    # -- shape --------------------------------------------------------------
 
     def reciprocal(self) -> Poly:
         """x**deg(f) * f(1/x): the reversed coefficient sequence."""

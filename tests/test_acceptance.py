@@ -54,9 +54,8 @@ def test_criterion_1_distance3_family(acceptance_codes):
     code = acceptance_codes["d3-unbounded-q4"]
     assert code.k == 5
     report = _certify(code)
-    assert report.distance.exact and report.distance.enumerated == 4**5 - 1
-    assert report.distance.value == 3
-    assert report.dual_distance.value <= 3
+    assert report.distance == (3, 3, True, 4**5 - 1)
+    assert report.dual_distance.exact and report.dual_distance.upper <= 3
     assert verify_locality(code, 2).ok
     assert singleton_bound(9, 5, 2) == 3
     elapsed = time.perf_counter() - start
@@ -69,9 +68,8 @@ def test_criterion_2_distance4_family(acceptance_codes):
     code = acceptance_codes["d4-unbounded-q5"]
     assert code.k == 4
     report = _certify(code)
-    assert report.distance.exact and report.distance.enumerated == 5**4 - 1
-    assert report.distance.value == 4
-    assert report.dual_distance.value <= 4
+    assert report.distance == (4, 4, True, 5**4 - 1)
+    assert report.dual_distance.exact and report.dual_distance.upper <= 4
     assert verify_locality(code, 3).ok
     assert singleton_bound(8, 4, 3) == 4
     elapsed = time.perf_counter() - start
@@ -96,8 +94,7 @@ def test_criterion_4_subgroup_family_case1(acceptance_codes):
     code = acceptance_codes["subgroup-q13-d5"]
     assert (code.n, code.k, code.d_claimed) == (12, 6, 5)
     report = _certify(code)
-    assert report.distance.exact and report.distance.enumerated == 13**6 - 1
-    assert report.distance.value == 5
+    assert report.distance == (5, 5, True, 13**6 - 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _pass("criterion-4", f"[12,6,5] over GF(13), {13**6 - 1} codewords in {elapsed:.2f}s")
@@ -108,7 +105,7 @@ def test_criterion_5_subgroup_family_case2(acceptance_codes):
     code = acceptance_codes["subgroup-q13-d6"]
     assert (code.n, code.k, code.d_claimed) == (12, 5, 6)
     report = _certify(code)
-    assert report.distance.exact and report.distance.value == 6
+    assert report.distance == (6, 6, True, 13**5 - 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _pass("criterion-5", f"[12,5,6] over GF(13) in {elapsed:.2f}s")
@@ -119,8 +116,7 @@ def test_criterion_6_coset_family(acceptance_codes):
     code = acceptance_codes["coset-q11-d10"]
     assert (code.n, code.k, code.d_claimed) == (12, 3, 10)
     report = _certify(code)
-    assert report.distance.exact and report.distance.enumerated == 11**3 - 1
-    assert report.distance.value == 10
+    assert report.distance == (10, 10, True, 11**3 - 1)
     # the construction only returns after every coefficient passed the
     # Frobenius check; confirm the result is a base-field polynomial
     assert code.base.g.field is code.field
@@ -197,7 +193,8 @@ def test_criterion_9_property_suites(acceptance_codes, tmp_path):
             # BCH consistency wherever the oracle is affordable
             if rec.q**rec.k <= 1 << 20:
                 scan = min_distance_exhaustive(code.base)
-                assert scan.value >= code.base.bch_lower_bound()
+                assert scan == (scan.upper, scan.upper, True, rec.q**rec.k - 1)
+                assert scan.upper >= code.base.bch_lower_bound()
 
     # cyclic-shift closure, >= 10^3 sampled shifts
     shifts = 0

@@ -30,10 +30,12 @@ DATA_PATH_CODES = (
 
 
 def _reference_encode(base, message):
-    # x^(n-k) m(x) minus its remainder mod g
-    field = base.field
-    shifted = Poly(field, (0,) * (base.n - base.k) + tuple(e.index for e in message))
-    return tuple(map(field.from_index, (shifted - divmod(shifted, base.g)[1]).padded(base.n)))
+    # x^(n-k) m(x) minus its remainder mod g: the negated remainder fills
+    # the n - k low coordinates and the message the k high ones
+    field, parity, high = base.field, base.n - base.k, tuple(e.index for e in message)
+    remainder = divmod(Poly(field, (0,) * parity + high), base.g)[1]
+    low = (field.neg(remainder.coefficient(i)) for i in range(parity))
+    return tuple(map(field.from_index, (*low, *high)))
 
 
 def _check_code(code, rng, messages=5):

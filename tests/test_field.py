@@ -158,7 +158,7 @@ def test_rabin_test_rejects_a_product_of_factors_of_dividing_degrees():
     # only the coprimality condition rejects it
     f2, modulus = make_field(2), (1, 1, 0, 0, 1, 0, 1)
     factors = [Poly(f2, (1, 1)), Poly(f2, (1, 1, 1)), Poly(f2, (1, 1, 0, 1))]
-    assert math.prod(factors, start=Poly.one(f2)) == Poly(f2, modulus)
+    assert math.prod(factors, start=Poly(f2, [1])) == Poly(f2, modulus)
     field, y = FiniteField(2, 6, modulus), 2
     assert field.pow(y, 64) == y
     assert field.pow(y, 8) != y and field.pow(y, 4) != y

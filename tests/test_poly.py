@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cyclic_lrc.field import _embedding, make_field, primitive_nth_root
+from cyclic_lrc.field import _embedding, _poly_eval, make_field, primitive_nth_root
 from cyclic_lrc.poly import Poly
 
 
@@ -27,7 +27,7 @@ def test_division_by_self(f5, rng):
         if f.is_zero:
             continue
         q, r = divmod(f, f)
-        assert q == Poly.one(f5) and r.is_zero
+        assert q == Poly(f5, [1]) and r.is_zero
 
 
 def test_product_of_linear_factors(f13):
@@ -40,13 +40,13 @@ def test_constructor_trims_trailing_zeros(f5):
     padded = Poly(f5, (1, 0))
     assert padded == Poly(f5, [1]) and hash(padded) == hash(Poly(f5, [1]))
     assert padded.degree == 0 and padded.is_monic
-    assert divmod(Poly(f5, [3, 2]), padded) == (Poly(f5, [3, 2]), Poly.zero(f5))
+    assert divmod(Poly(f5, [3, 2]), padded) == (Poly(f5, [3, 2]), Poly(f5, []))
     assert Poly(f5, iter([0, 0])).is_zero
 
 
 def test_division_by_zero_rejected(f5):
     with pytest.raises(ZeroDivisionError):
-        divmod(Poly.one(f5), Poly.zero(f5))
+        divmod(Poly(f5, [1]), Poly(f5, []))
 
 
 def test_from_roots_single(f5):
@@ -61,13 +61,13 @@ def test_from_roots_quartic_over_gf25_projects_down(f5, f25):
     quartic = Poly.from_roots(f25, roots)
     assert quartic.degree == 4 and quartic.is_monic
     for r in roots:
-        assert quartic(r) == 0
+        assert _poly_eval(f25, quartic.coeffs, r) == 0
     assert all(f25.pow(c, 5) == c for c in quartic.coeffs)
     _, preimage = _embedding(f5, f25)
     projected = Poly(f5, [preimage[c] for c in quartic.coeffs])
     assert projected.coeffs == (1, 1, 0, 2, 1)  # x^4 + 2x^3 + x + 1
     for idx in (1, 2):
-        assert projected(idx) == 0
+        assert _poly_eval(f5, projected.coeffs, idx) == 0
 
 
 def test_from_roots_conjugate_closed_set_over_gf121():
@@ -79,13 +79,13 @@ def test_from_roots_conjugate_closed_set_over_gf121():
 
 
 def test_from_roots_of_no_roots_is_one(f5):
-    assert Poly.from_roots(f5, []) == Poly.one(f5)
+    assert Poly.from_roots(f5, []) == Poly(f5, [1])
 
 
 def test_from_roots_equals_the_product_of_its_linear_factors(rng, f13):
     for _ in range(20):
         roots = rng.sample(range(13), rng.randrange(1, 13))
-        product = Poly.one(f13)
+        product = Poly(f13, [1])
         for r in roots:
             product = product * Poly(f13, [f13.neg(r), 1])
         assert Poly.from_roots(f13, roots) == product
@@ -100,14 +100,14 @@ def test_reciprocal_examples(f5):
     assert Poly(f5, [4, 1]).reciprocal().coeffs == (1, 4)
     witness = Poly(f5, [3, 0, 4, 0, 2, 0, 1])
     assert witness.reciprocal().coeffs == (1, 0, 2, 0, 4, 0, 3)
-    assert Poly.one(f5).reciprocal() == Poly.one(f5)
+    assert Poly(f5, [1]).reciprocal() == Poly(f5, [1])
     with pytest.raises(ValueError):
-        Poly.zero(f5).reciprocal()
+        Poly(f5, []).reciprocal()
 
 
 def test_evaluation_example(f5):
     g = Poly(f5, [1, 1, 0, 2, 1])
-    assert g(1) == 0
+    assert _poly_eval(f5, g.coeffs, 1) == 0
 
 
 def _divides_cycle(f, n):
@@ -146,7 +146,7 @@ def test_from_roots_is_monic_and_vanishes(rng, f13):
         f = Poly.from_roots(f13, roots)
         assert f.is_monic and f.degree == len(roots)
         for r in roots:
-            assert f(r) == 0
+            assert _poly_eval(f13, f.coeffs, r) == 0
 
 
 def test_cycle_divisor_product_is_exact(f5, f25):
@@ -155,6 +155,12 @@ def test_cycle_divisor_product_is_exact(f5, f25):
         quotient, remainder = divmod(Poly.x_pow_minus_one(field, n), g)
         assert remainder.is_zero
         assert g * quotient == Poly.x_pow_minus_one(field, n)
+
+
+def _add(f, g):
+    """f + g, coefficient by coefficient on the field's indices."""
+    length = max(len(f.coeffs), len(g.coeffs))
+    return Poly(f.field, (f.field.add(f.coefficient(i), g.coefficient(i)) for i in range(length)))
 
 
 def _binomial(field, s, c):
@@ -170,7 +176,7 @@ def test_divmod_round_trip(rng, f5):
             if g.is_zero:
                 continue
             q, r = divmod(f, g)
-            assert q * g + r == f
+            assert _add(q * g, r) == f
             assert r.is_zero or r.degree < g.degree
         # sparse divisors: x^s - c, and (x - 1)(x - gamma)(x^s - alpha) as
         # in the thm generators
@@ -183,17 +189,17 @@ def test_divmod_round_trip(rng, f5):
                 Poly.from_roots(field, sorted({1, gamma})) * _binomial(field, s, alpha),
             ):
                 q, r = divmod(f, g)
-                assert q * g + r == f
+                assert _add(q * g, r) == f
                 assert r.is_zero or r.degree < g.degree
-                assert divmod(f * g, g) == (f, Poly.zero(field))
+                assert divmod(f * g, g) == (f, Poly(field, []))
 
 
 def test_mismatched_fields_rejected(f5, f13):
-    for op in ("__add__", "__sub__", "__mul__", "__divmod__"):
+    for op in ("__mul__", "__divmod__"):
         with pytest.raises(ValueError):
-            getattr(Poly.one(f5), op)(Poly.one(f13))
+            getattr(Poly(f5, [1]), op)(Poly(f13, [1]))
 
 
 def test_str_rendering(f5):
     assert str(Poly(f5, [1, 1, 0, 2, 1])) == "x^4 + 2*x^3 + x + 1"
-    assert str(Poly.zero(f5)) == "0"
+    assert str(Poly(f5, [])) == "0"

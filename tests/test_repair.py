@@ -116,7 +116,7 @@ def test_verify_locality_without_grid_word_is_unsettled(code_8_4_4):
     # r_test + 1 not dividing n, no factor x^4 - c of the degree-4 g, and
     # the full space (g = 1): none has a grid word, so none is settled
     f5 = make_field(5)
-    full = CyclicCode(f5, 8, Poly.one(f5))
+    full = CyclicCode(f5, 8, Poly(f5, [1]))
     for code, r_test in ((code_8_4_4, 2), (code_8_4_4.base, 4), (code_8_4_4, 1), (full, 3)):
         check = verify_locality(code, r_test)
         assert check == (None, r_test, "no-grid-word", None, None)
@@ -173,7 +173,7 @@ def test_erased_word_validation(f5):
 
 def test_repair_worked_example(code_8_4_4):
     # erase coordinate 0 of the codeword g itself
-    word = list(map(code_8_4_4.field.from_index, code_8_4_4.base.g.padded(8)))
+    word = [code_8_4_4.field.from_index(code_8_4_4.base.g.coefficient(i)) for i in range(8)]
     expected = word[0]
     word[0] = None
     recovered = repair_erasure(code_8_4_4, ErasedWord.from_symbols(word))
@@ -244,33 +244,35 @@ def test_repair_plan_is_built_once_per_code(monkeypatch):
         raise RepairError("grid constant read after the plan was built")
 
     monkeypatch.setattr(repair, "_grid_constant", no_plan)
-    word = list(map(code.field.from_index, code.base.g.padded(8)))
+    word = [code.field.from_index(code.base.g.coefficient(i)) for i in range(8)]
     expected, word[5] = word[5], None
     assert repair_erasure(code, ErasedWord.from_symbols(word)) == expected
 
 
 def test_dual_distance_exact(code_8_4_4, code_9_5_3):
-    assert min_distance_exhaustive(code_8_4_4.base.dual()).value == 4
-    assert min_distance_exhaustive(code_9_5_3.base.dual()).value == 3
+    assert min_distance_exhaustive(code_8_4_4.base.dual()) == (4, 4, True, 5**4 - 1)
+    assert min_distance_exhaustive(code_9_5_3.base.dual()) == (3, 3, True, 4**4 - 1)
 
 
 def test_dual_distance_of_parity_check_code():
     f5 = make_field(5)
     code = CyclicCode(f5, 6, Poly(f5, [4, 1]))
-    assert min_distance_exhaustive(code.dual()).value == 6  # repetition code
+    assert min_distance_exhaustive(code.dual()) == (6, 6, True, 5**1 - 1)  # repetition code
 
 
 def test_dual_distance_at_most_r_plus_1(acceptance_codes):
     for code in acceptance_codes.values():
-        scan = min_distance_exhaustive(code.base.dual(), budget=1 << 23)
+        dual = code.base.dual()
+        scan = min_distance_exhaustive(dual, budget=1 << 23)
         if scan.exact:
-            assert scan.value <= code.r + 1
+            assert scan.lower == scan.upper <= code.r + 1
+            assert scan.enumerated == dual.field.q**dual.k - 1
         else:
             # over-budget dual space: the weight-(r+1) repair vector itself
             # certifies the bound
             vec = repair_vector(code, 0)
             assert sum(1 for e in vec if e.index) == code.r + 1
-            assert code.base.dual().contains(vec)
+            assert dual.contains(vec)
 
 
 def test_dual_distance_brute_force_agreement(code_8_4_4):
@@ -289,7 +291,8 @@ def test_dual_distance_brute_force_agreement(code_8_4_4):
                 for c, g in enumerate(dual.generator_matrix[j]):
                     word[c] = field.add(word[c], field.mul(d, g))
         best = min(best, sum(1 for w in word if w))
-    assert best == min_distance_exhaustive(dual).value == 4
+    assert best == 4
+    assert min_distance_exhaustive(dual) == (4, 4, True, 5**4 - 1)
 
 
 def test_verify_locality_with_coset_witnesses(code_8_4_4):

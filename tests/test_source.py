@@ -300,3 +300,17 @@ def test_field_element_is_a_checked_value_without_arithmetic():
         and "FieldElement" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_poly_computes_by_products_and_division_only():
+    # the codes are built from products of linear factors and long division
+    # of x^n - 1; a point is evaluated by field._poly_eval on coefficients,
+    # and a distance is read from the whole DistanceScan
+    from cyclic_lrc.cyclic import DistanceScan
+    from cyclic_lrc.poly import Poly
+
+    ops = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow", "neg", "pos", "invert")
+    arithmetic = {f"__{pre}{op}__" for op in ops for pre in ("", "r", "i")}
+    assert arithmetic & set(vars(Poly)) == {"__mul__", "__divmod__"}
+    assert not {"zero", "one", "padded", "__call__"} & set(vars(Poly))
+    assert not hasattr(DistanceScan, "value")

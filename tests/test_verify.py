@@ -53,8 +53,8 @@ def test_singleton_bound_rejects_bad_input():
 def test_verify_certifies_distance3_instance(code_9_5_3):
     report = verify_optimal(code_9_5_3)
     assert report.verdict == OPTIMAL_CERTIFIED
-    assert report.distance.exact and report.distance.value == 3
-    assert report.dual_distance.value <= 3
+    assert report.distance == (3, 3, True, 4**5 - 1)
+    assert report.dual_distance.exact and report.dual_distance.upper <= 3
     assert report.locality.ok
     assert report.singleton_rhs == 3
     assert not report.degenerate
@@ -63,8 +63,8 @@ def test_verify_certifies_distance3_instance(code_9_5_3):
 def test_verify_certifies_distance4_instance(code_8_4_4):
     report = verify_optimal(code_8_4_4)
     assert report.verdict == OPTIMAL_CERTIFIED
-    assert report.distance.value == 4
-    assert report.dual_distance.value <= 4
+    assert report.distance == (4, 4, True, 5**4 - 1)
+    assert report.dual_distance.exact and report.dual_distance.upper <= 4
     assert report.bch_lower_bound == 4
 
 
@@ -90,7 +90,7 @@ def test_verify_refutes_corrupted_code(code_8_4_4):
     corrupted = LrcCode(base, 3, 4, "thm-1.1-ii", beta=code_8_4_4.beta)
     report = verify_optimal(corrupted)
     assert report.verdict == REFUTED
-    assert report.distance.value == 2
+    assert report.distance == (2, 2, True, 5**4 - 1)
 
 
 def test_claim_without_grid_word_is_indeterminate():
@@ -100,7 +100,7 @@ def test_claim_without_grid_word_is_indeterminate():
     f3 = make_field(3)
     code = LrcCode(CyclicCode(f3, 5, Poly(f3, [1] * 5)), 4, 5, "ex-3.2", beta=None)
     verdict, distance, locality = render_verdict(code)
-    assert (distance.exact, distance.value) == (True, 5)
+    assert distance == (5, 5, True, 3**1 - 1)
     assert locality.to_dict() == {"ok": None, "r_test": 4, "method": "no-grid-word"}
     assert verdict == INDETERMINATE
     assert verify_optimal(code).verdict == INDETERMINATE
@@ -181,7 +181,7 @@ def test_verdict_core_agrees_with_the_report_over_criterion_box(criterion_box_co
         assert verdict == report.verdict, rec
         assert (distance, locality) == (report.distance, report.locality), rec
         if report.dual_distance.exact and locality.ok is True:
-            assert report.dual_distance.value <= code.r + 1, rec
+            assert report.dual_distance.lower == report.dual_distance.upper <= code.r + 1, rec
 
 
 def test_long_thm_code_certifies_promptly():
