@@ -11,18 +11,20 @@ form is not a codeword), 64 usage errors, unreadable code files and
 unwritable ``--out`` paths, 141 (128 + SIGPIPE) when stdout is closed
 early.  All output is byte-deterministic for fixed arguments.
 
-The installed ``cyclic-lrc`` script and ``python -m cyclic_lrc.cli`` enter
-through :func:`run`, which ends the process with ``os._exit`` once stdout
-and stderr are flushed: the interpreter is not torn down and no atexit
-handler runs.  :func:`main` returns its exit code and exits nothing.
+A closed stdout meets one handler, in :func:`main`, for every command and
+``--help``: main flushes stdout before it returns, and a broken pipe gives
+141 and one stderr line.  ``sweep`` prints each row as it is decided, so
+``sweep --verify | head`` stops verifying once the pipe breaks.  The
+installed ``cyclic-lrc`` script and ``python -m cyclic_lrc.cli`` enter
+through :func:`run`, which ends the process with ``os._exit``: the
+interpreter is not torn down and no atexit handler runs.  :func:`main`
+returns its exit code and exits nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import os
 import sys
 
@@ -158,20 +160,18 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    nmax = max(2, 2 * (args.qmax - 1)) if args.nmax is None else args.nmax
     try:
-        records = enumerate_valid_params(args.scheme, args.qmax, args.nmax)
+        records = enumerate_valid_params(args.scheme, args.qmax, nmax)
     except ParameterError as exc:
         raise CliError(str(exc), EX_USAGE) from None
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scheme", "q", "n", "k", "r", "d", "verdict"])
+    # every field is an int, a scheme name, a verdict or a diagnostic
+    # identifier, so a plain comma join is the CSV row
+    print("scheme,q,n,k,r,d,verdict")
     status = 0
     for rec in records:
-        if not rec.constructible:
-            verdict = rec.diagnostic or "not-constructible"
-        elif not args.verify:
-            verdict = ""
-        else:
+        verdict = rec.diagnostic or ""
+        if rec.constructible and args.verify:
             try:
                 code = _construct(rec.scheme, rec.q, rec.n, rec.r, rec.d)
             except CliError as exc:
@@ -180,8 +180,7 @@ def _cmd_sweep(args) -> int:
                 verdict, status = "construction-failed", exc.code
             else:
                 verdict = render_verdict(code, budget=args.budget)[0]
-        writer.writerow([rec.scheme, rec.q, rec.n, rec.k, rec.r, rec.d, verdict])
-    sys.stdout.write(out.getvalue())
+        print(",".join(map(str, (rec.scheme, rec.q, rec.n, rec.k, rec.r, rec.d, verdict))))
     return status
 
 
@@ -227,17 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # keep exit 2 reserved for the consistent-but-uncertified verdict
-        return 0 if exc.code == 0 else EX_USAGE
-    if getattr(args, "nmax", 0) is None:
-        args.nmax = max(2, 2 * (args.qmax - 1))
     try:
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
+        except SystemExit as exc:
+            # keep exit 2 reserved for the consistent-but-uncertified verdict
+            return 0 if exc.code == 0 else EX_USAGE
         except CliError as exc:
             print(str(exc), file=sys.stderr)
             return exc.code
@@ -245,22 +240,19 @@ def main(argv=None) -> int:
             sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (and stderr too, under 2>&1): point stdout
-        # at devnull, so the flush at exit is silent, and exit as SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # at devnull, so the flush at an in-process caller's exit is silent,
+        # and exit as SIGPIPE would
+        with contextlib.suppress(OSError):  # a stdout without a fileno
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         with contextlib.suppress(BrokenPipeError):
             print("stdout closed before the output was complete", file=sys.stderr)
         return EX_PIPE
 
 
 def run() -> None:
-    """:func:`main`, a flush of stdout and stderr, then ``os._exit`` with
-    main's status; a reader that closed stdout before the flush makes it
-    141."""
+    """:func:`main`, then ``os._exit`` with its status once stderr is
+    flushed; main has already flushed stdout."""
     status = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        status = EX_PIPE
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(status)

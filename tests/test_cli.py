@@ -17,7 +17,7 @@ import cyclic_lrc
 from cyclic_lrc import cli
 from cyclic_lrc.cli import main
 from cyclic_lrc.codefile import code_to_dict, dumps_canonical, load_code
-from cyclic_lrc.constructions import LrcCode, base_field
+from cyclic_lrc.constructions import ALL_SCHEMES, LrcCode, base_field, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode
 from cyclic_lrc.field import primitive_nth_root
 from cyclic_lrc.poly import Poly
@@ -194,7 +194,7 @@ def test_verify_of_length_4092_needs_no_scan(tmp_path):
     assert report["distance"] == {"enumerated": 0, "exact": False, "lower": 3, "upper": 1025}
 
 
-def test_failures_print_one_line_and_no_traceback(tmp_path):
+def test_failures_print_one_line_and_no_traceback(code_file, tmp_path):
     # each path exits with its documented code and one stderr line
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"scheme": "\xe9"}')
@@ -213,9 +213,9 @@ def test_failures_print_one_line_and_no_traceback(tmp_path):
                            "--out", str(long_file))
     assert proc.returncode == 0
 
-    def closed_stdout(stderr):
+    def closed_stdout(argv, stderr):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "cyclic_lrc.cli", "verify", str(long_file)],
+            [sys.executable, "-m", "cyclic_lrc.cli", *argv],
             stdout=subprocess.PIPE, stderr=stderr, text=True,
             env=_cli_env(),
         )
@@ -223,9 +223,24 @@ def test_failures_print_one_line_and_no_traceback(tmp_path):
         err = proc.stderr.read() if proc.stderr else ""
         return subprocess.CompletedProcess(proc.args, proc.wait(timeout=60), "", err)
 
-    runs.append((closed_stdout(subprocess.PIPE), 141, "stdout closed before the output was complete"))
-    # with stderr on the same closed pipe (2>&1) the exit code is the same
-    assert closed_stdout(subprocess.STDOUT).returncode == 141
+    # every command, and --help, meets the one handler in main, whether its
+    # output overflows the pipe or waits in the stdout buffer
+    sweep = ["sweep", "--scheme", "thm-3.4", "--qmax", "5"]
+    for argv in [
+        ["verify", str(long_file)],
+        ["construct", "--scheme", "thm-1.1-ii", "--q", "5", "--n", "8", "--r", "3"],
+        ["encode", str(code_file), "--message", "1,0,0,0"],
+        ["repair", str(code_file), "--word", "_,1,0,2,1,0,0,0"],
+        sweep,
+        [*sweep, "--verify"],
+        ["--help"],
+    ]:
+        runs.append((closed_stdout(argv, subprocess.PIPE), 141, "stdout closed before the output was complete"))
+        # with stderr on the same closed pipe (2>&1) the exit code is the same
+        assert closed_stdout(argv, subprocess.STDOUT).returncode == 141, argv
+    # to an open reader, --help is a success that writes nothing on stderr
+    help_run = _bounded_cli("--help")[0]
+    assert (help_run.returncode, help_run.stderr) == (0, "")
     for done, code, start in runs:
         assert done.returncode == code, done.args
         assert "Traceback" not in done.stderr, done.args
@@ -233,9 +248,9 @@ def test_failures_print_one_line_and_no_traceback(tmp_path):
 
 
 def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, capsys, tmp_path):
-    # python -m ends in cli.run, which flushes and leaves through os._exit:
-    # on pipes, each failure's code and stderr line are what main gives in
-    # process
+    # python -m ends in cli.run, which leaves through os._exit once main has
+    # flushed: on pipes, each failure's code and stderr line are what main
+    # gives in process
     tampered = json.loads(code_file.read_text())
     tampered["g"][0] = 3
     bad = tmp_path / "bad.json"
@@ -246,7 +261,7 @@ def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, caps
         5: ["repair", str(code_file), "--word", "_,1,1,2,1,0,0,0"],
         64: ["verify", str(tmp_path / "missing.json")],
     }
-    # block-buffered stdout, so output that run did not flush would be lost
+    # block-buffered stdout, so output that main did not flush would be lost
     env = _cli_env()
     for status, argv in failures.items():
         rc, out, err = _run(capsys, *argv)
@@ -254,7 +269,7 @@ def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, caps
         proc = subprocess.run([sys.executable, "-m", "cyclic_lrc.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
-    # argparse leaves the help text in the stdout buffer; run flushes it
+    # argparse leaves the help text in the stdout buffer; main flushes it
     rc, out, err = _run(capsys, "--help")
     proc = subprocess.run([sys.executable, "-m", "cyclic_lrc.cli", "--help"],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -588,6 +603,19 @@ def test_sweep_header_and_rows(capsys):
     rows = _parse_csv(out)
     assert {(r["q"], r["n"], r["r"]) for r in rows} >= {("4", "9", "2"), ("4", "3", "2")}
     assert all(r["verdict"] == "" for r in rows)
+
+
+def test_sweep_rows_are_the_csv_rendering_of_the_enumeration(capsys):
+    # sweep comma-joins its fields; the reference renders them with csv, so a
+    # field that ever needs quoting fails here instead of changing bytes
+    for scheme in ALL_SCHEMES:
+        rc, out, _ = _run(capsys, "sweep", "--scheme", scheme, "--qmax", "32", "--nmax", "40")
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["scheme", "q", "n", "k", "r", "d", "verdict"])
+        for rec in enumerate_valid_params(scheme, 32, 40):
+            writer.writerow([rec.scheme, rec.q, rec.n, rec.k, rec.r, rec.d, rec.diagnostic or ""])
+        assert (rc, out) == (0, reference.getvalue()), scheme
 
 
 def test_sweep_double_length_diagnostic_column(capsys):

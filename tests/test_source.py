@@ -253,10 +253,11 @@ def test_src_does_not_import_dataclasses():
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # -I -S: no site hooks or environment that could load them first;
-    # -B: the probe leaves no bytecode cache behind in src/
+    # -B: the probe leaves no bytecode cache behind in src/; sweep rows are
+    # comma-joined, so csv is not loaded either
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cyclic_lrc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", probe, str(SRC)],
