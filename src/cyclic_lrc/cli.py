@@ -242,8 +242,8 @@ def main(argv=None) -> int:
         # the reader closed stdout (and stderr too, under 2>&1): point stdout
         # at devnull, so the flush at an in-process caller's exit is silent,
         # and exit as SIGPIPE would
-        with contextlib.suppress(OSError):  # a stdout without a fileno
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:  # a stdout without a fileno
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         with contextlib.suppress(BrokenPipeError):
             print("stdout closed before the output was complete", file=sys.stderr)
         return EX_PIPE

@@ -26,14 +26,16 @@ f*e over zeros plus the grid factor's coset (for ex, the head run plus the
 coset), and confirms them on first read in GF(q) or GF(q^2); MAX_LENGTH
 bounds n.
 
-Each scheme's preconditions live only in ``_plan``, an integer-only function
-of (scheme, q, n, r, d), which raises ParameterError with a reusable
-diagnostic or returns a ``_Plan``.  ``construct``, the one way to build a
-code, goes from the plan through ``_from_zeros``, on element indices; only
-the stored beta, alpha and gamma are elements.  ``enumerate_valid_params``
-lists exactly the sets ``_plan`` accepts, so a sweep and construct cannot
-disagree.  All choices inherit the canonical field conventions, so each
-scheme is a pure deterministic function of its parameters.
+Each scheme's preconditions live in ``_plan``, an integer-only function of
+(scheme, q, n, r, d), which raises ParameterError with a reusable
+diagnostic or returns a ``_Plan``, and in ``_FIXED``, the n and d a scheme
+fixes (thm-3.4's n = 2(q - 1), the thm schemes' d), which ``construct``
+enforces.  ``construct``, the one way to build a code, goes from the plan
+through ``_from_zeros``, on element indices; only the stored beta, alpha
+and gamma are elements.  ``enumerate_valid_params`` lists exactly the sets
+``_plan`` accepts, so a sweep and construct cannot disagree.  All choices
+inherit the canonical field conventions, so each scheme is a pure
+deterministic function of its parameters.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class ConstructionError(RuntimeError):
 
 
 class LrcCode(Immutable):
-    """A cyclic code together with its locality and optimality claim.
+    """A cyclic code with its locality and optimality claim, which only the
+    constructor checks: r >= 1, (r + 1) | n and d the Singleton-type bound.
 
     ``beta`` is the primitive n-th root whose powers are the roots of g, a
     FieldElement of GF(q) (ex-3.2) or GF(q^2) (ex-3.3), and None for the thm
@@ -188,10 +191,10 @@ def _require(condition: bool, message: str) -> None:
 class _Plan(NamedTuple):
     """What one admissible parameter set determines: g = (x^s - rho^grid)
     times the product of x - rho^e over ``zeros``, s = n/(r+1), rho the
-    canonical primitive root of unity of order ``order``; gamma =
-    rho^gamma_exponent is stored where not None.  ``gap`` is (sweep
-    diagnostic, construct message) for a set that passes every
-    precondition but cannot be built."""
+    canonical primitive root of unity of order ``order``, so k = n - s -
+    len(zeros) by g's degree; gamma = rho^gamma_exponent is stored where not
+    None.  ``gap`` is (sweep diagnostic, construct message) for a set that
+    passes every precondition but cannot be built."""
 
     k: int
     order: int
@@ -211,19 +214,18 @@ def _bezout_exponent(s: int, r: int) -> int:
     return (2 // g) * pow(s // g, -1, modulus) % modulus
 
 
-def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int]:
-    """Zeros off the grid, grid exponent and dimension for scheme ex-3.2:
-    the run 0..d-2 less its coset e = d-2 mod (r+1), which the grid factor
-    holds whole."""
-    a, b = divmod(d, r + 1)
+def _subgroup_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
+    """Zeros off the grid and grid exponent for scheme ex-3.2: the run
+    0..d-2 less its coset e = d-2 mod (r+1), which the grid factor holds
+    whole."""
     _require(
-        b != 1,
+        d % (r + 1) != 1,
         f"distance d = {d} with d mod (r+1) = 1 is unreachable: the root run "
         f"wraps around and forces minimum distance d + 1; request d = {d + 1}",
     )
     t = (d - 2) % (r + 1)
     zeros = [e for e in range(d - 1) if e % (r + 1) != t]
-    return zeros, n // (r + 1) * t, r * n // (r + 1) - a * r - b + (2 if b else 1)
+    return zeros, n // (r + 1) * t
 
 
 def _coset_b_values(r: int) -> tuple[int, ...]:
@@ -231,10 +233,10 @@ def _coset_b_values(r: int) -> tuple[int, ...]:
     return tuple(range(2, 2 * (r // 2) + 1, 2))
 
 
-def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int]:
-    """Zeros off the grid, grid exponent and dimension for scheme ex-3.3:
-    the symmetric run less the multiples of r + 1, which the grid factor
-    x^s - 1 holds whole."""
+def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int]:
+    """Zeros off the grid and grid exponent for scheme ex-3.3: the
+    symmetric run less the multiples of r + 1, which the grid factor x^s - 1
+    holds whole."""
     a, b = divmod(d, r + 1)
     _require(
         a % 2 == 0 and b in _coset_b_values(r),
@@ -243,7 +245,7 @@ def _coset_exponents(n: int, r: int, d: int) -> tuple[list[int], int, int]:
     )
     half = (d - 2) // 2
     zeros = [e % n for e in range(-half, half + 1) if e % (r + 1)]
-    return zeros, 0, r * n // (r + 1) - a * r - b + 2
+    return zeros, 0
 
 
 def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
@@ -267,7 +269,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             return None
         d_min = 1 if subgroup else 2
         _require(d_min <= d <= n, f"distance d = {d} out of range {d_min}..{n}")
-        zeros, grid, k = (_subgroup_exponents if subgroup else _coset_exponents)(n, r, d)
+        zeros, grid = (_subgroup_exponents if subgroup else _coset_exponents)(n, r, d)
         order = n  # rho = beta, a primitive n-th root
         if not subgroup and q * q > MAX_FIELD_ORDER:  # beta of ex-3.3 lies in GF(q^2)
             message = f"the splitting field of x^{n} - 1 over GF({q}) exceeds the supported order {MAX_FIELD_ORDER}"
@@ -285,7 +287,7 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
         _require(n % (r + 1) == 0, f"(r + 1) = {r + 1} does not divide 2(q - 1) = {n}")
         s = n // (r + 1)
         # rho = omega, gamma = omega and alpha = omega^(s/2)
-        order, zeros, k, grid, gamma_exponent = q - 1, [0, 1], n - s - 2, s // 2, 1
+        order, zeros, grid, gamma_exponent = q - 1, [0, 1], s // 2, 1
         # (r+1) | 2(q-1) does not by itself place alpha = beta^s, beta of
         # order 2(q-1), in GF(q): that needs s even, that is (r+1) | q - 1
         if (q - 1) % (r + 1):
@@ -304,13 +306,13 @@ def _plan(scheme: str, q: int, n: int, r: int, d: int | None) -> _Plan | None:
             f"gcd(n, q - 1) = {math.gcd(n, q - 1)} is not divisible by r + 1 = {r + 1}",
         )
         # rho = alpha, a primitive (r+1)-th root
-        order, zeros, k, grid = r + 1, [0], n - 1 - n // (r + 1), 1
+        order, zeros, grid = r + 1, [0], 1
         if scheme == SCHEME_D4_UNBOUNDED:
             gamma_exponent = _bezout_exponent(n // (r + 1), r)
-            zeros, k = [0, gamma_exponent], k - 1
+            zeros = [0, gamma_exponent]
     if d is None:
         return None
-    return _Plan(k, order, zeros, grid, gamma_exponent, gap)
+    return _Plan(n - n // (r + 1) - len(zeros), order, zeros, grid, gamma_exponent, gap)
 
 
 def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
@@ -319,7 +321,7 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     (ex-3.3), projected to GF(q), which fails outside its embedded copy;
     times x^s - c, c = rho^grid projected alike.  ex stores beta = rho, thm
     alpha = c and gamma.  CyclicCode checks g | x^n - 1 and is handed the
-    plan's zeros, and k is checked."""
+    plan's zeros; LrcCode checks the claims."""
     plan = _plan(scheme, q, n, r, d)
     if plan.gap is not None:
         raise ParameterError(plan.gap[1])
@@ -332,8 +334,6 @@ def _from_zeros(scheme: str, q: int, n: int, r: int, d: int) -> LrcCode:
     g = Poly(field, [field.neg(c), *[0] * (s - 1), 1]) * Poly(  # __mul__ skips the left zeros
         field, (_project(a, preimage, field, "generator coefficient") for a in lifted.coeffs))
     code = CyclicCode(field, n, g, partial(_confirmed_zeros, plan, rho, s))
-    if code.k != plan.k:
-        raise ConstructionError(f"{scheme}: derived dimension {code.k} != scheme formula {plan.k}")
     if scheme in (SCHEME_ANY_D_SUBGROUP, SCHEME_ANY_D_COSET):
         return LrcCode(code, r, d, scheme, rho)
     gamma = None if plan.gamma_exponent is None else field.from_index(field.pow(rho.index, plan.gamma_exponent))

@@ -47,8 +47,8 @@ MAX_FIELD_ORDER = 1 << 20
 # generators; the parity matrix has k(n - k)m^2 GF(p) entries, and encoding
 # refuses more than MAX_LENGTH**2 // 4, the most a prime-field code needs.
 # At n = 4096 thm-1.1-i over GF(13) builds in 3 ms and its parity matrix of
-# 3.15M entries in 0.6 s, within 90 MB; over GF(4096) at n = 4095 it builds
-# in 0.03 s, bounds BCH in 0.35 s and cannot encode (2-CPU EPYC VM).
+# 3.15M entries in 1.1 s, within 90 MB; over GF(4096) at n = 4095 it builds
+# in 0.05 s, bounds BCH in 0.16 s and cannot encode (2-CPU Xeon VM).
 MAX_LENGTH = 1 << 12
 
 

@@ -7,10 +7,9 @@ reduces to zero modulo x^s - c, so for each class the word with entry c^t at
 i mod s + s*t (t = 0..r) is a dual codeword, and c^(r+1) = 1.  The grid
 constant c, the first by index for which x^s - c divides g, is found by
 folding g's coefficients modulo x^s - c, once per code, and cached on it
-(``LrcCode.grid_constant``); a locality check at another r finds it afresh.
-The repair vector of i is that word on i's class.  That factor is the only
-locality certificate: a code without it has no repair plan, and its
-locality is reported unsettled, not refuted.
+(``LrcCode.grid_constant``).  The repair vector of i is that word on i's
+class.  That factor is the only locality certificate: a code without it
+has no repair plan, and its locality is reported unsettled, not refuted.
 
 Repair reads a plan built once per code from c: for i = i mod s + s*u, the
 r pairs (i mod s + s*t, -c^(t-u)) over t != u, so that c_i is the sum of the
@@ -47,15 +46,9 @@ class ErasedWord(NamedTuple):
         return cls(tuple(symbols), holes[0])
 
 
-def repair_stride(n: int, r: int) -> int:
-    if r < 1 or n % (r + 1) != 0:
-        raise ValueError(f"(r + 1) = {r + 1} must divide n = {n}")
-    return n // (r + 1)
-
-
 def coordinate_coset(n: int, r: int, i: int) -> tuple[int, ...]:
     """All r+1 coordinates sharing i's residue class modulo n/(r+1)."""
-    s = repair_stride(n, r)
+    s = n // (r + 1)
     return tuple(range(i % s, n, s))
 
 
@@ -72,9 +65,7 @@ def _has_grid_factor(field: FiniteField, coeffs: Sequence[int], s: int, c: int) 
 def _grid_constant(base: CyclicCode, r: int) -> int:
     """The first c, by index, for which x^s - c divides g, s = n/(r+1); then
     c^(r+1) = 1, since g divides x^n - 1."""
-    if base.k < 1:
-        raise RepairError("repair plans need a code of dimension >= 1")
-    field, s = base.field, repair_stride(base.n, r)
+    field, s = base.field, base.n // (r + 1)
     for c in range(1, field.q):
         if _has_grid_factor(field, base.g.coeffs, s, c):
             return c
@@ -110,7 +101,7 @@ def repair_plan(code) -> tuple[tuple[tuple[int, int], ...], ...]:
     to -1 at i, its entries as indices.  Raises RepairError when the code
     has no repair vectors."""
     field, n, r = code.field, code.n, code.r
-    s = repair_stride(n, r)
+    s = n // (r + 1)
     neg = [field.neg(value) for value in _powers(field, code.grid_constant, r)]
     return tuple(
         tuple((i % s + s * t, neg[(t - i // s) % (r + 1)]) for t in range(r + 1) if t != i // s)
@@ -146,7 +137,7 @@ def repair_erasure(code, word: ErasedWord) -> FieldElement:
 
 
 class LocalityCheck(NamedTuple):
-    """Outcome of a locality-r_test check.
+    """Outcome of the locality check of an LrcCode; r_test is its r.
 
     ok is True, method "coset-witness", when g has a factor x^s - c, s =
     n/(r_test+1): then ``stride`` is s and ``entries`` the indices
@@ -173,30 +164,21 @@ class LocalityCheck(NamedTuple):
         return out
 
 
-def verify_locality(code, r_test: int | None = None) -> LocalityCheck:
-    """Check that every coordinate lies in the support of a dual codeword of
-    weight at most r_test + 1 (the linear-code locality criterion).
+def verify_locality(code) -> LocalityCheck:
+    """Check that every coordinate of an LrcCode lies in the support of a
+    dual codeword of weight at most r + 1 (the linear-code locality
+    criterion); LrcCode has already checked r >= 1 and (r + 1) | n.
 
-    The one certificate is a factor x^s - c of g, s = n/(r_test+1): then
-    every coordinate's residue class mod s carries the dual word
-    (1, c, ..., c^r_test).  Without one (or when r_test + 1 does not divide
-    n) the check reports ok = None, "no-grid-word": this can fail to
-    certify a locality claim but never refutes one.  Every code the CLI
-    loads is rebuilt by ``construct``, and every constructed code has the
-    factor.
+    The one certificate is the code's grid constant c, from a factor
+    x^s - c of g, s = n/(r+1): then every coordinate's residue class mod s
+    carries the dual word (1, c, ..., c^r).  Without one the check reports
+    ok = None, "no-grid-word": this can fail to certify a locality claim
+    but never refutes one.  Every code the CLI loads is rebuilt by
+    ``construct``, and every constructed code has the factor.
     """
-    base = getattr(code, "base", code)
-    r = r_test if r_test is not None else getattr(code, "r", None)
-    if r is None:
-        raise ValueError("a locality value is required for a bare cyclic code")
-    if r < 1:
-        raise ValueError(f"locality must be >= 1, got {r}")
-    if base.n % (r + 1) == 0:
-        try:
-            # the code's own r reads the constant cached on it
-            c = code.grid_constant if r == getattr(code, "r", None) else _grid_constant(base, r)
-        except RepairError:
-            pass
-        else:
-            return LocalityCheck(True, r, "coset-witness", base.n // (r + 1), _powers(base.field, c, r))
-    return LocalityCheck(None, r, "no-grid-word")
+    r = code.r
+    try:
+        c = code.grid_constant
+    except RepairError:
+        return LocalityCheck(None, r, "no-grid-word")
+    return LocalityCheck(True, r, "coset-witness", code.n // (r + 1), _powers(code.field, c, r))

@@ -87,21 +87,21 @@ def render_verdict(code: LrcCode, budget: int = DEFAULT_BUDGET) -> tuple[str, Di
     """The verdict on a code's claims, with the distance scan and locality
     check it reads.
 
-    optimal-certified   claimed == Singleton-type bound, the locality claim
-                        has its grid witness, and the proven lower bound
-                        (the exact scan, or BCH over the budget) reaches
-                        the claim;
+    optimal-certified   the locality claim has its grid witness, and the
+                        proven lower bound (the exact scan, or BCH over the
+                        budget) reaches the claim;
     optimal-consistent  nothing contradicts the claims but no proven lower
                         bound reaches the claim;
-    refuted             the claim is off the Singleton-type bound, or
-                        outside the distance bracket;
+    refuted             the claim is outside the distance bracket;
     indeterminate       g has no grid factor x^s - c for the claimed r, so
                         locality is uncertified (never refuted).
+
+    The claim is the Singleton-type bound, which LrcCode has checked.
     """
     base, d = code.base, code.d_claimed
     distance = min_distance_exhaustive(base, budget)
     locality = verify_locality(code)
-    if d != singleton_bound(base.n, base.k, code.r) or not distance.lower <= d <= distance.upper:
+    if not distance.lower <= d <= distance.upper:
         verdict = REFUTED
     elif not locality.ok:
         verdict = INDETERMINATE

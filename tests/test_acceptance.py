@@ -56,7 +56,7 @@ def test_criterion_1_distance3_family(acceptance_codes):
     report = _certify(code)
     assert report.distance == (3, 3, True, 4**5 - 1)
     assert report.dual_distance.exact and report.dual_distance.upper <= 3
-    assert verify_locality(code, 2).ok
+    assert verify_locality(code).ok
     assert singleton_bound(9, 5, 2) == 3
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -70,7 +70,7 @@ def test_criterion_2_distance4_family(acceptance_codes):
     report = _certify(code)
     assert report.distance == (4, 4, True, 5**4 - 1)
     assert report.dual_distance.exact and report.dual_distance.upper <= 4
-    assert verify_locality(code, 3).ok
+    assert verify_locality(code).ok
     assert singleton_bound(8, 4, 3) == 4
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -247,6 +247,39 @@ def test_failures_print_one_line_and_no_traceback(code_file, tmp_path):
         assert done.stderr.count("\n") == 1 and done.stderr.startswith(start), done.stderr
 
 
+_CLOSED_STDOUT_CALLS = """
+import json, os, sys
+from cyclic_lrc.cli import main
+counts = []
+for _ in range(3):
+    read, write = os.pipe()
+    os.dup2(write, sys.stdout.fileno())
+    os.close(read)
+    os.close(write)
+    assert main(["sweep", "--scheme", "thm-3.4", "--qmax", "5"]) == 141
+    counts.append(len(os.listdir("/proc/self/fd")))
+with open(sys.argv[1], "w") as out:
+    json.dump(counts, out)
+"""
+
+
+def test_closed_stdout_handler_leaks_no_descriptor(tmp_path):
+    # three in-process main calls, each on a pipe whose reader has closed:
+    # the handler closes the devnull descriptor it points stdout at, so the
+    # count of open descriptors stays flat
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    counts = tmp_path / "counts.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLOSED_STDOUT_CALLS, str(counts)],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "stdout closed before the output was complete\n" * 3
+    first, *rest = json.loads(counts.read_text())
+    assert rest == [first, first]
+
+
 def test_module_entry_point_keeps_every_exit_code_and_diagnostic(code_file, capsys, tmp_path):
     # python -m ends in cli.run, which leaves through os._exit once main has
     # flushed: on pipes, each failure's code and stderr line are what main
@@ -462,6 +495,21 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert rc == 64
 
 
+def test_malformed_shapes_exit_64_with_one_line(code_file, capsys, tmp_path):
+    # a top-level value that is not an object, and a g or modulus that is
+    # not an array, are format errors, each named on one stderr line
+    bad = tmp_path / "bad.json"
+    valid = json.loads(code_file.read_text())
+    for text, line in [
+        ("[1]", "code file must hold a JSON object"),
+        (json.dumps({**valid, "g": 7}), "g must be a coefficient array"),
+        (json.dumps({**valid, "modulus": 7}), "malformed modulus: 7 is not a list"),
+    ]:
+        bad.write_text(text)
+        rc, out, err = _run(capsys, "verify", str(bad))
+        assert (rc, out, err) == (64, "", f"unreadable code file: {line}\n"), text
+
+
 def test_verify_rejects_noncanonical_element_encodings(code_file, capsys, tmp_path):
     # an element has one encoding, so that load then save reproduces the
     # file: a bare index over a prime field, m digits over GF(p^m)
@@ -642,13 +690,13 @@ def test_sweep_verify_keeps_its_table_when_one_row_fails_a_self_check(capsys, mo
 
     def failing(scheme, q, n=None, r=None, d=None):
         if (q, n, r) == (5, 8, 3):
-            raise ConstructionError("derived dimension 4 != scheme formula 5")
+            raise ConstructionError("grid constant is not fixed by the GF(5) Frobenius")
         return real(scheme, q, n=n, r=r, d=d)
 
     monkeypatch.setattr(cli, "construct", failing)
     rc, out, err = _run(capsys, "sweep", "--scheme", "thm-1.1-i", "--qmax", "5", "--nmax", "12", "--verify")
     assert rc == 1
-    assert err == "internal construction failure: derived dimension 4 != scheme formula 5\n"
+    assert err == "internal construction failure: grid constant is not fixed by the GF(5) Frobenius\n"
     assert out == (
         "scheme,q,n,k,r,d,verdict\n"
         "thm-1.1-i,4,3,1,2,3,optimal-certified\n"

@@ -321,6 +321,46 @@ def test_construct_dispatch_validation():
     assert code.scheme == "thm-3.4"
 
 
+def test_lrc_code_rejects_locality_below_one(code_8_4_4):
+    # (r + 1) | n holds at r = 0; only the locality check refuses it
+    for r in (0, -1):
+        with pytest.raises(ConstructionError, match=f"locality r = {r} must be >= 1"):
+            LrcCode(code_8_4_4.base, r, 4, "thm-1.1-ii", beta=None)
+
+
+def test_lrc_code_rejects_r_plus_one_not_dividing_n(code_8_4_4):
+    # d = 4 is the Singleton-type bound of [8, 4] at r = 2, so only the
+    # divisibility check refuses it
+    with pytest.raises(ConstructionError, match=r"\(r \+ 1\) = 3 must divide n = 8"):
+        LrcCode(code_8_4_4.base, 2, 4, "thm-1.1-ii", beta=None)
+
+
+def test_lrc_code_rejects_a_distance_off_the_singleton_bound(code_8_4_4):
+    for d in (3, 5):
+        with pytest.raises(ConstructionError, match=f"claimed distance {d} misses the Singleton-type bound 4"):
+            LrcCode(code_8_4_4.base, 3, d, "thm-1.1-ii", beta=None)
+    # a zero-dimensional code has no bound, so no LrcCode
+    f5 = make_field(5)
+    with pytest.raises(ValueError, match="dimension k = 0"):
+        LrcCode(CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4)), 3, 1, "ex-3.2", beta=None)
+
+
+def test_a_wrong_count_of_zeros_misses_the_singleton_bound(monkeypatch):
+    # the bound falls strictly with k, so one zero too many in a plan gives
+    # a code whose claim is off it: [12, 5] at r = 2 has bound 6, not 5
+    from cyclic_lrc import constructions
+
+    real = constructions._subgroup_exponents
+
+    def one_more(n, r, d):
+        zeros, grid = real(n, r, d)
+        return zeros + [5], grid
+
+    monkeypatch.setattr(constructions, "_subgroup_exponents", one_more)
+    with pytest.raises(ConstructionError, match=r"bound 6 for \[n=12, k=5\], r=2"):
+        construct("ex-3.2", 13, n=12, r=2, d=5)
+
+
 def test_prime_power_decomposition():
     assert prime_power(8) == (2, 3)
     assert prime_power(13) == (13, 1)

@@ -77,7 +77,7 @@ def test_coset_locality_witnesses_over_criterion_box():
             if not rec.constructible:
                 continue
             code = construct(rec.scheme, rec.q, n=rec.n, r=rec.r, d=rec.d)
-            check = verify_locality(code, code.r)
+            check = verify_locality(code)
             assert check.method == "coset-witness", rec
             cases.append(
                 {"scheme": rec.scheme, "q": rec.q, "n": rec.n, "k": rec.k, "r": rec.r,

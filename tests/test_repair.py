@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from cyclic_lrc.constructions import ALL_SCHEMES, construct, enumerate_valid_params
+from cyclic_lrc.constructions import ALL_SCHEMES, LrcCode, construct, enumerate_valid_params
 from cyclic_lrc.cyclic import CyclicCode, min_distance_exhaustive
 from cyclic_lrc.field import make_field
 from cyclic_lrc.poly import Poly
@@ -92,34 +92,26 @@ def test_repair_vector_via_structural_witness():
         assert _dot(vec, row, code.field) == 0
 
 
-def test_repair_vector_rejects_zero_dimensional_code():
-    f5 = make_field(5)
-    zero_code = CyclicCode(f5, 4, Poly.x_pow_minus_one(f5, 4))
-    with pytest.raises(RepairError):
-        _grid_constant(zero_code, 3)
-
-
 def test_bare_code_without_grid_factor_is_uncertified():
-    # x^2 + 1 is irreducible over GF(3), so g has no factor x - c and no
-    # coset plan exists; the claim is left unsettled, not refuted
+    # x^2 + 1 is irreducible over GF(3), so a hand-built g has no factor
+    # x - c and no coset plan exists at r = 3; the claim is left unsettled,
+    # not refuted
     f3 = make_field(3)
-    code = CyclicCode(f3, 4, Poly(f3, [1, 0, 1]))
+    base = CyclicCode(f3, 4, Poly(f3, [1, 0, 1]))
     with pytest.raises(RepairError):
-        _grid_constant(code, 3)
-    check = verify_locality(code, 3)
+        _grid_constant(base, 3)
+    check = verify_locality(LrcCode(base, 3, 3, "ex-3.2", beta=None))
     assert check.to_dict() == {"ok": None, "r_test": 3, "method": "no-grid-word"}
-    # at r_test = 1 the factor x^2 - 2 is g itself
-    assert verify_locality(code, 1).method == "coset-witness"
+    # at r = 1 the factor x^2 - 2 is g itself
+    assert verify_locality(LrcCode(base, 1, 2, "ex-3.2", beta=None)).method == "coset-witness"
 
 
 def test_verify_locality_without_grid_word_is_unsettled(code_8_4_4):
-    # r_test + 1 not dividing n, no factor x^4 - c of the degree-4 g, and
-    # the full space (g = 1): none has a grid word, so none is settled
-    f5 = make_field(5)
-    full = CyclicCode(f5, 8, Poly(f5, [1]))
-    for code, r_test in ((code_8_4_4, 2), (code_8_4_4.base, 4), (code_8_4_4, 1), (full, 3)):
-        check = verify_locality(code, r_test)
-        assert check == (None, r_test, "no-grid-word", None, None)
+    # the degree-4 g of the [8, 4, 4] code has no factor x^4 - c, so its
+    # claim at r = 1 (Singleton-type bound 2) has no grid word and is not
+    # settled
+    code = LrcCode(code_8_4_4.base, 1, 2, "thm-1.1-ii", beta=None)
+    assert verify_locality(code) == (None, 1, "no-grid-word", None, None)
 
 
 def _class_word_is_dual(base, r, c):
@@ -297,7 +289,7 @@ def test_dual_distance_brute_force_agreement(code_8_4_4):
 
 def test_verify_locality_with_coset_witnesses(code_8_4_4):
     # the entries are held once, and spelled out per coordinate in to_dict
-    check = verify_locality(code_8_4_4, 3)
+    check = verify_locality(code_8_4_4)
     assert check.ok and check.method == "coset-witness"
     assert check.stride == 2 and len(check.entries) == 4
     witnesses = check.to_dict()["witnesses"]
@@ -308,13 +300,6 @@ def test_verify_locality_with_coset_witnesses(code_8_4_4):
         assert witness["entries"] == list(check.entries) and all(e != 0 for e in check.entries)
 
 
-def test_verify_locality_rejects_bad_r(code_8_4_4):
-    with pytest.raises(ValueError):
-        verify_locality(code_8_4_4, 0)
-
-
 def test_coordinate_coset_helper():
     assert coordinate_coset(8, 3, 0) == (0, 2, 4, 6)
     assert coordinate_coset(8, 3, 3) == (1, 3, 5, 7)
-    with pytest.raises(ValueError):
-        coordinate_coset(8, 2, 0)

@@ -235,7 +235,7 @@ def test_locality_has_one_certificate_and_no_budget():
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_locality"
     )
     args = verify_locality.args
-    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["code", "r_test"]
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["code"]
 
 
 def test_src_does_not_import_dataclasses():
