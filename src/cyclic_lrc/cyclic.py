@@ -148,14 +148,13 @@ class CyclicCode(Immutable):
         return None if self._zeros is None else self._zeros(self)
 
     def bch_lower_bound(self) -> int | None:
-        """Certified distance lower bound from consecutive root exponents, or
-        None where :attr:`root_exponents` is; computed once per code.
+        """Certified distance lower bound, 1 + the longest run of cyclically
+        consecutive :attr:`root_exponents` (n + 1 for the zero code), or
+        None where they are; computed once per code.
 
-        Every primitive n-th root is beta**u for a unit u mod n, and a run of
-        cyclically consecutive exponents in u * :attr:`root_exponents` is a
-        progression of the exponents with step v = 1/u.  So the bound, 1 +
-        the longest progression with a unit step, is the same whichever root
-        the exponents refer to (n + 1 for the zero code).
+        This is the BCH bound for the root beta the exponents refer to.
+        Every family ``construct`` builds states its designed run for that
+        beta, and a dual's negated complement keeps the complement's runs.
         """
         return self._bch
 
@@ -164,23 +163,11 @@ class CyclicCode(Immutable):
         zeros, n = self.root_exponents, self.n
         if zeros is None:
             return None
-        if len(zeros) == n:
-            return n + 1
-        # v and -v walk the same progressions.  A walk starts at a zero whose
-        # predecessor is not one, and only if its term e + best*v, which a
-        # longer progression than the best holds, is a zero; it ends, since
-        # Z is not every exponent
-        best = 0
-        for v in range(1, n // 2 + 1):
-            if math.gcd(v, n) != 1:
-                continue
-            for e in zeros:
-                if (e - v) % n not in zeros and (e + best * v) % n in zeros:
-                    length = 1
-                    while (e + length * v) % n in zeros:
-                        length += 1
-                    best = max(best, length)
-        return 1 + best
+        # a run starts at a zero whose predecessor is not one; only the empty
+        # and the full set have no such zero, and they give 1 and n + 1
+        runs = (next(j for j in range(1, n) if (e + j) % n not in zeros)
+                for e in zeros if (e - 1) % n not in zeros)
+        return 1 + max(runs, default=len(zeros))
 
 
 class DistanceScan(NamedTuple):

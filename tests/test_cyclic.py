@@ -221,14 +221,16 @@ def test_bch_on_distance3_code(code_9_5_3):
     assert base.bch_lower_bound() == reference_code(base).bch_lower_bound() == 3
 
 
-def test_bch_bound_takes_the_best_primitive_root():
+def test_construction_states_the_root_with_the_best_run():
     # Z = {0, 3, 11} for the canonical beta holds no two consecutive
-    # exponents, but for beta^3, whose exponents are 11 * Z = {0, 1, 9}, it
-    # does; the construction states the latter
+    # exponents, so its own bound is 2; for beta^3, whose exponents are
+    # 11 * Z = {0, 1, 9}, it holds a run of two, the best over all roots,
+    # and the construction states the latter
     base = construct("thm-1.1-i", 9, n=16, r=7).base
     reference = reference_code(base)
     assert sorted(reference.root_exponents) == [0, 3, 11]
-    assert reference.bch_lower_bound() == 3
+    assert reference.bch_lower_bound() == 2
+    assert _reference_bch(reference.root_exponents, 16) == 3
     assert sorted(base.root_exponents) == [0, 1, 9]
     assert base.bch_lower_bound() == 3
 
@@ -245,8 +247,9 @@ def test_bch_bound_needs_no_splitting_field():
 
 def test_long_extension_field_codes_build_and_bound_promptly():
     # the divisor check subtracts only g's nonzero terms, and the BCH bound
-    # reads the stated zeros, confirmed in GF(q) with one division, so
-    # neither grows as n * deg g or forms a field beyond GF(q)
+    # reads the stated zeros, confirmed in GF(q) by evaluating g at those
+    # off the grid and by the grid factor's residues, so neither grows as
+    # n * deg g or forms a field beyond GF(q)
     start = time.perf_counter()
     code = construct("thm-1.1-i", 4096, n=4095, r=2)
     built = time.perf_counter() - start
@@ -306,8 +309,8 @@ def _reference_bch(zeros, n):
 
 def test_bch_of_a_large_zero_set_reads_the_gaps_of_its_complement(criterion_box_codes):
     # a dual's zeros are the complement of its code's, so one of the two
-    # sets holds at least n/2 exponents; the bound walks the progressions of
-    # a set above n/2 as it walks those of a small one
+    # sets holds at least n/2 exponents; the bound reads the runs of a set
+    # above n/2 as it reads those of a small one
     large = 0
     for rec, code in criterion_box_codes:
         for c in (code.base, code.base.dual()):
@@ -332,12 +335,61 @@ def test_bch_equals_the_reference_over_the_qmax32_box():
 
 def test_dual_bch_of_a_long_code_is_prompt():
     # the dual of thm-1.1-i over GF(13) at n = 4092 has 3068 zeros; the
-    # bound checks each of them for a walk under 600 of the 1200 units
+    # bound reads each of them once, in one pass over its runs
     dual = construct("thm-1.1-i", 13, n=4092, r=3).base.dual()
     assert len(dual.root_exponents) == 3068
     start = time.perf_counter()
     assert dual.bch_lower_bound() == 4
     assert time.perf_counter() - start < 1.0
+
+
+def _walk_bch(zeros, n):
+    """1 + the longest progression of zeros whose step v is a unit mod n,
+    the BCH bound of the best primitive root, as :func:`_reference_bch`
+    gives it but without building u * zeros: a reference fast enough for
+    n near 4095, where :func:`_reference_bch` takes seconds per set."""
+    if len(zeros) == n:
+        return n + 1
+    # v and -v walk the same progressions.  A walk starts at a zero whose
+    # predecessor is not one, and only if its term e + best*v, which a
+    # longer progression than the best holds, is a zero; it ends, since
+    # Z is not every exponent
+    best = 0
+    for v in range(1, n // 2 + 1):
+        if math.gcd(v, n) != 1:
+            continue
+        for e in zeros:
+            if (e - v) % n not in zeros and (e + best * v) % n in zeros:
+                length = 1
+                while (e + length * v) % n in zeros:
+                    length += 1
+                best = max(best, length)
+    return 1 + best
+
+
+@pytest.mark.parametrize(
+    "scheme, q, params, bounds",
+    [
+        ("thm-1.1-i", 13, dict(n=4092, r=3), (3, 4)),
+        ("thm-1.1-ii", 13, dict(n=4092, r=3), (3, 4)),
+        ("thm-1.1-i", 4096, dict(n=4095, r=2), (3, 3)),
+        ("ex-3.2", 1024, dict(n=1023, r=2, d=101), (101, 3)),
+        ("ex-3.3", 64, dict(n=65, r=4, d=12), (12, 5)),
+        ("thm-3.4", 61, dict(r=3), (4, 4)),
+    ],
+    ids=["thm-1.1-i-q13", "thm-1.1-ii-q13", "thm-1.1-i-q4096", "ex-3.2-q1024", "ex-3.3-q64", "thm-3.4-q61"],
+)
+def test_long_code_bch_reads_the_best_run_at_once(scheme, q, params, bounds):
+    # on long codes and their duals the run read for the stated root equals
+    # the best over every root; the run is read in about a millisecond,
+    # where the walk over units takes a tenth of a second at n >= 4092
+    base = construct(scheme, q, **params).base
+    for c, bound in zip((base, base.dual()), bounds):
+        zeros = c.root_exponents
+        start = time.perf_counter()
+        assert c.bch_lower_bound() == bound
+        assert time.perf_counter() - start < 0.05, (scheme, q, params)
+        assert _walk_bch(zeros, c.n) == bound
 
 
 def test_bch_run_of_length_d_minus_1(acceptance_codes):
